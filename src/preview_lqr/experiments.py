@@ -46,7 +46,10 @@ from .policies import DEFAULT_TRACKING_POLES_4 as DEFAULT_POLES
 
 SCENARIOS = ("pendulum", "random", "pendulum-disturbance", "random-disturbance")
 
-DEFAULT_X0 = (1.0, 1.0, 1.0, 1.0)
+# Every scenario builds a 4-state, single-input system.
+N_STATES = 4
+
+DEFAULT_X0 = (1.0,) * N_STATES
 
 
 def pendulum_cost_bounds() -> CostBounds:
@@ -88,6 +91,15 @@ class ExperimentConfig:
             raise ValueError("need 0 <= w_min <= w_max")
         object.__setattr__(self, "poles", tuple(float(p) for p in self.poles))
         object.__setattr__(self, "x0", tuple(float(v) for v in self.x0))
+        if len(self.x0) != N_STATES:
+            raise ValueError(f"x0 must have length {N_STATES}, got {len(self.x0)}")
+        b = self.bounds
+        shapes = (b.Q_min.shape, b.Q_max.shape, b.R_min.shape, b.R_max.shape)
+        if shapes != ((N_STATES, N_STATES),) * 2 + ((1, 1),) * 2:
+            raise ValueError(
+                f"bounds must have {N_STATES}x{N_STATES} Q and 1x1 R matrices, "
+                f"got Q_min, Q_max, R_min, R_max shapes {shapes}"
+            )
 
     @property
     def noisy(self) -> bool:
@@ -148,7 +160,7 @@ def _trial_system(config: ExperimentConfig, T: int, trial: int):
         sys_ = inverted_pendulum(x0)
     else:
         rng = generator(config.master_seed, config.scenario, T, trial, "system")
-        sys_ = random_controllable_system(4, 1, 0.0, 10.0, rng, x0=x0)
+        sys_ = random_controllable_system(N_STATES, 1, 0.0, 10.0, rng, x0=x0)
     K_track = place_poles_single_input(sys_, config.poles)
     return sys_, K_track
 

@@ -76,6 +76,12 @@ class FrozenPlanner:
     disturbance-free case, so repeated solves across time steps and across
     preview lengths reuse the same backward pass. Known disturbances only
     add affine terms on top of the cached quadratic pass.
+
+    ``plan(t, W, known_w)`` is the single-time API: the full-horizon plan
+    made at time t. ``plan_points(W, w)`` returns only the entries the
+    tracking policy reads, entry t of the plan made at time t, for every t
+    at once; with disturbances it runs one backward and one forward sweep
+    batched over t, O(T) array steps instead of a replan per step.
     """
 
     def __init__(self, sys: LinearSystem, schedule: CostSchedule):
@@ -161,6 +167,65 @@ class FrozenPlanner:
             xs[i + 1] = A @ xs[i] + B @ us[i] + w_plan[i]
         return xs, us
 
+    def plan_points(self, W: int, w=None):
+        """Entry t of the plan made at time t, for every t in 0..T-2.
+
+        Returns (states, controls) of shapes (T-1, n) and (T-1, m); row t
+        equals ``plan(t, W, w)[0][t]`` and ``plan(t, W, w)[1][t]``. Without
+        disturbances (``w`` None or all zero) the rows are the cached
+        nominal plans, bit for bit. Otherwise they come from one affine
+        backward recursion batched over the plans still active at each
+        step, then one forward rollout in which plan t stops at index t.
+        Plan t reads only its own frozen pass and w[0..t], as ``plan`` does.
+        """
+        T, n, m = self.T, self.sys.n, self.sys.m
+        s_of = [min(t + W, T - 1) for t in range(T - 1)]
+        self.prepare(W)
+        X = np.empty((T - 1, n))
+        U = np.empty((T - 1, m))
+        if w is not None:
+            w = np.asarray(w, dtype=float)
+            if w.shape != (T - 1, n):
+                raise ValueError(f"w must have shape {(T - 1, n)}, got {w.shape}")
+        if w is None or not np.any(w):
+            for t, s in enumerate(s_of):
+                xs, us = self.nominal_plan(s)
+                X[t] = xs[t]
+                U[t] = us[t]
+            return X, U
+        # Plan t sits at position t of the batch; each step gathers the
+        # active plans' entries of their cached passes.
+        Ps = [self._passes[s].P for s in s_of]
+        Ks = [self._passes[s].K for s in s_of]
+        A, B = self.sys.A, self.sys.B
+        AT, BT = A.T.copy(), B.T.copy()
+        R = self.schedule.R
+        q = np.zeros((T - 1, n))
+        k = np.zeros((T - 1, T - 1, m))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Backward: at step i the plans t >= i are active; plan t's
+            # affine terms are zero above t, so it joins with q = 0.
+            for i in range(T - 2, -1, -1):
+                P = np.array([P_s[i + 1] for P_s in Ps[i:]])
+                K = np.array([K_s[i] for K_s in Ks[i:]])
+                v = q[i:] + (P.reshape(-1, n) @ w[i]).reshape(-1, n)
+                Bv = v @ B
+                G = R[i] + np.einsum("ni,jnk,kl->jil", B, P, B)
+                if m == 1:
+                    k[i, i:] = -Bv / G[:, 0]
+                else:
+                    k[i, i:] = -np.linalg.solve(G, Bv[..., None])[..., 0]
+                q[i:] = v @ A + np.einsum("jmn,jm->jn", K, Bv)
+            # Forward: plan t rolls out from x0 and stops at index t.
+            x = np.tile(self.sys.x0, (T - 1, 1))
+            for i in range(T - 1):
+                K = np.array([K_s[i] for K_s in Ks[i:]])
+                u = np.einsum("jmn,jn->jm", K, x[i:]) + k[i, i:]
+                X[i] = x[i]
+                U[i] = u[0]
+                x[i:] = x[i:] @ AT + u @ BT + w[i]
+        return X, U
+
 
 def predict_trajectory(
     sys: LinearSystem,
@@ -211,25 +276,26 @@ def prediction_tracking_policy(
     """Run the prediction-tracking policy over the whole horizon.
 
     At each step the policy re-plans under the currently revealed costs and
-    applies u = K_track (x - x_planned) + u_planned; the realized state then
-    advances with the true disturbance.
+    disturbances and applies u = K_track (x - x_planned) + u_planned; the
+    realized state then advances with the true disturbance. Only entry t of
+    the plan made at time t is applied, so all of them come from one
+    ``FrozenPlanner.plan_points`` call: O(T) batched array steps, with or
+    without disturbances.
     """
     T = schedule.horizon
     validate_policy_config(cfg, sys, T)
     if planner is None:
         planner = FrozenPlanner(sys, schedule)
-    planner.prepare(cfg.W)
     A, B = sys.A, sys.B
     w_arr = np.zeros((T - 1, sys.n)) if w is None else np.asarray(w, dtype=float)
     if w_arr.shape != (T - 1, sys.n):
         raise ValueError(f"w must have shape {(T - 1, sys.n)}")
-    known = w_arr if np.any(w_arr) else None
+    xs_plan, us_plan = planner.plan_points(cfg.W, w_arr)
     x = np.zeros((T, sys.n))
     u = np.zeros((T - 1, sys.m))
     x[0] = sys.x0
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T - 1):
-            xs_plan, us_plan = planner.plan(t, cfg.W, known)
             ut = cfg.K_track @ (x[t] - xs_plan[t]) + us_plan[t]
             xn = A @ x[t] + B @ ut + w_arr[t]
             if not np.all(np.isfinite(xn)):

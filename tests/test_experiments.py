@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from preview_lqr.cli import cli_main
+from preview_lqr.costs import CostBounds
 from preview_lqr.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -184,6 +185,15 @@ class TestRunGrid:
         with pytest.raises(ValueError):
             small_config(t_min=1)
 
+    def test_config_rejects_other_state_dimensions(self):
+        # Every scenario builds a 4-state, single-input system.
+        with pytest.raises(ValueError, match="x0 must have length 4, got 3"):
+            small_config(x0=(1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="4x4 Q and 1x1 R"):
+            small_config(bounds=CostBounds(np.eye(3), 2 * np.eye(3), [[1.0]], [[2.0]]))
+        with pytest.raises(ValueError, match="4x4 Q and 1x1 R"):
+            small_config(bounds=CostBounds(np.eye(4), 2 * np.eye(4), np.eye(2), 2 * np.eye(2)))
+
 
 class TestCli:
     def test_grid_command_writes_expected_rows(self, tmp_path, capsys):
@@ -254,6 +264,18 @@ class TestCli:
         )
         assert code == 0
         assert (tmp_path / "flag_wins" / "pendulum.csv").exists()
+
+    def test_wrong_x0_length_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        cfg_file = tmp_path / "f"
+        cfg_file.write_text(
+            f"x0 = 1,1,1\nt_min = 10\nt_max = 10\nw_max = 2\ntrials = 1\nout = {out}\n"
+        )
+        assert cli_main(["random-grid", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "x0 must have length 4" in err
+        assert not (out / "random.csv").exists()
 
     def test_bad_config_file_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

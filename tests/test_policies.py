@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from preview_lqr.costs import CostBounds, CostSchedule, random_uniform_schedule
 from preview_lqr.policies import (
@@ -243,3 +245,130 @@ class TestMpcBaseline:
         bounds = CostBounds(0.5 * np.eye(1), 3.0 * np.eye(1), [[0.4]], [[1.8]])
         with pytest.raises(ValueError):
             mpc_baseline_policy(sys_, sched, bounds, 4)
+
+
+# Differences are measured against the size of the reference plan: an entry
+# that passes near zero still carries the rounding of the whole plan.
+PLAN_RTOL = 1e-10
+
+plan_settings = settings(
+    max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+
+
+def random_pd(rng, k):
+    M = rng.standard_normal((k, k))
+    return M @ M.T / k + 0.3 * np.eye(k)
+
+
+def random_instance(seed, n, m, T):
+    rng = np.random.default_rng(seed)
+    sys_ = random_controllable_system(n, m, -1.2, 1.2, rng, x0=rng.standard_normal(n))
+    sched = CostSchedule(
+        tuple(random_pd(rng, n) for _ in range(T)),
+        tuple(random_pd(rng, m) for _ in range(T - 1)),
+    )
+    return sys_, sched, rng
+
+
+@st.composite
+def horizons(draw, max_m=1):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, max_m))
+    T = draw(st.integers(3, 60))
+    W = draw(st.sampled_from([0, T - 2]) | st.integers(0, T - 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, m, T, W, seed
+
+
+def assert_plan_row_close(actual, full_ref, t):
+    scale = np.abs(full_ref).max()
+    assert np.abs(actual - full_ref[t]).max() <= PLAN_RTOL * scale
+
+
+class TestPlanPoints:
+    @plan_settings
+    @given(
+        horizons(max_m=2),
+        st.integers(0, 59),
+        st.lists(st.integers(0, 59), max_size=3),
+    )
+    @example((4, 1, 3, 0, 0), 0, [])
+    @example((4, 2, 60, 58, 1), 5, [59, 0])
+    def test_matches_per_step_plans(self, dims, zero_rows, touched):
+        n, m, T, W, seed = dims
+        sys_, sched, rng = random_instance(seed, n, m, T)
+        w = rng.standard_normal((T - 1, n))
+        # Plans whose disturbance prefix is zero are nominal plans.
+        zero_rows = min(zero_rows, T - 1)
+        w[:zero_rows] = 0.0
+        planner = FrozenPlanner(sys_, sched)
+        # Passes solved one at a time come from backward_riccati, not the sweep.
+        for s in touched:
+            planner.solution(s % T)
+        X, U = planner.plan_points(W, w)
+        for t in range(T - 1):
+            xs, us = planner.plan(t, W, w)
+            assert_plan_row_close(X[t], xs, t)
+            assert_plan_row_close(U[t], us, t)
+
+    @plan_settings
+    @given(horizons())
+    def test_noisy_tracking_matches_per_step_loop(self, dims):
+        n, _, T, W, seed = dims
+        sys_, sched, rng = random_instance(seed, n, 1, T)
+        w = rng.standard_normal((T - 1, n))
+        K = place_poles_single_input(sys_, np.linspace(0.02, 0.3, n))
+        traj = prediction_tracking_policy(sys_, sched, PolicyConfig(W, K), w)
+        planner = FrozenPlanner(sys_, sched)
+        x = np.zeros((T, n))
+        x[0] = sys_.x0
+        for t in range(T - 1):
+            xs, us = planner.plan(t, W, w)
+            u = K @ (x[t] - xs[t]) + us[t]
+            np.testing.assert_allclose(
+                traj.u[t], u, rtol=0, atol=PLAN_RTOL * np.abs(traj.u).max()
+            )
+            x[t + 1] = sys_.A @ x[t] + sys_.B @ u + w[t]
+        np.testing.assert_allclose(traj.x, x, rtol=0, atol=PLAN_RTOL * np.abs(x).max())
+
+    @plan_settings
+    @given(horizons(), st.data())
+    def test_plan_point_ignores_unrevealed_information(self, dims, data):
+        # Plan t may read w[0..t] and the schedule up to t + W only. The
+        # batch holds every plan's data at once, so changing what plan t
+        # must not see has to leave its rows bit for bit unchanged.
+        n, _, T, W, seed = dims
+        t = data.draw(st.integers(0, T - 2), label="t")
+        sys_, sched, rng = random_instance(seed, n, 1, T)
+        w = rng.standard_normal((T - 1, n))
+        X, U = FrozenPlanner(sys_, sched).plan_points(W, w)
+        w2 = w.copy()
+        w2[t + 1 :] = 10.0 * rng.standard_normal((T - 2 - t, n))
+        cut = t + W + 1
+        sched2 = CostSchedule(
+            sched.Q[:cut] + tuple(10.0 * random_pd(rng, n) for _ in sched.Q[cut:]),
+            sched.R[:cut] + tuple(10.0 * random_pd(rng, 1) for _ in sched.R[cut:]),
+        )
+        X2, U2 = FrozenPlanner(sys_, sched2).plan_points(W, w2)
+        np.testing.assert_array_equal(X2[: t + 1], X[: t + 1])
+        np.testing.assert_array_equal(U2[: t + 1], U[: t + 1])
+
+    @plan_settings
+    @given(horizons(max_m=2))
+    def test_noise_free_rows_are_the_cached_plans(self, dims):
+        n, m, T, W, seed = dims
+        sys_, sched, _ = random_instance(seed, n, m, T)
+        planner = FrozenPlanner(sys_, sched)
+        for w in (None, np.zeros((T - 1, n))):
+            X, U = planner.plan_points(W, w)
+            for t in range(T - 1):
+                xs, us = planner.plan(t, W)
+                np.testing.assert_array_equal(X[t], xs[t])
+                np.testing.assert_array_equal(U[t], us[t])
+
+    def test_rejects_bad_disturbance_shape(self):
+        sys_ = scalar_system(0.9, 1.0)
+        planner = FrozenPlanner(sys_, scalar_schedule(1.0, 1.0, 5))
+        with pytest.raises(ValueError, match="shape"):
+            planner.plan_points(1, np.ones((3, 1)))
