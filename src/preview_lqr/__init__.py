@@ -47,7 +47,6 @@ from .policies import (
     default_tracking_poles,
     mpc_baseline_policy,
     prediction_tracking_policy,
-    predict_trajectory,
 )
 from .regret import (
     AllTrialsFailedError,
@@ -56,7 +55,6 @@ from .regret import (
     phi_metric,
     regret,
     regret_via_control_deviation,
-    total_cost,
 )
 from .riccati import (
     AffineRiccatiSolution,
@@ -68,7 +66,9 @@ from .riccati import (
     affine_backward_riccati,
     backward_riccati,
     brute_force_lqr_oracle,
+    riccati_step,
     rollout,
+    simulate,
     solve_dare,
 )
 from .systems import (
@@ -79,7 +79,6 @@ from .systems import (
     inverted_pendulum,
     place_poles_single_input,
     random_controllable_system,
-    simulate_step,
     spectral_radius,
 )
 

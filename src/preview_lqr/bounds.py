@@ -21,12 +21,13 @@ from .costs import (
     IncomparableScheduleError,
     max_eigenvalue,
     min_eigenvalue,
+    random_uniform_schedule,
     sequence_extrema,
 )
 from .policies import FrozenPlanner, PolicyConfig, default_tracking_poles, prediction_tracking_policy
 from .regret import expected_regret_mc
 from .riccati import solve_dare
-from .seeding import generator
+from .seeding import generator, substream_entropy
 from .systems import DisturbanceModel, LinearSystem, place_poles_single_input, spectral_radius
 
 
@@ -154,8 +155,7 @@ def compute_bound_constants(
     APA = A.T @ stacked @ A
     APA = 0.5 * (APA + np.transpose(APA, (0, 2, 1)))
     alpha = float(np.linalg.eigvalsh(APA)[:, -1].max())
-    Q_stack = np.stack([np.asarray(schedule.Q[t], dtype=float) for t in range(T - 1)])
-    beta = float(np.linalg.eigvalsh(Q_stack)[:, 0].min())
+    beta = float(np.linalg.eigvalsh(schedule.Q[: T - 1])[:, 0].min())
     gamma = alpha / (alpha + beta)
 
     true_sol = planner.solution(T - 1)
@@ -312,8 +312,6 @@ def scaling_certificate(
     that instance's own gamma. The certificate holds when max r / min r is
     at most ``ratio_threshold``.
     """
-    from .costs import random_uniform_schedule
-
     Ts = tuple(int(T) for T in Ts)
     for T in Ts:
         if T < W + 2:
@@ -374,8 +372,6 @@ def scaling_certificate(
 
 def generator_seed(master_seed: int, T: int) -> int:
     """Per-horizon Monte-Carlo seed for the scaling certificate."""
-    from .seeding import substream_entropy
-
     return substream_entropy(master_seed, "scaling", "mc", T) % (2**63)
 
 

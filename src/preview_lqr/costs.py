@@ -55,34 +55,31 @@ def _check_symmetric(M: np.ndarray, name: str):
 
 @dataclass(frozen=True)
 class CostSchedule:
-    """Sequences of state costs Q (length T) and control costs R (length T-1).
+    """State costs Q (T, n, n) and control costs R (T-1, m, m), stacked.
 
-    Every Q must be symmetric PSD and every R symmetric positive definite.
-    Pass ``validate=False`` to skip the eigenvalue checks when the entries
-    are known to be valid by construction.
+    Accepts any sequence of equally shaped matrices and stores both as
+    read-only arrays, so ``Q[i]`` is the state cost at step i. Every Q must
+    be symmetric PSD and every R symmetric positive definite. Pass
+    ``validate=False`` to skip the eigenvalue checks when the entries are
+    known to be valid by construction.
     """
 
-    Q: tuple
-    R: tuple
+    Q: np.ndarray
+    R: np.ndarray
     validate: InitVar[bool] = True
 
     def __post_init__(self, validate):
-        Q = tuple(np.asarray(M, dtype=float) for M in self.Q)
-        R = tuple(np.asarray(M, dtype=float) for M in self.R)
-        if len(Q) < 2:
+        if len(self.Q) < 2:
             raise ValueError("a schedule needs at least two state costs")
-        if len(R) != len(Q) - 1:
+        if len(self.R) != len(self.Q) - 1:
             raise ValueError(
-                f"need len(R) = len(Q) - 1, got {len(R)} and {len(Q)}"
+                f"need len(R) = len(Q) - 1, got {len(self.R)} and {len(self.Q)}"
             )
-        n = Q[0].shape[0]
-        m = R[0].shape[0]
-        for i, M in enumerate(Q):
-            if M.shape != (n, n):
-                raise ValueError(f"Q[{i}] has shape {M.shape}, expected {(n, n)}")
-        for i, M in enumerate(R):
-            if M.shape != (m, m):
-                raise ValueError(f"R[{i}] has shape {M.shape}, expected {(m, m)}")
+        Q = np.asarray(self.Q, dtype=float)
+        R = np.asarray(self.R, dtype=float)
+        for name, M in (("Q", Q), ("R", R)):
+            if M.ndim != 3 or M.shape[1] != M.shape[2]:
+                raise ValueError(f"{name} must stack square matrices, got shape {M.shape}")
         if validate:
             for i, M in enumerate(Q):
                 _check_symmetric(M, f"Q[{i}]")
@@ -92,20 +89,20 @@ class CostSchedule:
                 _check_symmetric(M, f"R[{i}]")
                 if min_eigenvalue(M) <= 0.0:
                     raise ValueError(f"R[{i}] is not positive definite")
-        object.__setattr__(self, "Q", tuple(_freeze(M) for M in Q))
-        object.__setattr__(self, "R", tuple(_freeze(M) for M in R))
+        object.__setattr__(self, "Q", _freeze(Q))
+        object.__setattr__(self, "R", _freeze(R))
 
     @property
     def horizon(self) -> int:
-        return len(self.Q)
+        return self.Q.shape[0]
 
     @property
     def n(self) -> int:
-        return self.Q[0].shape[0]
+        return self.Q.shape[1]
 
     @property
     def m(self) -> int:
-        return self.R[0].shape[0]
+        return self.R.shape[1]
 
 
 @dataclass(frozen=True)
@@ -170,93 +167,65 @@ def random_uniform_schedule(
     ur = np.asarray(rng.random(T - 1), dtype=float)
     dQ = bounds.Q_max - bounds.Q_min
     dR = bounds.R_max - bounds.R_min
-    Q = tuple(bounds.Q_min + u * dQ for u in uq)
-    R = tuple(bounds.R_min + u * dR for u in ur)
+    Q = bounds.Q_min + uq[:, None, None] * dQ
+    R = bounds.R_min + ur[:, None, None] * dR
     return CostSchedule(Q, R, validate=False)
 
 
-def frozen_schedule(schedule, t: int, W: int) -> CostSchedule:
+def frozen_schedule(schedule, t: int, W: int):
     """Schedule revealed up to index t + W, with the tail held at that entry.
 
     Entries at indices <= t + W are kept; later ones repeat the entry at
     t + W. When t + W already reaches the final index the input schedule is
-    returned unchanged.
+    returned unchanged; otherwise the result is a FrozenScheduleView.
     """
     if t < 0 or W < 0:
         raise ValueError("t and W must be nonnegative")
-    T = len(schedule.Q)
-    s = t + W
-    if s >= T - 1:
+    if t + W >= schedule.horizon - 1:
         return schedule
-    Q = tuple(schedule.Q[i] for i in range(s + 1))
-    Q = Q + (schedule.Q[s],) * (T - 1 - s)
-    R = tuple(schedule.R[i] for i in range(s + 1))
-    R = R + (schedule.R[s],) * (T - 2 - s)
-    return CostSchedule(Q, R, validate=False)
+    return FrozenScheduleView(schedule, t + W)
 
 
 class _ClampedSeq:
     """Sequence view returning base[min(i, limit)] without copying."""
 
-    __slots__ = ("_base", "_limit", "_length")
+    __slots__ = ("_base", "_limit")
 
-    def __init__(self, base, limit: int, length: int):
+    def __init__(self, base, limit: int):
         self._base = base
         self._limit = limit
-        self._length = length
 
     def __len__(self) -> int:
-        return self._length
+        return len(self._base)
 
     def __getitem__(self, i):
-        i = int(i)
-        if i < 0:
-            i += self._length
-        if not 0 <= i < self._length:
-            raise IndexError(i)
-        return self._base[min(i, self._limit)]
-
-    def __iter__(self):
-        return (self[i] for i in range(self._length))
+        # Indexing a range normalizes negative i and raises IndexError.
+        return self._base[min(range(len(self._base))[i], self._limit)]
 
 
 class FrozenScheduleView:
-    """Zero-copy equivalent of frozen_schedule for hot paths.
+    """A schedule frozen at index s, without copying it.
 
-    Entry i reads the underlying schedule at min(i, s), which is exactly
-    the frozen construction, without building new matrix tuples.
+    Entry i reads the underlying schedule at min(i, s), so a planner can
+    hold one view per freeze index at no memory cost.
     """
 
-    __slots__ = ("Q", "R", "_horizon", "_n", "_m")
+    __slots__ = ("Q", "R", "horizon", "n", "m")
 
     def __init__(self, schedule, s: int):
-        T = len(schedule.Q)
+        T = schedule.horizon
         s = min(int(s), T - 1)
         if s < 0:
             raise ValueError("freeze index must be nonnegative")
-        self.Q = _ClampedSeq(schedule.Q, s, T)
-        self.R = _ClampedSeq(schedule.R, min(s, T - 2), T - 1)
-        self._horizon = T
-        self._n = schedule.Q[0].shape[0]
-        self._m = schedule.R[0].shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self._horizon
-
-    @property
-    def n(self) -> int:
-        return self._n
-
-    @property
-    def m(self) -> int:
-        return self._m
+        self.Q = _ClampedSeq(schedule.Q, s)
+        self.R = _ClampedSeq(schedule.R, min(s, T - 2))
+        self.horizon, self.n, self.m = T, schedule.n, schedule.m
 
 
 def _loewner_extremum(mats, want_max: bool):
     # A Loewner maximum must maximize the trace, and max-trace candidates
     # coincide when a maximum exists, so checking one candidate decides.
-    stack = np.stack([np.asarray(M, dtype=float) for M in mats])
+    stack = np.asarray(mats, dtype=float)
     traces = np.trace(stack, axis1=1, axis2=2)
     idx = int(np.argmax(traces)) if want_max else int(np.argmin(traces))
     cand = stack[idx]
@@ -285,77 +254,3 @@ def sequence_extrema(schedule: CostSchedule) -> CostExtrema:
         Rbar_min=_loewner_extremum(schedule.R, want_max=False),
         Rbar_max=_loewner_extremum(schedule.R, want_max=True),
     )
-
-
-def _matrix_text(M: np.ndarray) -> str:
-    return " ".join(format(v, ".17g") for v in np.asarray(M, dtype=float).ravel())
-
-
-def _matrix_from_text(text: str, rows: int, cols: int, name: str) -> np.ndarray:
-    values = [float(v) for v in text.split()]
-    if len(values) != rows * cols:
-        raise ValueError(f"{name}: expected {rows * cols} entries, got {len(values)}")
-    return np.array(values).reshape(rows, cols)
-
-
-def schedule_to_config_text(schedule: CostSchedule) -> str:
-    """Serialize a schedule as a flat key-value text block.
-
-    Matrices are written row-major with 17 significant digits, so parsing
-    reproduces the schedule exactly.
-    """
-    lines = [
-        "type = explicit",
-        f"T = {schedule.horizon}",
-        f"n = {schedule.n}",
-        f"m = {schedule.m}",
-    ]
-    for i, Q in enumerate(schedule.Q):
-        lines.append(f"Q{i} = {_matrix_text(Q)}")
-    for i, R in enumerate(schedule.R):
-        lines.append(f"R{i} = {_matrix_text(R)}")
-    return "\n".join(lines) + "\n"
-
-
-def schedule_from_config_text(text: str) -> CostSchedule:
-    """Parse a schedule from flat key-value text.
-
-    Two block types are accepted: ``type = explicit`` with row-major
-    matrices Q0..Q(T-1) and R0..R(T-2), or ``type = uniform`` with bounds
-    matrices q_min/q_max/r_min/r_max plus T and seed, which regenerates the
-    schedule deterministically.
-    """
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value'")
-        key, _, val = line.partition("=")
-        values[key.strip()] = val.strip()
-    kind = values.get("type")
-    if kind == "explicit":
-        T = int(values["T"])
-        n = int(values["n"])
-        m = int(values["m"])
-        Q = tuple(
-            _matrix_from_text(values[f"Q{i}"], n, n, f"Q{i}") for i in range(T)
-        )
-        R = tuple(
-            _matrix_from_text(values[f"R{i}"], m, m, f"R{i}") for i in range(T - 1)
-        )
-        return CostSchedule(Q, R)
-    if kind == "uniform":
-        T = int(values["T"])
-        seed = int(values["seed"])
-        n = int(values["n"])
-        m = int(values["m"])
-        bounds = CostBounds(
-            Q_min=_matrix_from_text(values["q_min"], n, n, "q_min"),
-            Q_max=_matrix_from_text(values["q_max"], n, n, "q_max"),
-            R_min=_matrix_from_text(values["r_min"], m, m, "r_min"),
-            R_max=_matrix_from_text(values["r_max"], m, m, "r_max"),
-        )
-        return random_uniform_schedule(bounds, T, np.random.default_rng(seed))
-    raise ValueError(f"unknown schedule type {kind!r}; use 'explicit' or 'uniform'")

@@ -29,7 +29,6 @@ from .policies import (
     clairvoyant_policy,
     mpc_baseline_policy,
     prediction_tracking_policy,
-    validate_policy_config,
 )
 from .regret import regret_via_control_deviation
 from .riccati import DareConvergenceError, TrajectoryOverflowError, solve_dare
@@ -201,10 +200,8 @@ def _evaluate_trial(config: ExperimentConfig, T: int, trial: int, P_max):
         W_eff = min(W, T - 2)
         if W_eff not in computed:
             try:
-                cfg = PolicyConfig(W_eff, K_track)
-                validate_policy_config(cfg, sys_, T)
                 ours = prediction_tracking_policy(
-                    sys_, schedule, cfg, w, planner=planner
+                    sys_, schedule, PolicyConfig(W_eff, K_track), w, planner=planner
                 )
                 base = mpc_baseline_policy(
                     sys_, schedule, config.bounds, W_eff, w, P_max=P_max

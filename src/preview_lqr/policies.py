@@ -20,11 +20,13 @@ from .riccati import (
     RiccatiSolution,
     Trajectory,
     TrajectoryOverflowError,
+    affine_backward_riccati,
     affine_terms,
     backward_riccati,
     frozen_backward_sweep,
+    riccati_step,
     rollout,
-    schedule_cost,
+    simulate,
     solve_dare,
 )
 from .systems import LinearSystem, _freeze, spectral_radius
@@ -145,6 +147,10 @@ class FrozenPlanner:
         entries at indices 0..t enter the planning dynamics and later ones
         are treated as zero.
         """
+        if not 0 <= t <= self.T - 2:
+            raise ValueError(f"t must satisfy 0 <= t <= T - 2 = {self.T - 2}, got {t}")
+        if W < 0:
+            raise ValueError("W must be nonnegative")
         s = min(t + W, self.T - 1)
         if known_w is None:
             return self.nominal_plan(s)
@@ -157,15 +163,12 @@ class FrozenPlanner:
         sol = self.solution(s)
         w_plan = np.zeros((self.T - 1, self.sys.n))
         w_plan[:upto] = w[:upto]
-        q, k = affine_terms(self.sys, sol, w_plan, last=t)
-        A, B = self.sys.A, self.sys.B
-        xs = np.zeros((self.T, self.sys.n))
-        us = np.zeros((self.T - 1, self.sys.m))
-        xs[0] = self.sys.x0
-        for i in range(self.T - 1):
-            us[i] = sol.K[i] @ xs[i] + k[i]
-            xs[i + 1] = A @ xs[i] + B @ us[i] + w_plan[i]
-        return xs, us
+        _, k = affine_terms(self.sys, sol, w_plan, last=t)
+        K = sol.K
+        traj = simulate(
+            self.sys, sol.schedule, lambda i, x: K[i] @ x + k[i], self.sys.x0, w_plan
+        )
+        return traj.x, traj.u
 
     def plan_points(self, W: int, w=None):
         """Entry t of the plan made at time t, for every t in 0..T-2.
@@ -227,30 +230,6 @@ class FrozenPlanner:
         return X, U
 
 
-def predict_trajectory(
-    sys: LinearSystem,
-    schedule: CostSchedule,
-    t: int,
-    W: int,
-    known_w=None,
-    planner: FrozenPlanner | None = None,
-):
-    """Predicted optimal states and controls given the information at time t.
-
-    Plans from the initial state using entries revealed up to t + W and the
-    frozen tail, with disturbances known up to index t. Returns the full
-    horizon (states, controls) pair.
-    """
-    T = schedule.horizon
-    if not 0 <= t <= T - 2:
-        raise ValueError(f"t must satisfy 0 <= t <= T - 2 = {T - 2}, got {t}")
-    if W < 0:
-        raise ValueError("W must be nonnegative")
-    if planner is None:
-        planner = FrozenPlanner(sys, schedule)
-    return planner.plan(t, W, known_w)
-
-
 def clairvoyant_policy(sys: LinearSystem, schedule: CostSchedule, w=None) -> Trajectory:
     """Full-information optimal trajectory used as the regret comparator.
 
@@ -258,8 +237,6 @@ def clairvoyant_policy(sys: LinearSystem, schedule: CostSchedule, w=None) -> Tra
     applies the exact affine minimizer.
     """
     if w is not None and np.any(np.asarray(w)):
-        from .riccati import affine_backward_riccati
-
         sol = affine_backward_riccati(sys, schedule, w)
         return rollout(sys, sol, sys.x0, w)
     sol = backward_riccati(sys, schedule)
@@ -282,30 +259,14 @@ def prediction_tracking_policy(
     ``FrozenPlanner.plan_points`` call: O(T) batched array steps, with or
     without disturbances.
     """
-    T = schedule.horizon
-    validate_policy_config(cfg, sys, T)
+    validate_policy_config(cfg, sys, schedule.horizon)
     if planner is None:
         planner = FrozenPlanner(sys, schedule)
-    A, B = sys.A, sys.B
-    w_arr = np.zeros((T - 1, sys.n)) if w is None else np.asarray(w, dtype=float)
-    if w_arr.shape != (T - 1, sys.n):
-        raise ValueError(f"w must have shape {(T - 1, sys.n)}")
-    xs_plan, us_plan = planner.plan_points(cfg.W, w_arr)
-    x = np.zeros((T, sys.n))
-    u = np.zeros((T - 1, sys.m))
-    x[0] = sys.x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T - 1):
-            ut = cfg.K_track @ (x[t] - xs_plan[t]) + us_plan[t]
-            xn = A @ x[t] + B @ ut + w_arr[t]
-            if not np.all(np.isfinite(xn)):
-                raise TrajectoryOverflowError(t + 1)
-            u[t] = ut
-            x[t + 1] = xn
-        cost = schedule_cost(x, u, schedule)
-    if not np.isfinite(cost):
-        raise TrajectoryOverflowError(T - 1, "non-finite cost")
-    return Trajectory(x, u, cost)
+    xs_plan, us_plan = planner.plan_points(cfg.W, w)
+    K = cfg.K_track
+    return simulate(
+        sys, schedule, lambda t, x: K @ (x - xs_plan[t]) + us_plan[t], sys.x0, w
+    )
 
 
 def mpc_baseline_policy(
@@ -330,47 +291,18 @@ def mpc_baseline_policy(
     A, B = sys.A, sys.B
     if P_max is None:
         P_max = solve_dare(A, B, bounds.Q_max, bounds.R_max)
-    P_max = np.asarray(P_max, dtype=float)
-    w_arr = np.zeros((T - 1, sys.n)) if w is None else np.asarray(w, dtype=float)
-    if w_arr.shape != (T - 1, sys.n):
-        raise ValueError(f"w must have shape {(T - 1, sys.n)}")
     # The window plan is a pure quadratic from the current state, so the
-    # applied control is state feedback with a precomputable gain.
-    AT, BT = A.T.copy(), B.T.copy()
-    scalar_control = sys.m == 1
-    gains = []
-    for t in range(T - 1):
-        if t + W + 1 > T - 1:
-            last_stage = T - 2
-            P = np.asarray(schedule.Q[T - 1], dtype=float)
-        else:
-            last_stage = t + W
-            P = P_max
-        Kt = None
-        for k in range(last_stage, t - 1, -1):
-            PA = P @ A
-            PB = P @ B
-            G = schedule.R[k] + BT @ PB
-            if scalar_control:
-                Kk = (BT @ PA) / (-G[0, 0])
-            else:
-                Kk = -np.linalg.solve(G, BT @ PA)
-            P = AT @ PA + schedule.Q[k] + (AT @ PB) @ Kk
-            P = 0.5 * (P + P.T)
-            Kt = Kk
-        gains.append(Kt)
-    x = np.zeros((T, sys.n))
-    u = np.zeros((T - 1, sys.m))
-    x[0] = sys.x0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(T - 1):
-            ut = gains[t] @ x[t]
-            xn = A @ x[t] + B @ ut + w_arr[t]
-            if not np.all(np.isfinite(xn)):
-                raise TrajectoryOverflowError(t + 1)
-            u[t] = ut
-            x[t + 1] = xn
-        cost = schedule_cost(x, u, schedule)
-    if not np.isfinite(cost):
-        raise TrajectoryOverflowError(T - 1, "non-finite cost")
-    return Trajectory(x, u, cost)
+    # applied control is state feedback with a precomputable gain. The
+    # full windows t <= T-2-W run as one batch, W+1 steps from P_max.
+    full = T - 1 - W
+    P = np.asarray(P_max, dtype=float)
+    for j in range(W, -1, -1):
+        P, K = riccati_step(P, A, B, schedule.Q[j : j + full], schedule.R[j : j + full])
+    gains = np.empty((T - 1, sys.m, sys.n))
+    gains[:full] = K
+    # A truncated window t > T-2-W ends at T-1, so its gain is step t of
+    # one backward pass from Q[T-1].
+    if W > 0:
+        tail = CostSchedule(schedule.Q[full:], schedule.R[full:], validate=False)
+        gains[full:] = backward_riccati(sys, tail).K
+    return simulate(sys, schedule, lambda t, x: gains[t] @ x, sys.x0, w)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostSchedule, sequence_extrema, CostBounds
+from .costs import CostBounds, CostSchedule, random_uniform_schedule, sequence_extrema
 from .policies import (
     FrozenPlanner,
     PolicyConfig,
@@ -22,15 +22,8 @@ from .policies import (
     default_tracking_poles,
     mpc_baseline_policy,
     prediction_tracking_policy,
-    validate_policy_config,
 )
-from .riccati import (
-    Trajectory,
-    TrajectoryOverflowError,
-    backward_riccati,
-    schedule_cost,
-    solve_dare,
-)
+from .riccati import Trajectory, TrajectoryOverflowError, backward_riccati, solve_dare
 from .seeding import generator
 from .systems import DisturbanceModel, LinearSystem, place_poles_single_input
 
@@ -50,11 +43,6 @@ class RegretReport:
     trials: int = 1
     stderr: float | None = None
     excluded_trials: int = 0
-
-
-def total_cost(x, u, schedule: CostSchedule) -> float:
-    """Quadratic cost of the state/control sequences under the schedule."""
-    return schedule_cost(x, u, schedule)
 
 
 def regret(
@@ -163,8 +151,6 @@ def phi_metric(
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    from .costs import random_uniform_schedule
-
     K_track = place_poles_single_input(
         sys, poles if poles is not None else default_tracking_poles(sys.n)
     )
@@ -189,7 +175,6 @@ def phi_metric(
         if dist is not None:
             rng_w = generator(master_seed, "phi", "disturbance", T, W, trial)
             w = dist.sample(rng_w, T - 1)
-        validate_policy_config(cfg, sys, T)
         planner = FrozenPlanner(sys, schedule)
         try:
             ours = prediction_tracking_policy(sys, schedule, cfg, w, planner=planner)

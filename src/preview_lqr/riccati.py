@@ -52,13 +52,8 @@ class RiccatiSolution:
     schedule: CostSchedule
 
     def __post_init__(self):
-        object.__setattr__(self, "P", _freeze_stack(self.P))
-        object.__setattr__(self, "K", _freeze_stack(self.K))
-
-
-def _freeze_stack(seq) -> np.ndarray:
-    arr = seq if isinstance(seq, np.ndarray) else np.stack([np.asarray(M) for M in seq])
-    return _freeze(arr)
+        object.__setattr__(self, "P", _freeze(self.P))
+        object.__setattr__(self, "K", _freeze(self.K))
 
 
 @dataclass(frozen=True)
@@ -76,10 +71,8 @@ class AffineRiccatiSolution:
     schedule: CostSchedule
 
     def __post_init__(self):
-        object.__setattr__(self, "P", _freeze_stack(self.P))
-        object.__setattr__(self, "K", _freeze_stack(self.K))
-        object.__setattr__(self, "q", _freeze_stack(self.q))
-        object.__setattr__(self, "k", _freeze_stack(self.k))
+        for name in ("P", "K", "q", "k"):
+            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -113,36 +106,40 @@ def schedule_cost(x, u, schedule) -> float:
     return total
 
 
+def riccati_step(P, A, B, Q, R):
+    """One backward Riccati step from the next value matrix P.
+
+    Returns (P_prev, K) with K = -(R + B' P B)^-1 B' P A and
+    P_prev = A' P A + Q + A' P B K, re-symmetrized to suppress drift.
+    P, Q and R may carry any matching leading batch axes.
+    """
+    AT, BT = A.T.copy(), B.T.copy()
+    PA = P @ A
+    PB = P @ B
+    G = R + BT @ PB
+    if B.shape[1] == 1:
+        K = (BT @ PA) / -G
+    else:
+        K = -np.linalg.solve(G, BT @ PA)
+    P_prev = AT @ PA + Q + (AT @ PB) @ K
+    return 0.5 * (P_prev + P_prev.swapaxes(-1, -2)), K
+
+
 def backward_riccati(sys: LinearSystem, schedule: CostSchedule) -> RiccatiSolution:
     """Backward pass for the finite-horizon time-varying problem.
 
-    P[T-1] is the terminal state cost; each earlier step uses
-    K[i] = -(R[i] + B' P[i+1] B)^-1 B' P[i+1] A and
-    P[i] = A' P[i+1] A + Q[i] + A' P[i+1] B K[i], with P re-symmetrized
-    to suppress drift.
+    P[T-1] is the terminal state cost; each earlier step is one
+    ``riccati_step`` with the stage costs Q[i] and R[i].
     """
-    A, B = sys.A, sys.B
     if schedule.n != sys.n or schedule.m != sys.m:
         raise ValueError("schedule dimensions do not match the system")
-    AT, BT = A.T.copy(), B.T.copy()
-    scalar_control = sys.m == 1
     T = schedule.horizon
-    P = [None] * T
-    K = [None] * (T - 1)
-    P[T - 1] = np.asarray(schedule.Q[T - 1], dtype=float)
+    P = np.empty((T, sys.n, sys.n))
+    K = np.empty((T - 1, sys.m, sys.n))
+    P[T - 1] = schedule.Q[T - 1]
     for i in range(T - 2, -1, -1):
-        Pn = P[i + 1]
-        PnA = Pn @ A
-        PnB = Pn @ B
-        G = schedule.R[i] + BT @ PnB
-        if scalar_control:
-            Ki = (BT @ PnA) / (-G[0, 0])
-        else:
-            Ki = -np.linalg.solve(G, BT @ PnA)
-        Pi = AT @ PnA + schedule.Q[i] + (AT @ PnB) @ Ki
-        P[i] = 0.5 * (Pi + Pi.T)
-        K[i] = Ki
-    return RiccatiSolution(tuple(P), tuple(K), schedule)
+        P[i], K[i] = riccati_step(P[i + 1], sys.A, sys.B, schedule.Q[i], schedule.R[i])
+    return RiccatiSolution(P, K, schedule)
 
 
 def frozen_backward_sweep(sys: LinearSystem, schedule: CostSchedule, freeze_indices):
@@ -163,8 +160,7 @@ def frozen_backward_sweep(sys: LinearSystem, schedule: CostSchedule, freeze_indi
     if s_arr[0] < 0 or s_arr[-1] > T - 1:
         raise ValueError("freeze indices must lie in [0, T - 1]")
     S = s_arr.size
-    Qs = np.stack([np.asarray(M, dtype=float) for M in schedule.Q])
-    Rs = np.stack([np.asarray(M, dtype=float) for M in schedule.R])
+    Qs, Rs = schedule.Q, schedule.R
     Q_frozen = Qs[s_arr]
     R_frozen = Rs[np.minimum(s_arr, T - 2)]
     P_all = np.empty((S, T, n, n))
@@ -285,15 +281,14 @@ def solve_dare(
     )
 
 
-def rollout(sys: LinearSystem, sol, x0, w=None) -> Trajectory:
-    """Forward-simulate the closed loop u = K x (+ k) and fill in the cost.
+def simulate(sys: LinearSystem, schedule, control, x0, w=None) -> Trajectory:
+    """Run the closed loop u[t] = control(t, x[t]) and fill in the cost.
 
-    The cost is evaluated under the schedule the solution was built from.
-    Raises TrajectoryOverflowError with the failing time index if a state
-    becomes non-finite.
+    The state advances as x[t+1] = A x[t] + B u[t] + w[t], and the cost is
+    evaluated under ``schedule``. Raises TrajectoryOverflowError with the
+    failing time index if a state or the cost becomes non-finite.
     """
     A, B = sys.A, sys.B
-    schedule = sol.schedule
     T = schedule.horizon
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != sys.n:
@@ -301,15 +296,12 @@ def rollout(sys: LinearSystem, sol, x0, w=None) -> Trajectory:
     w_arr = np.zeros((T - 1, sys.n)) if w is None else np.asarray(w, dtype=float)
     if w_arr.shape != (T - 1, sys.n):
         raise ValueError(f"w must have shape {(T - 1, sys.n)}")
-    feedforward = getattr(sol, "k", None)
     x = np.zeros((T, sys.n))
     u = np.zeros((T - 1, sys.m))
     x[0] = x0
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T - 1):
-            ut = sol.K[t] @ x[t]
-            if feedforward is not None:
-                ut = ut + feedforward[t]
+            ut = control(t, x[t])
             xn = A @ x[t] + B @ ut + w_arr[t]
             if not np.all(np.isfinite(xn)):
                 raise TrajectoryOverflowError(t + 1)
@@ -319,6 +311,14 @@ def rollout(sys: LinearSystem, sol, x0, w=None) -> Trajectory:
     if not np.isfinite(cost):
         raise TrajectoryOverflowError(T - 1, "non-finite cost")
     return Trajectory(x, u, cost)
+
+
+def rollout(sys: LinearSystem, sol, x0, w=None) -> Trajectory:
+    """Forward-simulate the closed loop u = K x (+ k) under the solution's schedule."""
+    K, k = sol.K, getattr(sol, "k", None)
+    if k is None:
+        return simulate(sys, sol.schedule, lambda t, x: K[t] @ x, x0, w)
+    return simulate(sys, sol.schedule, lambda t, x: K[t] @ x + k[t], x0, w)
 
 
 def brute_force_lqr_oracle(

@@ -116,18 +116,6 @@ class DisturbanceModel:
         return z @ self._root.T
 
 
-def simulate_step(sys: LinearSystem, x, u, w) -> np.ndarray:
-    """One step of the system dynamics: A x + B u + w."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if x.shape[0] != sys.n or w.shape[0] != sys.n:
-        raise ValueError(f"state and disturbance must have length {sys.n}")
-    if u.shape[0] != sys.m:
-        raise ValueError(f"control must have length {sys.m}")
-    return sys.A @ x + sys.B @ u + w
-
-
 def spectral_radius(M) -> float:
     """Largest eigenvalue magnitude of a square matrix."""
     M = _as_matrix(M, "M")

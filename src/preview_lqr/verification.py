@@ -22,7 +22,7 @@ from .policies import (
     prediction_tracking_policy,
 )
 from .regret import regret_via_control_deviation
-from .riccati import backward_riccati, brute_force_lqr_oracle, rollout
+from .riccati import affine_backward_riccati, backward_riccati, brute_force_lqr_oracle, rollout
 from .seeding import generator
 from .systems import LinearSystem, place_poles_single_input, random_controllable_system
 
@@ -73,8 +73,6 @@ def oracle_equivalence(seed: int = 0, instances: int = 50, tol: float = 1e-8) ->
 
 def affine_oracle_equivalence(seed: int = 0, instances: int = 50, tol: float = 1e-8) -> CheckResult:
     """Affine backward pass against the oracle with known disturbances."""
-    from .riccati import affine_backward_riccati
-
     worst = 0.0
     rng = generator(seed, "verify", "affine-oracle")
     for _ in range(instances):
@@ -232,7 +230,7 @@ def state_deviation_suite(instances, tol: float = 1e-9) -> CheckResult:
         opt = clairvoyant_policy(inst.sys, inst.schedule)
         pref = c.C**2 * c.C_K * x0_norm * g**W / (g - 1.0)
         for t in range(1, T):
-            plan_x = inst.planner.plan(t, W)[0]
+            plan_x = inst.planner.nominal_plan(t + W)[0]
             pred_gap = float(np.linalg.norm(plan_x[t] - opt.x[t]))
             pred_bound = pref * (e ** (t - 1) * g * (g**t - 1.0))
             worst = min(worst, pred_bound - pred_gap)

@@ -9,8 +9,6 @@ from preview_lqr.costs import (
     frozen_schedule,
     loewner_leq,
     random_uniform_schedule,
-    schedule_from_config_text,
-    schedule_to_config_text,
     sequence_extrema,
     verify_bounds,
 )
@@ -37,6 +35,21 @@ class _ForcedRng:
 
 
 class TestCostSchedule:
+    def test_stores_read_only_stacks(self):
+        sched = constant_schedule(2.0 * np.eye(3), np.eye(2), 5)
+        assert sched.Q.shape == (5, 3, 3) and sched.R.shape == (4, 2, 2)
+        assert (sched.horizon, sched.n, sched.m) == (5, 3, 2)
+        with pytest.raises(ValueError):
+            sched.Q[0, 0, 0] = 1.0
+        same = CostSchedule(sched.Q, sched.R)
+        np.testing.assert_array_equal(same.Q, sched.Q)
+
+    def test_rejects_mixed_shapes(self):
+        with pytest.raises(ValueError):
+            CostSchedule((np.eye(2), np.eye(3)), (np.eye(1),))
+        with pytest.raises(ValueError, match="square"):
+            CostSchedule((np.ones((2, 3)), np.ones((2, 3))), (np.eye(1),))
+
     def test_rejects_short_schedule(self):
         with pytest.raises(ValueError):
             CostSchedule((np.eye(2),), ())
@@ -143,14 +156,18 @@ class TestFrozenSchedule:
 
     def test_view_matches_materialized(self):
         sched = random_uniform_schedule(pendulum_bounds(), 9, np.random.default_rng(4))
+        T = sched.horizon
         for s in (0, 3, 7, 8):
             view = FrozenScheduleView(sched, s)
-            made = frozen_schedule(sched, s, 0)
-            assert view.horizon == made.horizon
-            for i in range(made.horizon):
-                np.testing.assert_array_equal(view.Q[i], made.Q[i])
-            for i in range(made.horizon - 1):
-                np.testing.assert_array_equal(view.R[i], made.R[i])
+            assert (view.horizon, view.n, view.m) == (T, 4, 1)
+            assert len(view.Q) == T and len(view.R) == T - 1
+            Q = sched.Q[np.minimum(np.arange(T), s)]
+            R = sched.R[np.minimum(np.arange(T - 1), s)]
+            np.testing.assert_array_equal(np.array(list(view.Q)), Q)
+            np.testing.assert_array_equal(np.array(list(view.R)), R)
+            np.testing.assert_array_equal(view.Q[-1], Q[-1])
+            with pytest.raises(IndexError):
+                view.Q[T]
 
 
 class TestSequenceExtrema:
@@ -195,39 +212,3 @@ class TestCostBounds:
     def test_rejects_semidefinite(self):
         with pytest.raises(ValueError):
             CostBounds(np.zeros((2, 2)), np.eye(2), np.eye(1), np.eye(1))
-
-
-class TestScheduleSerialization:
-    def test_explicit_round_trip_exact(self):
-        sched = random_uniform_schedule(pendulum_bounds(), 7, np.random.default_rng(3))
-        text = schedule_to_config_text(sched)
-        back = schedule_from_config_text(text)
-        for a, b in zip(back.Q, sched.Q):
-            np.testing.assert_array_equal(a, b)
-        for a, b in zip(back.R, sched.R):
-            np.testing.assert_array_equal(a, b)
-
-    def test_generator_spec_is_deterministic(self):
-        text = (
-            "type = uniform\n"
-            "T = 6\nseed = 9\nn = 2\nm = 1\n"
-            "q_min = 1 0 0 1\n"
-            "q_max = 3 0 0 3\n"
-            "r_min = 0.5\n"
-            "r_max = 2.0\n"
-        )
-        a = schedule_from_config_text(text)
-        b = schedule_from_config_text(text)
-        for x, y in zip(a.Q, b.Q):
-            np.testing.assert_array_equal(x, y)
-        assert a.horizon == 6
-
-    def test_unknown_type_rejected(self):
-        with pytest.raises(ValueError, match="unknown schedule type"):
-            schedule_from_config_text("type = banana\n")
-
-    def test_entry_count_validated(self):
-        with pytest.raises(ValueError, match="expected"):
-            schedule_from_config_text(
-                "type = explicit\nT = 2\nn = 2\nm = 1\nQ0 = 1 0 0\nQ1 = 1 0 0 1\nR0 = 1\n"
-            )

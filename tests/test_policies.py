@@ -3,17 +3,28 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from preview_lqr.costs import CostBounds, CostSchedule, random_uniform_schedule
+from preview_lqr.costs import (
+    CostBounds,
+    CostSchedule,
+    frozen_schedule,
+    random_uniform_schedule,
+)
 from preview_lqr.policies import (
     FrozenPlanner,
     PolicyConfig,
     clairvoyant_policy,
     mpc_baseline_policy,
-    predict_trajectory,
     prediction_tracking_policy,
     validate_policy_config,
 )
-from preview_lqr.riccati import brute_force_lqr_oracle, solve_dare
+from preview_lqr.riccati import (
+    TrajectoryOverflowError,
+    backward_riccati,
+    brute_force_lqr_oracle,
+    rollout,
+    schedule_cost,
+    solve_dare,
+)
 from preview_lqr.systems import (
     LinearSystem,
     inverted_pendulum,
@@ -73,12 +84,14 @@ class TestClairvoyant:
 
 
 class TestPredictTrajectory:
+    """The single-time plan, ``FrozenPlanner.plan(t, W, known_w)``."""
+
     def test_full_preview_equals_clairvoyant(self):
         rng = np.random.default_rng(2)
         sys_ = scalar_system(0.7, 1.0, 1.5)
         sched = varying_scalar_schedule(rng, 7)
         opt = clairvoyant_policy(sys_, sched)
-        xs, us = predict_trajectory(sys_, sched, t=2, W=5)
+        xs, us = FrozenPlanner(sys_, sched).plan(2, 5)
         np.testing.assert_allclose(xs, opt.x, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(us, opt.u, rtol=1e-12, atol=1e-14)
 
@@ -86,22 +99,18 @@ class TestPredictTrajectory:
         sys_ = scalar_system(0.7, 1.0, 1.5)
         sched = scalar_schedule(1.0, 1.0, 8)
         opt = clairvoyant_policy(sys_, sched)
-        xs, us = predict_trajectory(sys_, sched, t=1, W=0)
+        xs, us = FrozenPlanner(sys_, sched).plan(1, 0)
         np.testing.assert_allclose(xs, opt.x, rtol=1e-12, atol=1e-14)
 
     def test_matches_oracle_on_frozen_problem(self):
-        from preview_lqr.costs import frozen_schedule
-
         rng = np.random.default_rng(3)
         sys_ = scalar_system(0.9, 1.0, 2.0)
         sched = varying_scalar_schedule(rng, 5)
-        xs, us = predict_trajectory(sys_, sched, t=1, W=0)
+        xs, us = FrozenPlanner(sys_, sched).plan(1, 0)
         ref = brute_force_lqr_oracle(sys_, frozen_schedule(sched, 1, 0))
         np.testing.assert_allclose(us, ref.u, rtol=1e-8)
 
     def test_disturbance_prefix_matches_oracle(self):
-        from preview_lqr.costs import frozen_schedule
-
         rng = np.random.default_rng(4)
         sys_ = scalar_system(0.9, 1.0, 2.0)
         sched = varying_scalar_schedule(rng, 6)
@@ -109,50 +118,39 @@ class TestPredictTrajectory:
         t = 2
         planned_w = np.zeros((5, 1))
         planned_w[: t + 1] = w[: t + 1]
-        xs, us = predict_trajectory(sys_, sched, t=t, W=1, known_w=w)
+        planner = FrozenPlanner(sys_, sched)
+        xs, us = planner.plan(t, 1, known_w=w)
         ref = brute_force_lqr_oracle(sys_, frozen_schedule(sched, t, 1), planned_w)
         np.testing.assert_allclose(us, ref.u, rtol=1e-8)
         # Passing only the revealed prefix rows gives the same plan.
-        xs2, us2 = predict_trajectory(sys_, sched, t=t, W=1, known_w=w[: t + 1])
+        xs2, us2 = planner.plan(t, 1, known_w=w[: t + 1])
         np.testing.assert_array_equal(us2, us)
 
     def test_rejects_bad_time(self):
         sys_ = scalar_system(0.5, 1.0)
-        sched = scalar_schedule(1.0, 1.0, 4)
-        with pytest.raises(ValueError):
-            predict_trajectory(sys_, sched, t=3, W=0)
+        planner = FrozenPlanner(sys_, scalar_schedule(1.0, 1.0, 4))
+        for t in (-1, 3):
+            with pytest.raises(ValueError, match="t must satisfy"):
+                planner.plan(t, 0)
+        with pytest.raises(ValueError, match="W must be nonnegative"):
+            planner.plan(0, -1)
 
     def test_zero_preview_reads_only_revealed_entries(self):
-        # A duck-typed schedule records which indices the planner touches;
-        # with W = 0 at time t only entries up to t may be read.
-        class TrackingList:
-            def __init__(self, items):
-                self.items = list(items)
-                self.touched = set()
-
-            def __len__(self):
-                return len(self.items)
-
-            def __getitem__(self, i):
-                self.touched.add(i)
-                return self.items[i]
-
-        class TrackedSchedule:
-            def __init__(self, base):
-                self.Q = TrackingList(base.Q)
-                self.R = TrackingList(base.R)
-                self.horizon = base.horizon
-                self.n = base.n
-                self.m = base.m
-
+        # With W = 0 the plan at time t may depend on Q[j], R[j] for j <= t
+        # only: replacing every later entry leaves it bit for bit unchanged.
         rng = np.random.default_rng(5)
         sys_ = scalar_system(0.8, 1.0, 1.0)
         base = varying_scalar_schedule(rng, 9)
         for t in (0, 3, 6):
-            tracked = TrackedSchedule(base)
-            predict_trajectory(sys_, tracked, t=t, W=0)
-            assert max(tracked.Q.touched) <= t
-            assert max(tracked.R.touched) <= t
+            other = varying_scalar_schedule(rng, 9)
+            mixed = CostSchedule(
+                np.concatenate([base.Q[: t + 1], other.Q[t + 1 :]]),
+                np.concatenate([base.R[: t + 1], other.R[t + 1 :]]),
+            )
+            xs, us = FrozenPlanner(sys_, base).plan(t, 0)
+            xs2, us2 = FrozenPlanner(sys_, mixed).plan(t, 0)
+            np.testing.assert_array_equal(xs2, xs)
+            np.testing.assert_array_equal(us2, us)
 
 
 class TestPredictionTracking:
@@ -245,6 +243,103 @@ class TestMpcBaseline:
         bounds = CostBounds(0.5 * np.eye(1), 3.0 * np.eye(1), [[0.4]], [[1.8]])
         with pytest.raises(ValueError):
             mpc_baseline_policy(sys_, sched, bounds, 4)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 2),
+        st.integers(3, 40).flatmap(
+            lambda T: st.tuples(
+                st.just(T), st.sampled_from([0, T - 2]) | st.integers(0, T - 2)
+            )
+        ),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    @example(4, 2, (40, 38), 0, True)
+    @example(1, 1, (3, 0), 1, False)
+    def test_matches_per_window_loop(self, n, m, T_W, seed, noisy):
+        T, W = T_W
+        sys_, sched, rng = random_instance(seed, n, m, T)
+        bounds = CostBounds(0.2 * np.eye(n), 4.0 * np.eye(n), 0.2 * np.eye(m), 4.0 * np.eye(m))
+        w = rng.standard_normal((T - 1, n)) if noisy else None
+        traj = mpc_baseline_policy(sys_, sched, bounds, W, w)
+        ref_x, ref_u = per_window_mpc(sys_, sched, bounds, W, w)
+        np.testing.assert_array_equal(traj.x, ref_x)
+        np.testing.assert_array_equal(traj.u, ref_u)
+        assert traj.cost == schedule_cost(ref_x, ref_u, sched)
+
+
+def per_window_mpc(sys_, schedule, bounds, W, w):
+    """The baseline as one backward solve per window, then the closed loop."""
+    T = schedule.horizon
+    A, B = sys_.A, sys_.B
+    P_max = solve_dare(A, B, bounds.Q_max, bounds.R_max)
+    AT, BT = A.T.copy(), B.T.copy()
+    gains = []
+    for t in range(T - 1):
+        if t + W + 1 > T - 1:
+            last_stage = T - 2
+            P = np.asarray(schedule.Q[T - 1], dtype=float)
+        else:
+            last_stage = t + W
+            P = P_max
+        for k in range(last_stage, t - 1, -1):
+            PA = P @ A
+            PB = P @ B
+            G = schedule.R[k] + BT @ PB
+            if sys_.m == 1:
+                Kk = (BT @ PA) / (-G[0, 0])
+            else:
+                Kk = -np.linalg.solve(G, BT @ PA)
+            P = AT @ PA + schedule.Q[k] + (AT @ PB) @ Kk
+            P = 0.5 * (P + P.T)
+        gains.append(Kk)
+    w = np.zeros((T - 1, sys_.n)) if w is None else w
+    x = np.zeros((T, sys_.n))
+    u = np.zeros((T - 1, sys_.m))
+    x[0] = sys_.x0
+    for t in range(T - 1):
+        u[t] = gains[t] @ x[t]
+        x[t + 1] = A @ x[t] + B @ u[t] + w[t]
+    return x, u
+
+
+def _exploding_instance():
+    # Two near-maximal disturbances in a row push the state past the
+    # largest float, whatever the controller does.
+    sys_ = scalar_system(2.0, 1.0, 1.0)
+    T = 12
+    w = np.zeros((T - 1, 1))
+    w[4] = w[5] = 1.7e308
+    return sys_, scalar_schedule(1.0, 1.0, T), w
+
+
+@pytest.mark.parametrize(
+    "run, time_index",
+    [
+        (lambda s, sch, w: rollout(s, backward_riccati(s, sch), s.x0, w), 6),
+        (
+            lambda s, sch, w: prediction_tracking_policy(
+                s, sch, PolicyConfig(3, place_poles_single_input(s, [0.1])), w
+            ),
+            5,
+        ),
+        (
+            lambda s, sch, w: mpc_baseline_policy(
+                s, sch, CostBounds(0.5 * np.eye(1), 3.0 * np.eye(1), [[0.4]], [[1.8]]), 3, w
+            ),
+            6,
+        ),
+    ],
+    ids=["rollout", "tracking", "mpc"],
+)
+def test_closed_loops_report_overflow_step(run, time_index):
+    sys_, sched, w = _exploding_instance()
+    with pytest.raises(TrajectoryOverflowError) as info:
+        run(sys_, sched, w)
+    assert info.value.time_index == time_index
+    assert str(info.value) == f"non-finite state at time index {time_index}"
 
 
 # Differences are measured against the size of the reference plan: an entry
@@ -347,8 +442,8 @@ class TestPlanPoints:
         w2[t + 1 :] = 10.0 * rng.standard_normal((T - 2 - t, n))
         cut = t + W + 1
         sched2 = CostSchedule(
-            sched.Q[:cut] + tuple(10.0 * random_pd(rng, n) for _ in sched.Q[cut:]),
-            sched.R[:cut] + tuple(10.0 * random_pd(rng, 1) for _ in sched.R[cut:]),
+            tuple(sched.Q[:cut]) + tuple(10.0 * random_pd(rng, n) for _ in sched.Q[cut:]),
+            tuple(sched.R[:cut]) + tuple(10.0 * random_pd(rng, 1) for _ in sched.R[cut:]),
         )
         X2, U2 = FrozenPlanner(sys_, sched2).plan_points(W, w2)
         np.testing.assert_array_equal(X2[: t + 1], X[: t + 1])

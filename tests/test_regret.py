@@ -14,9 +14,13 @@ from preview_lqr.regret import (
     phi_metric,
     regret,
     regret_via_control_deviation,
-    total_cost,
 )
-from preview_lqr.riccati import Trajectory, TrajectoryOverflowError, backward_riccati
+from preview_lqr.riccati import (
+    Trajectory,
+    TrajectoryOverflowError,
+    backward_riccati,
+    schedule_cost,
+)
 from preview_lqr.systems import (
     DisturbanceModel,
     LinearSystem,
@@ -44,23 +48,25 @@ def varying_schedule(rng, n, T):
 
 
 class TestTotalCost:
+    """The quadratic cost of a trajectory, ``riccati.schedule_cost``."""
+
     def test_zero(self):
         sched = scalar_schedule(1.0, 1.0, 3)
-        assert total_cost(np.zeros((3, 1)), np.zeros((2, 1)), sched) == 0.0
+        assert schedule_cost(np.zeros((3, 1)), np.zeros((2, 1)), sched) == 0.0
 
     def test_hand_arithmetic(self):
         sched = scalar_schedule(1.0, 1.0, 2)
         x = np.array([[1.0], [0.5]])
         u = np.array([[-0.5]])
-        assert total_cost(x, u, sched) == pytest.approx(1.5)
+        assert schedule_cost(x, u, sched) == pytest.approx(1.5)
 
     def test_quadratic_scaling(self):
         rng = np.random.default_rng(0)
         sched = varying_schedule(rng, 2, 5)
         x = rng.standard_normal((5, 2))
         u = rng.standard_normal((4, 1))
-        base = total_cost(x, u, sched)
-        assert total_cost(3.0 * x, 3.0 * u, sched) == pytest.approx(9.0 * base, rel=1e-12)
+        base = schedule_cost(x, u, sched)
+        assert schedule_cost(3.0 * x, 3.0 * u, sched) == pytest.approx(9.0 * base, rel=1e-12)
 
 
 class TestRegret:
@@ -109,7 +115,7 @@ class TestControlDeviationIdentity:
         for t in range(3):
             u[t] = sol.K[t] @ x[t] + delta
             x[t + 1] = sys_.A @ x[t] + sys_.B @ u[t]
-        traj = Trajectory(x, u, total_cost(x, u, sched))
+        traj = Trajectory(x, u, schedule_cost(x, u, sched))
         # With a = 0 the comparator feedback along our states equals the
         # optimal feedback, so each term is delta^2 (1 + P*[t+1]).
         expected = sum(delta**2 * (1.0 + sol.P[t + 1][0, 0]) for t in range(3))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from preview_lqr.costs import CostSchedule, frozen_schedule, random_uniform_schedule, CostBounds
 from preview_lqr.riccati import (
@@ -11,6 +13,7 @@ from preview_lqr.riccati import (
     backward_riccati,
     brute_force_lqr_oracle,
     frozen_backward_sweep,
+    riccati_step,
     rollout,
     schedule_cost,
     solve_dare,
@@ -82,6 +85,81 @@ class TestBackwardRiccati:
         sched = CostSchedule((np.eye(2), np.eye(2)), (np.eye(1),))
         with pytest.raises(ValueError):
             backward_riccati(sys_, sched)
+
+
+def random_pd(rng, k, batch=()):
+    M = rng.standard_normal(batch + (k, k))
+    return M @ np.swapaxes(M, -1, -2) / k + 0.3 * np.eye(k)
+
+
+def random_schedule(rng, n, m, T):
+    return CostSchedule(random_pd(rng, n, (T,)), random_pd(rng, m, (T - 1,)))
+
+
+def looped_backward_riccati(sys_, schedule):
+    """The backward pass written out step by step."""
+    A, B = sys_.A, sys_.B
+    AT, BT = A.T.copy(), B.T.copy()
+    T = schedule.horizon
+    P = [None] * T
+    K = [None] * (T - 1)
+    P[T - 1] = np.asarray(schedule.Q[T - 1], dtype=float)
+    for i in range(T - 2, -1, -1):
+        Pn = P[i + 1]
+        PnA = Pn @ A
+        PnB = Pn @ B
+        G = schedule.R[i] + BT @ PnB
+        if sys_.m == 1:
+            Ki = (BT @ PnA) / (-G[0, 0])
+        else:
+            Ki = -np.linalg.solve(G, BT @ PnA)
+        Pi = AT @ PnA + schedule.Q[i] + (AT @ PnB) @ Ki
+        P[i] = 0.5 * (Pi + Pi.T)
+        K[i] = Ki
+    return np.array(P), np.array(K)
+
+
+dims = st.tuples(st.integers(1, 4), st.integers(1, 2), st.integers(0, 2**32 - 1))
+
+
+class TestRiccatiStep:
+    @settings(max_examples=40, deadline=None)
+    @given(dims, st.integers(1, 6))
+    @example((4, 2, 0), 1)
+    def test_batched_equals_looped_and_symmetric(self, nms, batch):
+        n, m, seed = nms
+        rng = np.random.default_rng(seed)
+        sys_ = random_controllable_system(n, m, -1.5, 1.5, rng)
+        P = random_pd(rng, n, (batch,))
+        Q = random_pd(rng, n, (batch,))
+        R = random_pd(rng, m, (batch,))
+        P_prev, K = riccati_step(P, sys_.A, sys_.B, Q, R)
+        assert P_prev.shape == (batch, n, n) and K.shape == (batch, m, n)
+        np.testing.assert_array_equal(P_prev, np.swapaxes(P_prev, -1, -2))
+        for b in range(batch):
+            P_b, K_b = riccati_step(P[b], sys_.A, sys_.B, Q[b], R[b])
+            np.testing.assert_array_equal(P_prev[b], P_b)
+            np.testing.assert_array_equal(K[b], K_b)
+
+    def test_scalar_hand_step(self):
+        # P = 1, a = b = q = r = 1: K = -1/2, P_prev = 1 + 1 - 1/2.
+        one = np.ones((1, 1))
+        P_prev, K = riccati_step(one, one, one, one, one)
+        assert K[0, 0] == -0.5 and P_prev[0, 0] == 1.5
+
+
+class TestBackwardRiccatiLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(dims, st.integers(2, 40))
+    def test_equals_stepwise_loop(self, nms, T):
+        n, m, seed = nms
+        rng = np.random.default_rng(seed)
+        sys_ = random_controllable_system(n, m, -1.5, 1.5, rng)
+        sched = random_schedule(rng, n, m, T)
+        sol = backward_riccati(sys_, sched)
+        P, K = looped_backward_riccati(sys_, sched)
+        np.testing.assert_array_equal(sol.P, P)
+        np.testing.assert_array_equal(sol.K, K)
 
 
 class TestAffineBackwardRiccati:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from preview_lqr.costs import CostSchedule
+from preview_lqr.riccati import simulate
 from preview_lqr.systems import (
     DisturbanceModel,
     GenerationBudgetError,
@@ -9,7 +11,6 @@ from preview_lqr.systems import (
     inverted_pendulum,
     place_poles_single_input,
     random_controllable_system,
-    simulate_step,
     spectral_radius,
 )
 
@@ -18,7 +19,16 @@ def scalar_system(a, b, x0=1.0):
     return LinearSystem([[a]], [[b]], [x0])
 
 
+def simulate_step(sys_, x, u, w):
+    """x[1] of a one-step closed-loop run that applies the control u."""
+    sched = CostSchedule(np.stack([np.eye(sys_.n)] * 2), np.eye(sys_.m)[None])
+    u = np.asarray(u, dtype=float)
+    return simulate(sys_, sched, lambda t, x_t: u, x, [w]).x[1]
+
+
 class TestSimulateStep:
+    """One step of the system dynamics, through ``riccati.simulate``."""
+
     def test_state_annihilated(self):
         sys_ = scalar_system(0.0, 1.0, 5.0)
         assert simulate_step(sys_, [5.0], [3.0], [0.0]) == pytest.approx([3.0])
