@@ -103,7 +103,7 @@ def compute_bound_constants(
     "extrema" uses the schedule's own Loewner extrema, "bounds" uses the
     a priori ``cost_bounds``. The contraction constant alpha is maximized
     over the value matrices of the true pass and of every frozen pass the
-    policy at preview W actually solves.
+    policy at preview W reads.
     """
     A, B = sys.A, sys.B
     K_track = np.atleast_2d(np.asarray(K_track, dtype=float))
@@ -144,26 +144,22 @@ def compute_bound_constants(
 
     if planner is None:
         planner = FrozenPlanner(sys, schedule)
-    planner.prepare(W)
-    freeze_indices = sorted({min(t + W, T - 1) for t in range(T - 1)} | {T - 1})
+    planner.prepare()
     # alpha maximizes the top eigenvalue of A' P A over interior value
-    # matrices of the true pass and of every frozen pass used at preview W.
+    # matrices of the true pass and of every frozen pass used at preview W,
+    # the passes s = min(W, T-1)..T-1.
     hi = T - 1 if T <= 2 else T - 2
-    stacked = np.concatenate(
-        [planner.solution(s).P[1 : hi + 1] for s in freeze_indices]
-    )
+    stacked = planner.P[min(W, T - 1) :, 1 : hi + 1]
     APA = A.T @ stacked @ A
-    APA = 0.5 * (APA + np.transpose(APA, (0, 2, 1)))
-    alpha = float(np.linalg.eigvalsh(APA)[:, -1].max())
+    APA = 0.5 * (APA + np.swapaxes(APA, -1, -2))
+    alpha = float(np.linalg.eigvalsh(APA)[..., -1].max())
     beta = float(np.linalg.eigvalsh(schedule.Q[: T - 1])[:, 0].min())
     gamma = alpha / (alpha + beta)
 
-    true_sol = planner.solution(T - 1)
-    realized = np.stack(
-        [planner.solution(min(t + W, T - 1)).K[t] for t in range(T - 1)]
-    )
+    t_all = np.arange(T - 1)
+    realized = planner.K[np.minimum(t_all + W, T - 1), t_all]
     alpha1 = float(_batch_spectral_norm(realized - K_track).max() ** 2)
-    alpha2 = float(2.0 * (_batch_spectral_norm(true_sol.K - K_track).max() ** 2))
+    alpha2 = float(2.0 * (_batch_spectral_norm(planner.K[T - 1] - K_track).max() ** 2))
 
     rho = spectral_radius(A + B @ K_track)
     if not rho < 1.0:

@@ -172,54 +172,20 @@ def random_uniform_schedule(
     return CostSchedule(Q, R, validate=False)
 
 
-def frozen_schedule(schedule, t: int, W: int):
+def frozen_schedule(schedule: CostSchedule, t: int, W: int) -> CostSchedule:
     """Schedule revealed up to index t + W, with the tail held at that entry.
 
     Entries at indices <= t + W are kept; later ones repeat the entry at
     t + W. When t + W already reaches the final index the input schedule is
-    returned unchanged; otherwise the result is a FrozenScheduleView.
+    returned unchanged.
     """
     if t < 0 or W < 0:
         raise ValueError("t and W must be nonnegative")
-    if t + W >= schedule.horizon - 1:
+    T = schedule.horizon
+    if t + W >= T - 1:
         return schedule
-    return FrozenScheduleView(schedule, t + W)
-
-
-class _ClampedSeq:
-    """Sequence view returning base[min(i, limit)] without copying."""
-
-    __slots__ = ("_base", "_limit")
-
-    def __init__(self, base, limit: int):
-        self._base = base
-        self._limit = limit
-
-    def __len__(self) -> int:
-        return len(self._base)
-
-    def __getitem__(self, i):
-        # Indexing a range normalizes negative i and raises IndexError.
-        return self._base[min(range(len(self._base))[i], self._limit)]
-
-
-class FrozenScheduleView:
-    """A schedule frozen at index s, without copying it.
-
-    Entry i reads the underlying schedule at min(i, s), so a planner can
-    hold one view per freeze index at no memory cost.
-    """
-
-    __slots__ = ("Q", "R", "horizon", "n", "m")
-
-    def __init__(self, schedule, s: int):
-        T = schedule.horizon
-        s = min(int(s), T - 1)
-        if s < 0:
-            raise ValueError("freeze index must be nonnegative")
-        self.Q = _ClampedSeq(schedule.Q, s)
-        self.R = _ClampedSeq(schedule.R, min(s, T - 2))
-        self.horizon, self.n, self.m = T, schedule.n, schedule.m
+    idx = np.minimum(np.arange(T), t + W)
+    return CostSchedule(schedule.Q[idx], schedule.R[idx[:-1]], validate=False)
 
 
 def _loewner_extremum(mats, want_max: bool):

@@ -164,7 +164,7 @@ def _trial_system(config: ExperimentConfig, T: int, trial: int):
     return sys_, K_track
 
 
-def _evaluate_trial(config: ExperimentConfig, T: int, trial: int, P_max):
+def _evaluate_trial(config: ExperimentConfig, T: int, trial: int):
     """One realization, swept over every requested preview length.
 
     One trial draws one (system, schedule, disturbance) realization and
@@ -176,8 +176,7 @@ def _evaluate_trial(config: ExperimentConfig, T: int, trial: int, P_max):
     out = {}
     try:
         sys_, K_track = _trial_system(config, T, trial)
-        if P_max is None:
-            P_max = solve_dare(sys_.A, sys_.B, config.bounds.Q_max, config.bounds.R_max)
+        P_max = solve_dare(sys_.A, sys_.B, config.bounds.Q_max, config.bounds.R_max)
         schedule = random_uniform_schedule(
             config.bounds,
             T,
@@ -233,15 +232,6 @@ def _evaluate_trial(config: ExperimentConfig, T: int, trial: int, P_max):
     return out
 
 
-def _evaluate_trial_job(args):
-    config, T, trial = args
-    P_max = None
-    if config.scenario.startswith("pendulum"):
-        sys0 = inverted_pendulum(np.asarray(config.x0, dtype=float))
-        P_max = solve_dare(sys0.A, sys0.B, config.bounds.Q_max, config.bounds.R_max)
-    return _evaluate_trial(config, T, trial, P_max)
-
-
 def _aggregate_cell(config: ExperimentConfig, T: int, W: int, trial_outcomes):
     W_eff = min(W, T - 2)
     clamped = W_eff != W
@@ -295,14 +285,14 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
     and counted; a cell where every trial fails becomes a failure record
     instead of a row. Results are independent of ``workers``.
     """
-    jobs = [
-        (config, T, trial) for T in config.t_values for trial in range(config.trials)
-    ]
+    Ts = [T for T in config.t_values for _ in range(config.trials)]
+    trials = [trial for _ in config.t_values for trial in range(config.trials)]
+    configs = [config] * len(Ts)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            flat = list(pool.map(_evaluate_trial_job, jobs, chunksize=1))
+            flat = list(pool.map(_evaluate_trial, configs, Ts, trials, chunksize=1))
     else:
-        flat = [_evaluate_trial_job(job) for job in jobs]
+        flat = list(map(_evaluate_trial, configs, Ts, trials))
     rows, failures = [], []
     for t_index, T in enumerate(config.t_values):
         trial_outcomes = flat[t_index * config.trials : (t_index + 1) * config.trials]

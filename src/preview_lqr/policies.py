@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostBounds, CostSchedule, FrozenScheduleView
+from .costs import CostBounds, CostSchedule, frozen_schedule
 from .riccati import (
     RiccatiSolution,
     Trajectory,
@@ -72,12 +72,15 @@ def validate_policy_config(cfg: PolicyConfig, sys: LinearSystem, T: int):
 
 
 class FrozenPlanner:
-    """Caches backward passes and nominal plans per freeze index.
+    """Every frozen backward pass and nominal plan of one instance.
 
     The plan under a schedule frozen at index s depends on s alone in the
-    disturbance-free case, so repeated solves across time steps and across
-    preview lengths reuse the same backward pass. Known disturbances only
-    add affine terms on top of the cached quadratic pass.
+    disturbance-free case, so all time steps and preview lengths share the
+    T passes. ``prepare()`` solves them once, as read-only stacks indexed
+    by freeze index: value matrices ``P`` (T, T, n, n), gains ``K``
+    (T, T-1, m, n), and the nominal plans' states ``X`` (T, T, n) and
+    controls ``U`` (T, T-1, m). Known disturbances only add affine terms
+    on top of these passes.
 
     ``plan(t, W, known_w)`` is the single-time API: the full-horizon plan
     made at time t. ``plan_points(W, w)`` returns only the entries the
@@ -90,55 +93,41 @@ class FrozenPlanner:
         self.sys = sys
         self.schedule = schedule
         self.T = schedule.horizon
-        self._passes: dict[int, RiccatiSolution] = {}
-        self._nominal: dict[int, tuple] = {}
+        self.P = self.K = self.X = self.U = None
 
-    def prepare(self, W: int):
-        """Batch-solve every frozen pass a preview-W run will touch."""
-        needed = {min(t + W, self.T - 1) for t in range(self.T - 1)}
-        needed -= self._passes.keys()
-        if not needed:
+    def prepare(self):
+        """Solve every frozen pass and roll out its nominal plan, once."""
+        if self.P is not None:
             return
-        s_arr, P_all, K_all = frozen_backward_sweep(self.sys, self.schedule, needed)
-        for idx, s in enumerate(s_arr):
-            self._passes[int(s)] = RiccatiSolution(
-                P_all[idx], K_all[idx], FrozenScheduleView(self.schedule, int(s))
-            )
-        # Nominal plans for the new passes, rolled forward as one batch.
+        P, K = frozen_backward_sweep(self.sys, self.schedule)
         T, n, m = self.T, self.sys.n, self.sys.m
         AT = self.sys.A.T.copy()
         BT = self.sys.B.T.copy()
-        X = np.empty((s_arr.size, T, n))
-        U = np.empty((s_arr.size, T - 1, m))
+        X = np.empty((T, T, n))
+        U = np.empty((T, T - 1, m))
         X[:, 0] = self.sys.x0
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(T - 1):
-                U[:, i] = (K_all[:, i] @ X[:, i, :, None])[..., 0]
+                U[:, i] = (K[:, i] @ X[:, i, :, None])[..., 0]
                 X[:, i + 1] = X[:, i] @ AT + U[:, i] @ BT
         if not np.all(np.isfinite(X)):
             bad = int(np.argwhere(~np.isfinite(X).all(axis=(0, 2)))[0, 0])
             raise TrajectoryOverflowError(bad, "non-finite planned state")
-        for idx, s in enumerate(s_arr):
-            self._nominal[int(s)] = (X[idx], U[idx])
+        for stack in (P, K, X, U):
+            stack.setflags(write=False)
+        self.P, self.K, self.X, self.U = P, K, X, U
 
     def solution(self, s: int) -> RiccatiSolution:
         """Backward pass for the schedule frozen at index s."""
+        self.prepare()
         s = min(int(s), self.T - 1)
-        sol = self._passes.get(s)
-        if sol is None:
-            sol = backward_riccati(self.sys, FrozenScheduleView(self.schedule, s))
-            self._passes[s] = sol
-        return sol
+        return RiccatiSolution(self.P[s], self.K[s], frozen_schedule(self.schedule, s, 0))
 
     def nominal_plan(self, s: int):
         """Disturbance-free plan (states, controls) from the initial state."""
+        self.prepare()
         s = min(int(s), self.T - 1)
-        plan = self._nominal.get(s)
-        if plan is None:
-            traj = rollout(self.sys, self.solution(s), self.sys.x0)
-            plan = (traj.x, traj.u)
-            self._nominal[s] = plan
-        return plan
+        return self.X[s], self.U[s]
 
     def plan(self, t: int, W: int, known_w=None):
         """Full-horizon plan at time t with preview W.
@@ -182,24 +171,19 @@ class FrozenPlanner:
         Plan t reads only its own frozen pass and w[0..t], as ``plan`` does.
         """
         T, n, m = self.T, self.sys.n, self.sys.m
-        s_of = [min(t + W, T - 1) for t in range(T - 1)]
-        self.prepare(W)
-        X = np.empty((T - 1, n))
-        U = np.empty((T - 1, m))
+        t_all = np.arange(T - 1)
+        s_of = np.minimum(t_all + W, T - 1)
+        self.prepare()
         if w is not None:
             w = np.asarray(w, dtype=float)
             if w.shape != (T - 1, n):
                 raise ValueError(f"w must have shape {(T - 1, n)}, got {w.shape}")
         if w is None or not np.any(w):
-            for t, s in enumerate(s_of):
-                xs, us = self.nominal_plan(s)
-                X[t] = xs[t]
-                U[t] = us[t]
-            return X, U
+            return self.X[s_of, t_all], self.U[s_of, t_all]
         # Plan t sits at position t of the batch; each step gathers the
-        # active plans' entries of their cached passes.
-        Ps = [self._passes[s].P for s in s_of]
-        Ks = [self._passes[s].K for s in s_of]
+        # active plans' entries of their frozen passes.
+        X = np.empty((T - 1, n))
+        U = np.empty((T - 1, m))
         A, B = self.sys.A, self.sys.B
         AT, BT = A.T.copy(), B.T.copy()
         R = self.schedule.R
@@ -209,8 +193,8 @@ class FrozenPlanner:
             # Backward: at step i the plans t >= i are active; plan t's
             # affine terms are zero above t, so it joins with q = 0.
             for i in range(T - 2, -1, -1):
-                P = np.array([P_s[i + 1] for P_s in Ps[i:]])
-                K = np.array([K_s[i] for K_s in Ks[i:]])
+                P = self.P[s_of[i:], i + 1]
+                K = self.K[s_of[i:], i]
                 v = q[i:] + (P.reshape(-1, n) @ w[i]).reshape(-1, n)
                 Bv = v @ B
                 G = R[i] + np.einsum("ni,jnk,kl->jil", B, P, B)
@@ -222,7 +206,7 @@ class FrozenPlanner:
             # Forward: plan t rolls out from x0 and stops at index t.
             x = np.tile(self.sys.x0, (T - 1, 1))
             for i in range(T - 1):
-                K = np.array([K_s[i] for K_s in Ks[i:]])
+                K = self.K[s_of[i:], i]
                 u = np.einsum("jmn,jn->jm", K, x[i:]) + k[i, i:]
                 X[i] = x[i]
                 U[i] = u[0]

@@ -142,41 +142,32 @@ def backward_riccati(sys: LinearSystem, schedule: CostSchedule) -> RiccatiSoluti
     return RiccatiSolution(P, K, schedule)
 
 
-def frozen_backward_sweep(sys: LinearSystem, schedule: CostSchedule, freeze_indices):
-    """Backward passes for many frozen schedules in one batched recursion.
+def frozen_backward_sweep(sys: LinearSystem, schedule: CostSchedule):
+    """Backward passes for every frozen schedule in one batched recursion.
 
-    ``freeze_indices`` lists the freeze points s; the pass for s uses entry
-    i of the schedule when i <= s and repeats entry s afterwards. Returns
-    (P_all, K_all) with shapes (S, T, n, n) and (S, T-1, m, n), ordered as
-    the sorted unique freeze indices.
+    The pass for freeze index s in 0..T-1 uses entry i of the schedule when
+    i <= s and repeats entry s afterwards, so pass T-1 is the true pass.
+    Returns (P_all, K_all) with shapes (T, T, n, n) and (T, T-1, m, n),
+    indexed by freeze index first.
     """
     A, B = sys.A, sys.B
-    AT, BT = A.T.copy(), B.T.copy()
     T = schedule.horizon
     n, m = sys.n, sys.m
-    s_arr = np.array(sorted(set(int(s) for s in freeze_indices)), dtype=int)
-    if s_arr.size == 0:
-        raise ValueError("freeze_indices must be nonempty")
-    if s_arr[0] < 0 or s_arr[-1] > T - 1:
-        raise ValueError("freeze indices must lie in [0, T - 1]")
-    S = s_arr.size
     Qs, Rs = schedule.Q, schedule.R
-    Q_frozen = Qs[s_arr]
-    R_frozen = Rs[np.minimum(s_arr, T - 2)]
-    P_all = np.empty((S, T, n, n))
-    K_all = np.empty((S, T - 1, m, n))
-    P = Q_frozen.copy()
+    s_all = np.arange(T)
+    P_all = np.empty((T, T, n, n))
+    K_all = np.empty((T, T - 1, m, n))
+    P = Qs
     P_all[:, T - 1] = P
     scalar_control = m == 1
     for i in range(T - 2, -1, -1):
-        cut = int(np.searchsorted(s_arr, i))
-        Qi = Q_frozen.copy()
-        Qi[cut:] = Qs[i]
-        Ri = R_frozen.copy()
-        Ri[cut:] = Rs[i]
+        # At step i pass s reads entry min(i, s).
+        clamp = np.minimum(s_all, i)
+        Qi = Qs[clamp]
+        Ri = Rs[clamp]
         # Flattened products keep each step at a few large BLAS calls.
-        PA = (P.reshape(S * n, n) @ A).reshape(S, n, n)
-        PB = (P.reshape(S * n, n) @ B).reshape(S, n, m)
+        PA = (P.reshape(T * n, n) @ A).reshape(T, n, n)
+        PB = (P.reshape(T * n, n) @ B).reshape(T, n, m)
         ATPA = np.tensordot(A, PA, axes=(0, 1)).transpose(1, 0, 2)
         ATPB = np.tensordot(A, PB, axes=(0, 1)).transpose(1, 0, 2)
         BPA = np.tensordot(B, PA, axes=(0, 1)).transpose(1, 0, 2)
@@ -189,7 +180,7 @@ def frozen_backward_sweep(sys: LinearSystem, schedule: CostSchedule, freeze_indi
         P = 0.5 * (P + P.transpose(0, 2, 1))
         P_all[:, i] = P
         K_all[:, i] = K
-    return s_arr, P_all, K_all
+    return P_all, K_all
 
 
 def affine_terms(sys: LinearSystem, solution: RiccatiSolution, known_w, last=None):

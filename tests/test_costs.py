@@ -4,7 +4,6 @@ import pytest
 from preview_lqr.costs import (
     CostBounds,
     CostSchedule,
-    FrozenScheduleView,
     IncomparableScheduleError,
     frozen_schedule,
     loewner_leq,
@@ -157,17 +156,14 @@ class TestFrozenSchedule:
     def test_view_matches_materialized(self):
         sched = random_uniform_schedule(pendulum_bounds(), 9, np.random.default_rng(4))
         T = sched.horizon
-        for s in (0, 3, 7, 8):
-            view = FrozenScheduleView(sched, s)
-            assert (view.horizon, view.n, view.m) == (T, 4, 1)
-            assert len(view.Q) == T and len(view.R) == T - 1
-            Q = sched.Q[np.minimum(np.arange(T), s)]
-            R = sched.R[np.minimum(np.arange(T - 1), s)]
-            np.testing.assert_array_equal(np.array(list(view.Q)), Q)
-            np.testing.assert_array_equal(np.array(list(view.R)), R)
-            np.testing.assert_array_equal(view.Q[-1], Q[-1])
-            with pytest.raises(IndexError):
-                view.Q[T]
+        for s in (0, 3, 7):
+            frozen = frozen_schedule(sched, s, 0)
+            assert isinstance(frozen, CostSchedule)
+            assert (frozen.horizon, frozen.n, frozen.m) == (T, 4, 1)
+            idx = np.minimum(np.arange(T), s)
+            np.testing.assert_array_equal(frozen.Q, sched.Q[idx])
+            np.testing.assert_array_equal(frozen.R, sched.R[idx[:-1]])
+        assert frozen_schedule(sched, 8, 0) is sched
 
 
 class TestSequenceExtrema:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from preview_lqr import experiments
 from preview_lqr.cli import cli_main
 from preview_lqr.costs import CostBounds
 from preview_lqr.experiments import (
@@ -13,6 +14,7 @@ from preview_lqr.experiments import (
     parse_csv,
     run_grid,
 )
+from preview_lqr.riccati import DareConvergenceError
 
 
 def small_config(**overrides):
@@ -135,6 +137,21 @@ class TestRunGrid:
         parallel = run_grid(cfg, workers=3)
         assert serial.rows == parallel.rows
         assert serial.failures == parallel.failures
+
+    def test_cells_do_not_depend_on_other_requested_cells(self):
+        full = run_grid(small_config(t_min=60, t_max=60, w_min=0, w_max=8))
+        part = run_grid(small_config(t_min=60, t_max=60, w_min=3, w_max=8))
+        assert part.rows == tuple(r for r in full.rows if r.W >= 3)
+
+    def test_dare_failure_excludes_the_trial(self, monkeypatch):
+        def no_fixed_point(*args, **kwargs):
+            raise DareConvergenceError("no fixed point")
+
+        monkeypatch.setattr(experiments, "solve_dare", no_fixed_point)
+        res = run_grid(small_config(t_min=12, t_max=12, w_max=1, trials=1))
+        assert res.rows == ()
+        reason = "DareConvergenceError: no fixed point"
+        assert res.failures == ((12, 0, reason), (12, 1, reason))
 
     def test_pendulum_never_excludes(self):
         cfg = small_config(trials=3)

@@ -383,14 +383,10 @@ def assert_plan_row_close(actual, full_ref, t):
 
 class TestPlanPoints:
     @plan_settings
-    @given(
-        horizons(max_m=2),
-        st.integers(0, 59),
-        st.lists(st.integers(0, 59), max_size=3),
-    )
-    @example((4, 1, 3, 0, 0), 0, [])
-    @example((4, 2, 60, 58, 1), 5, [59, 0])
-    def test_matches_per_step_plans(self, dims, zero_rows, touched):
+    @given(horizons(max_m=2), st.integers(0, 59))
+    @example((4, 1, 3, 0, 0), 0)
+    @example((4, 2, 60, 58, 1), 5)
+    def test_matches_per_step_plans(self, dims, zero_rows):
         n, m, T, W, seed = dims
         sys_, sched, rng = random_instance(seed, n, m, T)
         w = rng.standard_normal((T - 1, n))
@@ -398,9 +394,6 @@ class TestPlanPoints:
         zero_rows = min(zero_rows, T - 1)
         w[:zero_rows] = 0.0
         planner = FrozenPlanner(sys_, sched)
-        # Passes solved one at a time come from backward_riccati, not the sweep.
-        for s in touched:
-            planner.solution(s % T)
         X, U = planner.plan_points(W, w)
         for t in range(T - 1):
             xs, us = planner.plan(t, W, w)
@@ -467,3 +460,38 @@ class TestPlanPoints:
         planner = FrozenPlanner(sys_, scalar_schedule(1.0, 1.0, 5))
         with pytest.raises(ValueError, match="shape"):
             planner.plan_points(1, np.ones((3, 1)))
+
+
+class TestFrozenPlanner:
+    @plan_settings
+    @given(horizons(max_m=2))
+    def test_stacks_match_single_passes(self, dims):
+        n, m, T, _, seed = dims
+        sys_, sched, _ = random_instance(seed, n, m, T)
+        planner = FrozenPlanner(sys_, sched)
+
+        def assert_rel_close(actual, ref):
+            assert np.abs(actual - ref).max() <= 1e-9 * np.abs(ref).max()
+
+        for s in range(T):
+            ref = backward_riccati(sys_, frozen_schedule(sched, s, 0))
+            sol = planner.solution(s)
+            assert_rel_close(sol.P, ref.P)
+            assert_rel_close(sol.K, ref.K)
+            np.testing.assert_array_equal(sol.schedule.Q, ref.schedule.Q)
+            np.testing.assert_array_equal(sol.schedule.R, ref.schedule.R)
+            traj = rollout(sys_, ref, sys_.x0)
+            xs, us = planner.nominal_plan(s)
+            assert_rel_close(xs, traj.x)
+            assert_rel_close(us, traj.u)
+
+    def test_cached_plans_are_read_only(self):
+        sys_, sched, _ = random_instance(3, 2, 1, 12)
+        planner = FrozenPlanner(sys_, sched)
+        rows = planner.plan_points(2)[0].copy()
+        xs, us = planner.nominal_plan(5)
+        with pytest.raises(ValueError):
+            xs[3] = 0.0
+        with pytest.raises(ValueError):
+            us[3] = 0.0
+        np.testing.assert_array_equal(planner.plan_points(2)[0], rows)

@@ -305,19 +305,12 @@ class TestFrozenBackwardSweep:
         )
         sys_ = random_controllable_system(3, 1, -1.0, 1.0, rng)
         sched = random_uniform_schedule(bounds, 12, rng)
-        s_arr, P_all, K_all = frozen_backward_sweep(sys_, sched, range(12))
-        for idx, s in enumerate(s_arr):
-            ref = backward_riccati(sys_, frozen_schedule(sched, int(s), 0))
-            np.testing.assert_allclose(P_all[idx], ref.P, rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(K_all[idx], ref.K, rtol=1e-9, atol=1e-12)
-
-    def test_rejects_bad_indices(self):
-        sys_ = scalar_system(0.5, 1.0)
-        sched = scalar_schedule(1.0, 1.0, 4)
-        with pytest.raises(ValueError):
-            frozen_backward_sweep(sys_, sched, [5])
-        with pytest.raises(ValueError):
-            frozen_backward_sweep(sys_, sched, [])
+        P_all, K_all = frozen_backward_sweep(sys_, sched)
+        assert P_all.shape == (12, 12, 3, 3) and K_all.shape == (12, 11, 1, 3)
+        for s in range(12):
+            ref = backward_riccati(sys_, frozen_schedule(sched, s, 0))
+            np.testing.assert_allclose(P_all[s], ref.P, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(K_all[s], ref.K, rtol=1e-9, atol=1e-12)
 
 
 class TestScheduleCost:
