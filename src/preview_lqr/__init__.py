@@ -57,13 +57,11 @@ from .regret import (
     regret_via_control_deviation,
 )
 from .riccati import (
-    AffineRiccatiSolution,
     DareConvergenceError,
     OracleSizeError,
     RiccatiSolution,
     Trajectory,
     TrajectoryOverflowError,
-    affine_backward_riccati,
     backward_riccati,
     brute_force_lqr_oracle,
     riccati_step,

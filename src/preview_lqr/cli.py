@@ -129,8 +129,7 @@ def _setting(args, config: dict, key: str, default):
     return default
 
 
-def _experiment_config(args, scenario: str) -> tuple:
-    config = _parse_config_file(args.config) if args.config else {}
+def _experiment_config(args, config: dict, scenario: str) -> tuple:
     q_min = _setting(args, config, "q_min", 8e3)
     q_max = _setting(args, config, "q_max", 3.2e4)
     r_min = _setting(args, config, "r_min", 2e3)
@@ -158,8 +157,8 @@ def _experiment_config(args, scenario: str) -> tuple:
     return cfg, workers
 
 
-def _run_grid_command(args, scenario: str) -> int:
-    cfg, workers = _experiment_config(args, scenario)
+def _run_grid_command(args, config: dict, scenario: str) -> int:
+    cfg, workers = _experiment_config(args, config, scenario)
     result = run_grid(cfg, workers=workers)
     os.makedirs(cfg.output_dir, exist_ok=True)
     csv_path = os.path.join(cfg.output_dir, f"{cfg.scenario}.csv")
@@ -174,8 +173,7 @@ def _run_grid_command(args, scenario: str) -> int:
     return 0
 
 
-def _run_bound_check(args) -> int:
-    config = _parse_config_file(args.config) if args.config else {}
+def _run_bound_check(args, config: dict) -> int:
     seed = _setting(args, config, "seed", 0)
     T, W = args.t, args.w
     x0 = np.asarray(_setting(args, config, "x0", DEFAULT_X0), dtype=float)
@@ -207,8 +205,7 @@ def _run_bound_check(args) -> int:
     return 0
 
 
-def _run_verify(args) -> int:
-    config = _parse_config_file(args.config) if args.config else {}
+def _run_verify(args, config: dict) -> int:
     seed = _setting(args, config, "seed", 0)
     results = verification.run_all(seed=seed)
     all_ok = True
@@ -228,18 +225,18 @@ def cli_main(argv=None) -> int:
         code = exit_err.code
         return int(code) if code is not None else 0
     try:
+        config = _parse_config_file(args.config) if args.config else {}
         if args.command == "pendulum-grid":
-            return _run_grid_command(args, "pendulum")
+            return _run_grid_command(args, config, "pendulum")
         if args.command == "random-grid":
-            return _run_grid_command(args, "random")
+            return _run_grid_command(args, config, "random")
         if args.command == "disturbance-grid":
-            config = _parse_config_file(args.config) if args.config else {}
             system = _setting(args, config, "system", "pendulum")
-            return _run_grid_command(args, f"{system}-disturbance")
+            return _run_grid_command(args, config, f"{system}-disturbance")
         if args.command == "bound-check":
-            return _run_bound_check(args)
+            return _run_bound_check(args, config)
         if args.command == "verify":
-            return _run_verify(args)
+            return _run_verify(args, config)
     except (ValueError, ArithmeticError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -20,7 +20,6 @@ from .riccati import (
     RiccatiSolution,
     Trajectory,
     TrajectoryOverflowError,
-    affine_backward_riccati,
     affine_terms,
     backward_riccati,
     frozen_backward_sweep,
@@ -152,7 +151,7 @@ class FrozenPlanner:
         sol = self.solution(s)
         w_plan = np.zeros((self.T - 1, self.sys.n))
         w_plan[:upto] = w[:upto]
-        _, k = affine_terms(self.sys, sol, w_plan, last=t)
+        k = affine_terms(self.sys, self.P, self.K, self.schedule.R, w_plan, [s], [t])[:, 0]
         K = sol.K
         traj = simulate(
             self.sys, sol.schedule, lambda i, x: K[i] @ x + k[i], self.sys.x0, w_plan
@@ -165,9 +164,9 @@ class FrozenPlanner:
         Returns (states, controls) of shapes (T-1, n) and (T-1, m); row t
         equals ``plan(t, W, w)[0][t]`` and ``plan(t, W, w)[1][t]``. Without
         disturbances (``w`` None or all zero) the rows are the cached
-        nominal plans, bit for bit. Otherwise they come from one affine
-        backward recursion batched over the plans still active at each
-        step, then one forward rollout in which plan t stops at index t.
+        nominal plans, bit for bit. Otherwise they come from one
+        ``affine_terms`` recursion batched over every t, then one forward
+        rollout in which plan t stops at index t.
         Plan t reads only its own frozen pass and w[0..t], as ``plan`` does.
         """
         T, n, m = self.T, self.sys.n, self.sys.m
@@ -180,31 +179,14 @@ class FrozenPlanner:
                 raise ValueError(f"w must have shape {(T - 1, n)}, got {w.shape}")
         if w is None or not np.any(w):
             return self.X[s_of, t_all], self.U[s_of, t_all]
-        # Plan t sits at position t of the batch; each step gathers the
-        # active plans' entries of their frozen passes.
+        # Plan t sits at position t of the batch and knows w[0..t].
+        k = affine_terms(self.sys, self.P, self.K, self.schedule.R, w, s_of, t_all)
         X = np.empty((T - 1, n))
         U = np.empty((T - 1, m))
-        A, B = self.sys.A, self.sys.B
-        AT, BT = A.T.copy(), B.T.copy()
-        R = self.schedule.R
-        q = np.zeros((T - 1, n))
-        k = np.zeros((T - 1, T - 1, m))
+        AT, BT = self.sys.A.T.copy(), self.sys.B.T.copy()
+        # Forward: plan t rolls out from x0 and stops at index t.
+        x = np.tile(self.sys.x0, (T - 1, 1))
         with np.errstate(over="ignore", invalid="ignore"):
-            # Backward: at step i the plans t >= i are active; plan t's
-            # affine terms are zero above t, so it joins with q = 0.
-            for i in range(T - 2, -1, -1):
-                P = self.P[s_of[i:], i + 1]
-                K = self.K[s_of[i:], i]
-                v = q[i:] + (P.reshape(-1, n) @ w[i]).reshape(-1, n)
-                Bv = v @ B
-                G = R[i] + np.einsum("ni,jnk,kl->jil", B, P, B)
-                if m == 1:
-                    k[i, i:] = -Bv / G[:, 0]
-                else:
-                    k[i, i:] = -np.linalg.solve(G, Bv[..., None])[..., 0]
-                q[i:] = v @ A + np.einsum("jmn,jm->jn", K, Bv)
-            # Forward: plan t rolls out from x0 and stops at index t.
-            x = np.tile(self.sys.x0, (T - 1, 1))
             for i in range(T - 1):
                 K = self.K[s_of[i:], i]
                 u = np.einsum("jmn,jn->jm", K, x[i:]) + k[i, i:]
@@ -218,13 +200,18 @@ def clairvoyant_policy(sys: LinearSystem, schedule: CostSchedule, w=None) -> Tra
     """Full-information optimal trajectory used as the regret comparator.
 
     With disturbances present, the comparator knows the whole sequence and
-    applies the exact affine minimizer.
+    applies the exact affine minimizer u[t] = K[t] x[t] + k[t]: the gains of
+    the true backward pass plus the feedforward of ``affine_terms`` for one
+    plan that knows every w.
     """
-    if w is not None and np.any(np.asarray(w)):
-        sol = affine_backward_riccati(sys, schedule, w)
-        return rollout(sys, sol, sys.x0, w)
     sol = backward_riccati(sys, schedule)
-    return rollout(sys, sol, sys.x0)
+    if w is None or not np.any(w):
+        return rollout(sys, sol, sys.x0)
+    w = np.asarray(w, dtype=float)
+    K = sol.K
+    last = schedule.horizon - 2
+    k = affine_terms(sys, sol.P[None], K[None], schedule.R, w, [0], [last])[:, 0]
+    return simulate(sys, schedule, lambda t, x: K[t] @ x + k[t], sys.x0, w)
 
 
 def prediction_tracking_policy(

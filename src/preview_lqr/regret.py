@@ -39,7 +39,6 @@ class RegretReport:
     regret: float
     cost_policy: float
     cost_optimal: float
-    identity_value: float | None = None
     trials: int = 1
     stderr: float | None = None
     excluded_trials: int = 0

@@ -1,9 +1,11 @@
 """Finite-horizon Riccati solvers, forward rollout, and a brute-force oracle.
 
 The backward pass produces value matrices P[0..T-1] and gains K[0..T-2] for
-a time-varying schedule. An affine extension handles known additive
-disturbances exactly. A stacked quadratic-program oracle solves small
-instances by normal equations and is used only for cross-checking.
+a time-varying schedule. ``affine_terms`` is the one affine recursion for
+known additive disturbances: it gives the exact feedforward of a batch of
+plans, each on its own pass and knowing its own prefix of disturbances.
+A stacked quadratic-program oracle solves small instances by normal
+equations and is used only for cross-checking.
 """
 
 from __future__ import annotations
@@ -11,14 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_discrete_are as _scipy_dare
 
 from .costs import CostSchedule
 from .systems import LinearSystem, _freeze
-
-try:
-    from scipy.linalg import solve_discrete_are as _scipy_dare
-except ImportError:  # pragma: no cover
-    _scipy_dare = None
 
 
 class DareConvergenceError(RuntimeError):
@@ -54,25 +52,6 @@ class RiccatiSolution:
     def __post_init__(self):
         object.__setattr__(self, "P", _freeze(self.P))
         object.__setattr__(self, "K", _freeze(self.K))
-
-
-@dataclass(frozen=True)
-class AffineRiccatiSolution:
-    """Riccati solution extended with affine value terms q and feedforward k.
-
-    With all known disturbances zero, q and k vanish and the solution
-    reduces to the plain quadratic one.
-    """
-
-    P: np.ndarray
-    K: np.ndarray
-    q: np.ndarray
-    k: np.ndarray
-    schedule: CostSchedule
-
-    def __post_init__(self):
-        for name in ("P", "K", "q", "k"):
-            object.__setattr__(self, name, _freeze(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -183,39 +162,40 @@ def frozen_backward_sweep(sys: LinearSystem, schedule: CostSchedule):
     return P_all, K_all
 
 
-def affine_terms(sys: LinearSystem, solution: RiccatiSolution, known_w, last=None):
-    """Affine value vectors q and feedforward controls k for known disturbances.
+def affine_terms(sys: LinearSystem, P, K, R, w, s, last):
+    """Feedforward controls of a batch of plans that know some disturbances.
 
-    ``known_w`` is a (T-1, n) array. Indices above ``last`` are assumed zero
-    and skipped; by default the full horizon is processed. The recursion is
-    q[T-1] = 0, k[i] = -(R[i] + B' P[i+1] B)^-1 B' (P[i+1] w[i] + q[i+1]),
+    Plan j runs on pass ``s[j]`` of the stacks ``P`` (S, T, n, n) and ``K``
+    (S, T-1, m, n) with control costs ``R`` (T-1, m, m), and knows w[i]
+    for i <= last[j]; ``last`` is ascending, and s[j] >= last[j] so that
+    every step run reads a true R[i]. Returns the feedforward k of shape
+    (T-1, len(s), m). Per plan the recursion is q = 0 above last,
+    k[i] = -(R[i] + B' P[i+1] B)^-1 B' (P[i+1] w[i] + q[i+1]),
     q[i] = (A + B K[i])' (q[i+1] + P[i+1] w[i]).
     """
     A, B = sys.A, sys.B
-    schedule = solution.schedule
-    T = schedule.horizon
-    w = np.zeros((T - 1, sys.n)) if known_w is None else np.asarray(known_w, dtype=float)
-    if w.shape != (T - 1, sys.n):
-        raise ValueError(f"known_w must have shape {(T - 1, sys.n)}, got {w.shape}")
-    q = [np.zeros(sys.n)] * T
-    k = [np.zeros(sys.m)] * (T - 1)
-    start = T - 2 if last is None else min(int(last), T - 2)
-    for i in range(start, -1, -1):
-        Pn = solution.P[i + 1]
-        Pw = Pn @ w[i]
-        G = schedule.R[i] + B.T @ Pn @ B
-        k[i] = -np.linalg.solve(G, B.T @ (Pw + q[i + 1]))
-        q[i] = (A + B @ solution.K[i]).T @ (q[i + 1] + Pw)
-    return tuple(q), tuple(k)
-
-
-def affine_backward_riccati(
-    sys: LinearSystem, schedule: CostSchedule, known_w
-) -> AffineRiccatiSolution:
-    """Exact minimizer structure for the problem with known disturbances."""
-    base = backward_riccati(sys, schedule)
-    q, k = affine_terms(sys, base, known_w)
-    return AffineRiccatiSolution(base.P, base.K, q, k, schedule)
+    n, m = sys.n, sys.m
+    T = P.shape[1]
+    if w.shape != (T - 1, n):
+        raise ValueError(f"w must have shape {(T - 1, n)}, got {w.shape}")
+    # At step i the plans j >= first[i] are active; a plan joins the batch
+    # at its own last index with q = 0.
+    first = np.searchsorted(last, np.arange(T - 1))
+    q = np.zeros((len(s), n))
+    k = np.zeros((T - 1, len(s), m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(min(int(last[-1]), T - 2), -1, -1):
+            j = first[i]
+            Pn = P[s[j:], i + 1]
+            v = q[j:] + (Pn.reshape(-1, n) @ w[i]).reshape(-1, n)
+            Bv = v @ B
+            G = R[i] + np.einsum("ni,jnk,kl->jil", B, Pn, B)
+            if m == 1:
+                k[i, j:] = -Bv / G[:, 0]
+            else:
+                k[i, j:] = -np.linalg.solve(G, Bv[..., None])[..., 0]
+            q[j:] = v @ A + np.einsum("jmn,jm->jn", K[s[j:], i], Bv)
+    return k
 
 
 def solve_dare(
@@ -229,9 +209,10 @@ def solve_dare(
 ) -> np.ndarray:
     """Fixed point of the Riccati map P -> Q + A'PA - A'PB(R + B'PB)^-1 B'PA.
 
-    Iterates until the step size drops below tol * max(1, ||P||). When scipy
-    is available its direct solver seeds the iteration, which then converges
-    in a handful of steps; otherwise the iteration starts at Q.
+    Iterates until the step size drops below tol * max(1, ||P||). Unless
+    ``init`` is given, scipy's direct solver seeds the iteration, which then
+    converges in a handful of steps; if that solver fails the iteration
+    starts at Q.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -248,7 +229,7 @@ def solve_dare(
     P = None
     if init is not None:
         P = 0.5 * (np.asarray(init, dtype=float) + np.asarray(init, dtype=float).T)
-    elif _scipy_dare is not None:
+    else:
         try:
             cand = _scipy_dare(A, B, Q, R)
             if np.all(np.isfinite(cand)):
@@ -304,12 +285,10 @@ def simulate(sys: LinearSystem, schedule, control, x0, w=None) -> Trajectory:
     return Trajectory(x, u, cost)
 
 
-def rollout(sys: LinearSystem, sol, x0, w=None) -> Trajectory:
-    """Forward-simulate the closed loop u = K x (+ k) under the solution's schedule."""
-    K, k = sol.K, getattr(sol, "k", None)
-    if k is None:
-        return simulate(sys, sol.schedule, lambda t, x: K[t] @ x, x0, w)
-    return simulate(sys, sol.schedule, lambda t, x: K[t] @ x + k[t], x0, w)
+def rollout(sys: LinearSystem, sol: RiccatiSolution, x0, w=None) -> Trajectory:
+    """Forward-simulate the closed loop u = K x under the solution's schedule."""
+    K = sol.K
+    return simulate(sys, sol.schedule, lambda t, x: K[t] @ x, x0, w)
 
 
 def brute_force_lqr_oracle(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from preview_lqr import experiments
+from preview_lqr import cli, experiments
 from preview_lqr.cli import cli_main
 from preview_lqr.costs import CostBounds
 from preview_lqr.experiments import (
@@ -260,6 +260,24 @@ class TestCli:
         )
         assert code == 0
         assert (out / "pendulum-disturbance.csv").exists()
+
+    def test_disturbance_grid_system_from_config(self, tmp_path, monkeypatch):
+        # The config file picks the system and is read once.
+        out = tmp_path / "noise"
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            "system = random\nt_min = 12\nt_max = 12\nt_step = 12\nw_max = 1\n"
+            f"trials = 1\nseed = 2\nout = {out}\n"
+        )
+        reads = []
+        parse = cli._parse_config_file
+        monkeypatch.setattr(
+            cli, "_parse_config_file", lambda path: reads.append(path) or parse(path)
+        )
+        assert cli_main(["disturbance-grid", "--config", str(cfg_file)]) == 0
+        assert reads == [str(cfg_file)]
+        assert (out / "random-disturbance.csv").exists()
+        assert not (out / "pendulum-disturbance.csv").exists()
 
     def test_config_file_overrides_defaults_and_flags_win(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"

@@ -224,5 +224,4 @@ class TestRegretReport:
     def test_defaults(self):
         report = RegretReport(regret=1.0, cost_policy=3.0, cost_optimal=2.0)
         assert report.trials == 1
-        assert report.identity_value is None
         assert report.excluded_trials == 0

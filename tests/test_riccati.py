@@ -4,12 +4,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from preview_lqr.costs import CostSchedule, frozen_schedule, random_uniform_schedule, CostBounds
+from preview_lqr.policies import clairvoyant_policy
 from preview_lqr.riccati import (
     DareConvergenceError,
     OracleSizeError,
     RiccatiSolution,
     TrajectoryOverflowError,
-    affine_backward_riccati,
+    affine_terms,
     backward_riccati,
     brute_force_lqr_oracle,
     frozen_backward_sweep,
@@ -162,16 +163,42 @@ class TestBackwardRiccatiLoop:
         np.testing.assert_array_equal(sol.K, K)
 
 
-class TestAffineBackwardRiccati:
+def looped_affine_terms(sys_, P, K, R, w, last):
+    """The affine recursion for one plan on one pass, step by step.
+
+    The plan knows w[0..last]: q = 0 above last, then
+    k[i] = -(R[i] + B' P[i+1] B)^-1 B' (P[i+1] w[i] + q[i+1]),
+    q[i] = (A + B K[i])' (q[i+1] + P[i+1] w[i]).
+    """
+    A, B = sys_.A, sys_.B
+    q = np.zeros(sys_.n)
+    k = np.zeros((len(P) - 1, sys_.m))
+    for i in range(last, -1, -1):
+        Pn = P[i + 1]
+        Pw = Pn @ w[i]
+        G = R[i] + B.T @ Pn @ B
+        k[i] = -np.linalg.solve(G, B.T @ (Pw + q))
+        q = (A + B @ K[i]).T @ (q + Pw)
+    return k
+
+
+def clairvoyant_terms(sys_, sched, w):
+    sol = backward_riccati(sys_, sched)
+    T = sched.horizon
+    return affine_terms(sys_, sol.P[None], sol.K[None], sched.R, w, [0], [T - 2])[:, 0]
+
+
+class TestAffineTerms:
     def test_zero_disturbance_reduces(self):
         rng = np.random.default_rng(2)
         sys_, sched = random_problem(rng)
         T = sched.horizon
-        plain = backward_riccati(sys_, sched)
-        affine = affine_backward_riccati(sys_, sched, np.zeros((T - 1, sys_.n)))
-        np.testing.assert_array_equal(affine.q, np.zeros((T, sys_.n)))
-        np.testing.assert_array_equal(affine.k, np.zeros((T - 1, 1)))
-        np.testing.assert_allclose(affine.P, plain.P, rtol=1e-12)
+        w = np.zeros((T - 1, sys_.n))
+        np.testing.assert_array_equal(clairvoyant_terms(sys_, sched, w), np.zeros((T - 1, 1)))
+        plain = clairvoyant_policy(sys_, sched)
+        zero = clairvoyant_policy(sys_, sched, w)
+        np.testing.assert_array_equal(zero.x, plain.x)
+        np.testing.assert_array_equal(zero.u, plain.u)
 
     def test_hand_solved_feedforward(self):
         # With a = 0 the state decouples; the first control only balances
@@ -179,9 +206,10 @@ class TestAffineBackwardRiccati:
         sys_ = scalar_system(0.0, 1.0)
         sched = scalar_schedule(1.0, 1.0, 3)
         w = np.array([[1.0], [0.0]])
-        sol = affine_backward_riccati(sys_, sched, w)
-        assert sol.k[0][0] == pytest.approx(-0.5)
-        assert sol.k[1][0] == pytest.approx(0.0)
+        k = clairvoyant_terms(sys_, sched, w)
+        assert k[0][0] == pytest.approx(-0.5)
+        assert k[1][0] == pytest.approx(0.0)
+        assert clairvoyant_policy(sys_, sched, w).u[0][0] == pytest.approx(-0.5)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(5)
@@ -189,10 +217,48 @@ class TestAffineBackwardRiccati:
             sys_, sched = random_problem(rng)
             T = sched.horizon
             w = rng.standard_normal((T - 1, sys_.n))
-            sol = affine_backward_riccati(sys_, sched, w)
-            mine = rollout(sys_, sol, sys_.x0, w)
+            mine = clairvoyant_policy(sys_, sched, w)
             ref = brute_force_lqr_oracle(sys_, sched, w)
             np.testing.assert_allclose(mine.u, ref.u, rtol=1e-8, atol=1e-10)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims,
+        st.integers(3, 40).flatmap(
+            lambda T: st.tuples(st.just(T), st.sampled_from([0, T - 2]) | st.integers(0, T - 2))
+        ),
+        st.integers(0, 40),
+    )
+    @example((4, 2, 0), (40, 38), 0)
+    @example((1, 1, 1), (3, 0), 2)
+    def test_batches_match_looped_recursion(self, nms, T_W, zero_rows):
+        # Plan t runs on pass min(t + W, T - 1) and knows w[0..t], as in
+        # FrozenPlanner.plan_points (the whole batch) and plan (batch 1).
+        n, m, seed = nms
+        T, W = T_W
+        rng = np.random.default_rng(seed)
+        sys_ = random_controllable_system(n, m, -1.2, 1.2, rng)
+        sched = random_schedule(rng, n, m, T)
+        P, K = frozen_backward_sweep(sys_, sched)
+        w = rng.standard_normal((T - 1, n))
+        w[: min(zero_rows, T - 1)] = 0.0
+        t_all = np.arange(T - 1)
+        s_of = np.minimum(t_all + W, T - 1)
+        batch = affine_terms(sys_, P, K, sched.R, w, s_of, t_all)
+        assert batch.shape == (T - 1, T - 1, m)
+        for t in t_all:
+            ref = looped_affine_terms(sys_, P[s_of[t]], K[s_of[t]], sched.R, w, t)
+            single = affine_terms(sys_, P, K, sched.R, w, [s_of[t]], [t])
+            assert single.shape == (T - 1, 1, m)
+            tol = 1e-10 * np.abs(ref).max()
+            assert np.abs(batch[:, t] - ref).max() <= tol
+            assert np.abs(single[:, 0] - ref).max() <= tol
+
+    def test_rejects_bad_disturbance_shape(self):
+        sys_ = scalar_system(0.9, 1.0)
+        sched = scalar_schedule(1.0, 1.0, 4)
+        with pytest.raises(ValueError, match="shape"):
+            clairvoyant_terms(sys_, sched, np.ones((4, 1)))
 
 
 class TestSolveDare:
