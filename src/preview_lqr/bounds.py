@@ -93,41 +93,29 @@ def compute_bound_constants(
     schedule: CostSchedule,
     K_track,
     W: int = 0,
-    source: str = "extrema",
     cost_bounds: CostBounds | None = None,
     planner: FrozenPlanner | None = None,
 ) -> BoundConstants:
     """Evaluate the bound constants for one instance and preview length.
 
-    ``source`` selects where the extremal cost matrices come from:
-    "extrema" uses the schedule's own Loewner extrema, "bounds" uses the
-    a priori ``cost_bounds``. The contraction constant alpha is maximized
+    The extremal cost matrices are the schedule's own Loewner extrema; when
+    the schedule has none (its matrices are not ordered), the a priori
+    ``cost_bounds`` stand in. The contraction constant alpha is maximized
     over the value matrices of the true pass and of every frozen pass the
     policy at preview W reads.
     """
     A, B = sys.A, sys.B
     K_track = np.atleast_2d(np.asarray(K_track, dtype=float))
     T = schedule.horizon
-    if source == "bounds":
+    try:
+        ext = sequence_extrema(schedule)
+        Qb_min, Qb_max = ext.Qbar_min, ext.Qbar_max
+        Rb_min, Rb_max = ext.Rbar_min, ext.Rbar_max
+    except IncomparableScheduleError:
         if cost_bounds is None:
-            raise ValueError("source='bounds' requires cost_bounds")
+            raise
         Qb_min, Qb_max = cost_bounds.Q_min, cost_bounds.Q_max
         Rb_min, Rb_max = cost_bounds.R_min, cost_bounds.R_max
-    elif source == "extrema":
-        try:
-            ext = sequence_extrema(schedule)
-        except IncomparableScheduleError:
-            if cost_bounds is None:
-                raise
-            ext = None
-        if ext is None:
-            Qb_min, Qb_max = cost_bounds.Q_min, cost_bounds.Q_max
-            Rb_min, Rb_max = cost_bounds.R_min, cost_bounds.R_max
-        else:
-            Qb_min, Qb_max = ext.Qbar_min, ext.Qbar_max
-            Rb_min, Rb_max = ext.Rbar_min, ext.Rbar_max
-    else:
-        raise ValueError(f"unknown source {source!r}")
 
     Pbar = solve_dare(A, B, Qb_max, Rb_max)
     lam_P = max_eigenvalue(Pbar)

@@ -29,7 +29,6 @@ from .experiments import (
     ExperimentConfig,
     emit_csv,
     emit_heatmap_svg,
-    pendulum_cost_bounds,
     run_grid,
 )
 from .policies import FrozenPlanner, PolicyConfig, prediction_tracking_policy
@@ -129,16 +128,18 @@ def _setting(args, config: dict, key: str, default):
     return default
 
 
-def _experiment_config(args, config: dict, scenario: str) -> tuple:
+def _cost_bounds(args, config: dict, n: int) -> CostBounds:
+    """A priori cost bounds q * I and [[r]]; the defaults are the pendulum's."""
     q_min = _setting(args, config, "q_min", 8e3)
     q_max = _setting(args, config, "q_max", 3.2e4)
     r_min = _setting(args, config, "r_min", 2e3)
     r_max = _setting(args, config, "r_max", 9.8e4)
+    return CostBounds(q_min * np.eye(n), q_max * np.eye(n), [[r_min]], [[r_max]])
+
+
+def _experiment_config(args, config: dict, scenario: str) -> tuple:
     x0 = _setting(args, config, "x0", DEFAULT_X0)
-    n = len(x0)
-    bounds = CostBounds(
-        q_min * np.eye(n), q_max * np.eye(n), [[r_min]], [[r_max]]
-    )
+    bounds = _cost_bounds(args, config, len(x0))
     cfg = ExperimentConfig(
         scenario=scenario,
         t_min=_setting(args, config, "t_min", 20),
@@ -178,7 +179,7 @@ def _run_bound_check(args, config: dict) -> int:
     T, W = args.t, args.w
     x0 = np.asarray(_setting(args, config, "x0", DEFAULT_X0), dtype=float)
     sys_ = inverted_pendulum(x0)
-    bounds = pendulum_cost_bounds()
+    bounds = _cost_bounds(args, config, sys_.n)
     poles = _setting(args, config, "poles", DEFAULT_POLES)
     K_track = place_poles_single_input(sys_, poles)
     schedule = random_uniform_schedule(bounds, T, generator(seed, "bound-check", T, W))

@@ -71,13 +71,9 @@ def regret_via_control_deviation(
     """
     sol = solution if solution is not None else backward_riccati(sys, schedule)
     B = sys.B
-    total = 0.0
-    T = schedule.horizon
-    for t in range(T - 1):
-        d = policy_traj.u[t] - sol.K[t] @ policy_traj.x[t]
-        G = schedule.R[t] + B.T @ sol.P[t + 1] @ B
-        total += float(d @ G @ d)
-    return total
+    d = policy_traj.u - np.einsum("tmn,tn->tm", sol.K, policy_traj.x[:-1])
+    G = schedule.R + B.T @ sol.P[1:] @ B
+    return float(np.einsum("ti,tij,tj->", d, G, d))
 
 
 def expected_regret_mc(

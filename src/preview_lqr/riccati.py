@@ -1,9 +1,13 @@
 """Finite-horizon Riccati solvers, forward rollout, and a brute-force oracle.
 
 The backward pass produces value matrices P[0..T-1] and gains K[0..T-2] for
-a time-varying schedule. ``affine_terms`` is the one affine recursion for
-known additive disturbances: it gives the exact feedforward of a batch of
-plans, each on its own pass and knowing its own prefix of disturbances.
+a time-varying schedule. ``riccati_step`` is the one backward step: the
+backward pass, the frozen sweep over every freeze index, the fixed-point
+iteration and the receding-horizon baseline all run it, so the sweep's
+pass s is the backward pass on the schedule frozen at s, bit for bit.
+``affine_terms`` is the one affine recursion for known additive
+disturbances: it gives the exact feedforward of a batch of plans, each on
+its own pass and knowing its own prefix of disturbances.
 A stacked quadratic-program oracle solves small instances by normal
 equations and is used only for cross-checking.
 """
@@ -77,12 +81,10 @@ def schedule_cost(x, u, schedule) -> float:
         raise ValueError(f"expected {T} states, got {x.shape[0]}")
     if u.shape[0] != T - 1:
         raise ValueError(f"expected {T - 1} controls, got {u.shape[0]}")
-    total = 0.0
-    for t in range(T - 1):
-        total += float(x[t] @ schedule.Q[t] @ x[t])
-        total += float(u[t] @ schedule.R[t] @ u[t])
-    total += float(x[T - 1] @ schedule.Q[T - 1] @ x[T - 1])
-    return total
+    return float(
+        np.einsum("ti,tij,tj->", x, schedule.Q, x)
+        + np.einsum("ti,tij,tj->", u, schedule.R, u)
+    )
 
 
 def riccati_step(P, A, B, Q, R):
@@ -92,11 +94,13 @@ def riccati_step(P, A, B, Q, R):
     P_prev = A' P A + Q + A' P B K, re-symmetrized to suppress drift.
     P, Q and R may carry any matching leading batch axes.
     """
+    n, m = B.shape
     AT, BT = A.T.copy(), B.T.copy()
-    PA = P @ A
-    PB = P @ B
+    # The right products run flattened over the batch, one BLAS call each.
+    PA = (P.reshape(-1, n) @ A).reshape(P.shape)
+    PB = (P.reshape(-1, n) @ B).reshape(P.shape[:-1] + (m,))
     G = R + BT @ PB
-    if B.shape[1] == 1:
+    if m == 1:
         K = (BT @ PA) / -G
     else:
         K = -np.linalg.solve(G, BT @ PA)
@@ -126,39 +130,22 @@ def frozen_backward_sweep(sys: LinearSystem, schedule: CostSchedule):
 
     The pass for freeze index s in 0..T-1 uses entry i of the schedule when
     i <= s and repeats entry s afterwards, so pass T-1 is the true pass.
+    Each step is one ``riccati_step`` batched over s, so pass s equals
+    ``backward_riccati`` on ``frozen_schedule(schedule, s, 0)`` bit for bit.
     Returns (P_all, K_all) with shapes (T, T, n, n) and (T, T-1, m, n),
     indexed by freeze index first.
     """
-    A, B = sys.A, sys.B
     T = schedule.horizon
-    n, m = sys.n, sys.m
     Qs, Rs = schedule.Q, schedule.R
     s_all = np.arange(T)
-    P_all = np.empty((T, T, n, n))
-    K_all = np.empty((T, T - 1, m, n))
-    P = Qs
-    P_all[:, T - 1] = P
-    scalar_control = m == 1
+    P_all = np.empty((T, T, sys.n, sys.n))
+    K_all = np.empty((T, T - 1, sys.m, sys.n))
+    P = P_all[:, T - 1] = Qs
     for i in range(T - 2, -1, -1):
         # At step i pass s reads entry min(i, s).
         clamp = np.minimum(s_all, i)
-        Qi = Qs[clamp]
-        Ri = Rs[clamp]
-        # Flattened products keep each step at a few large BLAS calls.
-        PA = (P.reshape(T * n, n) @ A).reshape(T, n, n)
-        PB = (P.reshape(T * n, n) @ B).reshape(T, n, m)
-        ATPA = np.tensordot(A, PA, axes=(0, 1)).transpose(1, 0, 2)
-        ATPB = np.tensordot(A, PB, axes=(0, 1)).transpose(1, 0, 2)
-        BPA = np.tensordot(B, PA, axes=(0, 1)).transpose(1, 0, 2)
-        G = Ri + np.tensordot(B, PB, axes=(0, 1)).transpose(1, 0, 2)
-        if scalar_control:
-            K = BPA / (-G)
-        else:
-            K = -np.linalg.solve(G, BPA)
-        P = ATPA + Qi + ATPB @ K
-        P = 0.5 * (P + P.transpose(0, 2, 1))
+        P, K_all[:, i] = riccati_step(P, sys.A, sys.B, Qs[clamp], Rs[clamp])
         P_all[:, i] = P
-        K_all[:, i] = K
     return P_all, K_all
 
 
@@ -214,36 +201,19 @@ def solve_dare(
     converges in a handful of steps; if that solver fails the iteration
     starts at Q.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    R = np.asarray(R, dtype=float)
-    if A.ndim == 0 or A.ndim == 1:
-        A = A.reshape(1, 1)
-    if B.ndim < 2:
-        B = B.reshape(A.shape[0], -1)
-    if Q.ndim < 2:
-        Q = Q.reshape(1, 1)
-    if R.ndim < 2:
-        R = R.reshape(1, 1)
-    P = None
+    A, Q, R = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (A, Q, R))
+    B = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
     if init is not None:
-        P = 0.5 * (np.asarray(init, dtype=float) + np.asarray(init, dtype=float).T)
+        P = np.asarray(init, dtype=float)
+        P = 0.5 * (P + P.T)
     else:
         try:
-            cand = _scipy_dare(A, B, Q, R)
-            if np.all(np.isfinite(cand)):
-                P = 0.5 * (cand + cand.T)
+            P = _scipy_dare(A, B, Q, R)
+            P = 0.5 * (P + P.T) if np.all(np.isfinite(P)) else Q
         except Exception:
-            P = None
-    if P is None:
-        P = Q.copy()
+            P = Q
     for _ in range(max_iter):
-        PA = P @ A
-        PB = P @ B
-        G = R + B.T @ PB
-        Pn = Q + A.T @ PA - (A.T @ PB) @ np.linalg.solve(G, B.T @ PA)
-        Pn = 0.5 * (Pn + Pn.T)
+        Pn, _ = riccati_step(P, A, B, Q, R)
         step = np.linalg.norm(Pn - P, 2)
         if step <= tol * max(1.0, np.linalg.norm(Pn, 2)):
             return Pn

@@ -160,9 +160,7 @@ def place_poles_single_input(sys: LinearSystem, poles) -> np.ndarray:
     sorted_c = np.sort_complex(np.conj(poles))
     if not np.allclose(sorted_p, sorted_c, rtol=1e-12, atol=1e-12):
         raise ValueError("complex poles must come in conjugate pairs")
-    C = controllability_matrix(sys.A, sys.B)
-    sv = np.linalg.svd(C, compute_uv=False)
-    if sv[0] == 0.0 or np.sum(sv > RANK_RTOL * sv[0]) < sys.n:
+    if controllability_rank(sys) < sys.n:
         raise ValueError("cannot place poles: (A, B) is not controllable")
 
     coeffs = np.poly(poles)
@@ -175,7 +173,7 @@ def place_poles_single_input(sys: LinearSystem, poles) -> np.ndarray:
         phi = phi @ sys.A + c * np.eye(sys.n)
     e_last = np.zeros(sys.n)
     e_last[-1] = 1.0
-    last_row = np.linalg.solve(C.T, e_last)
+    last_row = np.linalg.solve(controllability_matrix(sys.A, sys.B).T, e_last)
     K = -(last_row @ phi).reshape(1, sys.n)
     return K
 
@@ -204,10 +202,9 @@ def random_controllable_system(
     for _ in range(budget):
         A = rng.uniform(lo, hi, size=(n, n))
         B = rng.uniform(lo, hi, size=(n, m))
-        C = controllability_matrix(A, B)
-        sv = np.linalg.svd(C, compute_uv=False)
-        if sv[0] > 0.0 and np.sum(sv > RANK_RTOL * sv[0]) == n:
-            return LinearSystem(A, B, x0)
+        candidate = LinearSystem(A, B, x0, check_controllable=False)
+        if controllability_rank(candidate) == n:
+            return candidate
     raise GenerationBudgetError(
         f"no controllable (A, B) found in {budget} draws from "
         f"Uniform({lo}, {hi})"

@@ -93,12 +93,6 @@ class TestComputeBoundConstants:
         assert 0.0 < c.q < 1.0
         assert c.D > 0.0 and c.C > 0.0 and c.C_f >= 1.0
 
-    def test_bounds_source(self):
-        sys_, bounds, sched, K = pendulum_setup(20)
-        c = compute_bound_constants(sys_, sched, K, W=2, source="bounds", cost_bounds=bounds)
-        np.testing.assert_array_equal(c.Qbar_min, bounds.Q_min)
-        np.testing.assert_array_equal(c.Rbar_max, bounds.R_max)
-
     def test_incomparable_extrema_fall_back(self):
         from preview_lqr.costs import IncomparableScheduleError
 

@@ -249,6 +249,22 @@ class TestCli:
         for token in ("eta", "gamma", "q", "bound value", "sufficient condition"):
             assert token in text
 
+    def test_bound_check_reads_cost_bounds_from_config(self, tmp_path, capsys):
+        def bound_check(*config_lines):
+            args = ["bound-check", "--t", "30", "--w", "3"]
+            if config_lines:
+                cfg_file = tmp_path / "bounds.cfg"
+                cfg_file.write_text("\n".join(config_lines) + "\n")
+                args += ["--config", str(cfg_file)]
+            assert cli_main(args) == 0
+            return capsys.readouterr().out
+
+        default = bound_check()
+        assert bound_check("q_min = 8e3", "q_max = 3.2e4", "r_min = 2e3", "r_max = 9.8e4") == default
+        wider = bound_check("q_max = 6.4e4", "r_max = 2e5")
+        pbar = [line for line in wider.splitlines() if "Pbar_max" in line]
+        assert pbar and pbar[0] not in default
+
     def test_disturbance_grid_system_choice(self, tmp_path):
         out = tmp_path / "noise"
         code = cli_main(

@@ -476,8 +476,8 @@ class TestFrozenPlanner:
         for s in range(T):
             ref = backward_riccati(sys_, frozen_schedule(sched, s, 0))
             sol = planner.solution(s)
-            assert_rel_close(sol.P, ref.P)
-            assert_rel_close(sol.K, ref.K)
+            np.testing.assert_array_equal(sol.P, ref.P)
+            np.testing.assert_array_equal(sol.K, ref.K)
             np.testing.assert_array_equal(sol.schedule.Q, ref.schedule.Q)
             np.testing.assert_array_equal(sol.schedule.R, ref.schedule.R)
             traj = rollout(sys_, ref, sys_.x0)

@@ -3,6 +3,7 @@ import pytest
 
 from preview_lqr.costs import CostBounds, CostSchedule, random_uniform_schedule
 from preview_lqr.policies import (
+    FrozenPlanner,
     PolicyConfig,
     clairvoyant_policy,
     prediction_tracking_policy,
@@ -67,6 +68,18 @@ class TestTotalCost:
         u = rng.standard_normal((4, 1))
         base = schedule_cost(x, u, sched)
         assert schedule_cost(3.0 * x, 3.0 * u, sched) == pytest.approx(9.0 * base, rel=1e-12)
+
+    def test_matches_longdouble_loop(self):
+        rng = np.random.default_rng(6)
+        for _ in range(10):
+            n, T = int(rng.integers(1, 5)), int(rng.integers(2, 40))
+            sched = varying_schedule(rng, n, T)
+            x = rng.standard_normal((T, n))
+            u = rng.standard_normal((T - 1, 1))
+            ld = np.longdouble
+            ref = sum(x[t].astype(ld) @ sched.Q[t].astype(ld) @ x[t].astype(ld) for t in range(T))
+            ref += sum(u[t].astype(ld) @ sched.R[t].astype(ld) @ u[t].astype(ld) for t in range(T - 1))
+            assert abs(schedule_cost(x, u, sched) - ref) <= 1e-14 * ref
 
 
 class TestRegret:
@@ -137,6 +150,41 @@ class TestControlDeviationIdentity:
             report = regret(traj, sys_, sched)
             ident = regret_via_control_deviation(traj, sys_, sched)
             assert abs(report.regret - ident) <= 1e-6 * max(1.0, abs(report.regret))
+
+    def test_matches_longdouble_loop(self):
+        rng = np.random.default_rng(7)
+        ld = np.longdouble
+        for _ in range(10):
+            n, T = int(rng.integers(1, 5)), int(rng.integers(3, 40))
+            sys_ = random_controllable_system(n, 1, -1.2, 1.2, rng, x0=rng.standard_normal(n))
+            sched = varying_schedule(rng, n, T)
+            sol = backward_riccati(sys_, sched)
+            x = rng.standard_normal((T, n))
+            u = rng.standard_normal((T - 1, 1))
+            traj = Trajectory(x, u, schedule_cost(x, u, sched))
+            B = sys_.B.astype(ld)
+            ref = ld(0.0)
+            for t in range(T - 1):
+                d = u[t].astype(ld) - sol.K[t].astype(ld) @ x[t].astype(ld)
+                ref += d @ (sched.R[t].astype(ld) + B.T @ sol.P[t + 1].astype(ld) @ B) @ d
+            ident = regret_via_control_deviation(traj, sys_, sched)
+            assert abs(ident - ref) <= 1e-13 * ref
+
+    def test_planner_true_pass_is_the_default_pass(self):
+        # The sweep's pass T-1 is backward_riccati's pass bit for bit, so
+        # both give the same float.
+        rng = np.random.default_rng(8)
+        for n, T, W in ((4, 60, 3), (3, 25, 0), (2, 12, 10)):
+            sys_ = random_controllable_system(n, 1, -1.2, 1.2, rng, x0=rng.standard_normal(n))
+            sched = varying_schedule(rng, n, T)
+            K = place_poles_single_input(sys_, np.linspace(0.05, 0.3, n))
+            planner = FrozenPlanner(sys_, sched)
+            traj = prediction_tracking_policy(sys_, sched, PolicyConfig(W, K), planner=planner)
+            default = regret_via_control_deviation(traj, sys_, sched)
+            via_planner = regret_via_control_deviation(
+                traj, sys_, sched, solution=planner.solution(T - 1)
+            )
+            assert via_planner == default
 
 
 class TestExpectedRegretMc:

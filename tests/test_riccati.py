@@ -19,7 +19,7 @@ from preview_lqr.riccati import (
     schedule_cost,
     solve_dare,
 )
-from preview_lqr.systems import LinearSystem, random_controllable_system
+from preview_lqr.systems import LinearSystem, inverted_pendulum, random_controllable_system
 
 
 def scalar_system(a, b, x0=1.0):
@@ -375,8 +375,62 @@ class TestFrozenBackwardSweep:
         assert P_all.shape == (12, 12, 3, 3) and K_all.shape == (12, 11, 1, 3)
         for s in range(12):
             ref = backward_riccati(sys_, frozen_schedule(sched, s, 0))
-            np.testing.assert_allclose(P_all[s], ref.P, rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(K_all[s], ref.K, rtol=1e-9, atol=1e-12)
+            np.testing.assert_array_equal(P_all[s], ref.P)
+            np.testing.assert_array_equal(K_all[s], ref.K)
+
+
+def longdouble_sweep(sys_, schedule):
+    """Every frozen pass recomputed in long double, the sweep's accuracy
+    reference. np.linalg has no long-double solve, so for m = 2 the gain
+    uses the closed-form inverse of the 2x2 matrix R + B'PB."""
+    ld = np.longdouble
+    A, B = sys_.A.astype(ld), sys_.B.astype(ld)
+    Q, R = schedule.Q.astype(ld), schedule.R.astype(ld)
+    T = schedule.horizon
+    P = Q.copy()
+    P_all = np.empty((T, T, sys_.n, sys_.n), dtype=ld)
+    K_all = np.empty((T, T - 1, sys_.m, sys_.n), dtype=ld)
+    P_all[:, T - 1] = P
+    for i in range(T - 2, -1, -1):
+        c = np.minimum(np.arange(T), i)
+        PA, PB = P @ A, P @ B
+        G = R[c] + B.T @ PB
+        if sys_.m == 1:
+            K = -(B.T @ PA) / G
+        else:
+            a, b, g, d = G[:, 0, 0], G[:, 0, 1], G[:, 1, 0], G[:, 1, 1]
+            adj = np.stack([np.stack([d, -b], -1), np.stack([-g, a], -1)], -2)
+            K = -(adj / (a * d - b * g)[:, None, None]) @ (B.T @ PA)
+        P = A.T @ PA + Q[c] + (A.T @ PB) @ K
+        P = 0.5 * (P + np.swapaxes(P, -1, -2))
+        P_all[:, i], K_all[:, i] = P, K
+    return P_all, K_all
+
+
+def sweep_error(sys_, schedule):
+    """Largest error of any frozen pass of the sweep, relative to the
+    largest entry of that pass in the long-double reference; for P and K."""
+    errors = []
+    for got, ref in zip(frozen_backward_sweep(sys_, schedule), longdouble_sweep(sys_, schedule)):
+        axes = tuple(range(1, ref.ndim))
+        err = np.abs(got - ref).max(axis=axes) / np.abs(ref).max(axis=axes)
+        errors.append(float(err.max()))
+    return tuple(errors)
+
+
+class TestSweepAccuracy:
+    @pytest.mark.parametrize("T", [60, 200])
+    def test_pendulum_passes_within_1e10(self, T):
+        bounds = CostBounds(8e3 * np.eye(4), 3.2e4 * np.eye(4), [[2e3]], [[9.8e4]])
+        sched = random_uniform_schedule(bounds, T, np.random.default_rng(T))
+        assert max(sweep_error(inverted_pendulum(), sched)) <= 1e-10
+
+    def test_random_passes_within_1e12(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(20):
+            n, m, T = int(rng.integers(1, 5)), int(rng.integers(1, 3)), int(rng.integers(3, 30))
+            sys_ = random_controllable_system(n, m, -1.2, 1.2, rng)
+            assert max(sweep_error(sys_, random_schedule(rng, n, m, T))) <= 1e-12
 
 
 class TestScheduleCost:
