@@ -182,15 +182,16 @@ def _evaluate_trial(config: ExperimentConfig, T: int, trial: int):
             T,
             generator(config.master_seed, config.scenario, T, trial, "schedule"),
         )
-        w = None
+        planner = FrozenPlanner(sys_, schedule)
+        w = opt_cost = None
         if config.noisy:
             dist = DisturbanceModel(config.disturbance_cov_scale * np.eye(sys_.n))
             w = dist.sample(
                 generator(config.master_seed, config.scenario, T, trial, "disturbance"),
                 T - 1,
             )
-        planner = FrozenPlanner(sys_, schedule)
-        opt_cost = clairvoyant_policy(sys_, schedule, w).cost if config.noisy else None
+            opt = clairvoyant_policy(sys_, schedule, w, solution=planner.solution(T - 1))
+            opt_cost = opt.cost
     except _TRIAL_ERRORS as err:
         reason = f"{type(err).__name__}: {err}"
         return {W: reason for W in config.w_values}

@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostBounds, CostSchedule, frozen_schedule
+from .costs import (
+    CostBounds,
+    CostExtrema,
+    CostSchedule,
+    IncomparableScheduleError,
+    frozen_schedule,
+    sequence_extrema,
+)
 from .riccati import (
     RiccatiSolution,
     Trajectory,
@@ -31,6 +38,10 @@ from .riccati import (
 from .systems import LinearSystem, _freeze, spectral_radius
 
 DEFAULT_TRACKING_POLES_4 = (1e-3, 6e-3, 4e-3, 3e-3)
+
+# Freeze indices per eigvalsh batch of ``FrozenPlanner.alpha_top``: at
+# T = 1000 and n = 4 a block of A'PA matrices is about 4 MB.
+ALPHA_BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -86,6 +97,12 @@ class FrozenPlanner:
     tracking policy reads, entry t of the plan made at time t, for every t
     at once; with disturbances it runs one backward and one forward sweep
     batched over t, O(T) array steps instead of a replan per step.
+
+    The preview-independent parts of the bound constants are cached here
+    too, each built on first use, so paths that never evaluate the bound
+    pay nothing: ``alpha_top()``, the per-pass maxima that alpha takes a
+    suffix maximum of, and ``extrema()``, the schedule's Loewner extrema
+    and the fixed point of their upper costs.
     """
 
     def __init__(self, sys: LinearSystem, schedule: CostSchedule):
@@ -93,6 +110,7 @@ class FrozenPlanner:
         self.schedule = schedule
         self.T = schedule.horizon
         self.P = self.K = self.X = self.U = None
+        self._alpha_top = self._extrema = None
 
     def prepare(self):
         """Solve every frozen pass and roll out its nominal plan, once."""
@@ -115,6 +133,47 @@ class FrozenPlanner:
         for stack in (P, K, X, U):
             stack.setflags(write=False)
         self.P, self.K, self.X, self.U = P, K, X, U
+
+    def alpha_top(self) -> np.ndarray:
+        """Per freeze index s, the top eigenvalue of A' P[s, i] A over the interior.
+
+        Entry s is the largest eigenvalue of the symmetrized A' P[s, i] A
+        over i = 1..T-2 (i = 1 when T = 2), so alpha at preview W is the
+        maximum of entries min(W, T-1)..T-1. Built once, ``ALPHA_BLOCK``
+        freeze indices per batch; read-only.
+        """
+        if self._alpha_top is None:
+            self.prepare()
+            A, T = self.sys.A, self.T
+            hi = T - 1 if T <= 2 else T - 2
+            top = np.empty(T)
+            for s in range(0, T, ALPHA_BLOCK):
+                APA = A.T @ self.P[s : s + ALPHA_BLOCK, 1 : hi + 1] @ A
+                APA = 0.5 * (APA + np.swapaxes(APA, -1, -2))
+                top[s : s + ALPHA_BLOCK] = np.linalg.eigvalsh(APA)[..., -1].max(axis=-1)
+            top.setflags(write=False)
+            self._alpha_top = top
+        return self._alpha_top
+
+    def extrema(self) -> tuple[CostExtrema, np.ndarray]:
+        """The schedule's Loewner extrema and the fixed point of their upper costs.
+
+        Returns ``sequence_extrema(schedule)`` and, read-only, ``solve_dare``
+        on its Qbar_max and Rbar_max, both computed once. Raises
+        IncomparableScheduleError on every call when the schedule's
+        matrices have no Loewner extrema.
+        """
+        if self._extrema is None:
+            try:
+                ext = sequence_extrema(self.schedule)
+            except IncomparableScheduleError as err:
+                self._extrema = str(err)
+            else:
+                P = solve_dare(self.sys.A, self.sys.B, ext.Qbar_max, ext.Rbar_max)
+                self._extrema = (ext, _freeze(P))
+        if isinstance(self._extrema, str):
+            raise IncomparableScheduleError(self._extrema)
+        return self._extrema
 
     def solution(self, s: int) -> RiccatiSolution:
         """Backward pass for the schedule frozen at index s."""
@@ -196,15 +255,19 @@ class FrozenPlanner:
         return X, U
 
 
-def clairvoyant_policy(sys: LinearSystem, schedule: CostSchedule, w=None) -> Trajectory:
+def clairvoyant_policy(
+    sys: LinearSystem, schedule: CostSchedule, w=None, solution=None
+) -> Trajectory:
     """Full-information optimal trajectory used as the regret comparator.
 
     With disturbances present, the comparator knows the whole sequence and
     applies the exact affine minimizer u[t] = K[t] x[t] + k[t]: the gains of
     the true backward pass plus the feedforward of ``affine_terms`` for one
-    plan that knows every w.
+    plan that knows every w. ``solution``, when given, is that true pass
+    (``backward_riccati`` on the schedule, or ``FrozenPlanner.solution(T-1)``),
+    so callers evaluating many disturbance draws solve it once.
     """
-    sol = backward_riccati(sys, schedule)
+    sol = solution if solution is not None else backward_riccati(sys, schedule)
     if w is None or not np.any(w):
         return rollout(sys, sol, sys.x0)
     w = np.asarray(w, dtype=float)

@@ -89,11 +89,14 @@ def expected_regret_mc(
     ``policy`` is a callable (sys, schedule, w) -> Trajectory. Trials whose
     simulation overflows are excluded from the averages and counted in
     ``excluded_trials``; trial substreams derive deterministically from the
-    master seed, so the result does not depend on evaluation order.
+    master seed, so the result does not depend on evaluation order. The
+    comparator's true backward pass is solved once and shared by every
+    trial.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     T = schedule.horizon
+    true_sol = backward_riccati(sys, schedule)
     regrets = []
     costs_policy = []
     costs_opt = []
@@ -106,7 +109,7 @@ def expected_regret_mc(
         except TrajectoryOverflowError:
             excluded += 1
             continue
-        opt = clairvoyant_policy(sys, schedule, w)
+        opt = clairvoyant_policy(sys, schedule, w, solution=true_sol)
         regrets.append(traj.cost - opt.cost)
         costs_policy.append(traj.cost)
         costs_opt.append(opt.cost)

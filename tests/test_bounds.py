@@ -1,5 +1,11 @@
+import dataclasses
+import tracemalloc
+
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from preview_lqr.bounds import (
     BoundConstants,
@@ -11,14 +17,25 @@ from preview_lqr.bounds import (
     scaling_certificate,
     sufficient_condition_check,
 )
-from preview_lqr.costs import CostBounds, CostSchedule, random_uniform_schedule
+from preview_lqr.costs import (
+    CostBounds,
+    CostSchedule,
+    IncomparableScheduleError,
+    max_eigenvalue,
+    min_eigenvalue,
+    random_uniform_schedule,
+    sequence_extrema,
+)
 from preview_lqr.policies import FrozenPlanner, PolicyConfig, prediction_tracking_policy
 from preview_lqr.regret import regret_via_control_deviation
+from preview_lqr.riccati import solve_dare
 from preview_lqr.systems import (
     DisturbanceModel,
     LinearSystem,
     inverted_pendulum,
     place_poles_single_input,
+    random_controllable_system,
+    spectral_radius,
 )
 
 
@@ -115,7 +132,228 @@ class TestComputeBoundConstants:
             compute_bound_constants(sys_, sched, [[0.0]], W=0)
 
 
+def reference_bound_constants(sys, schedule, K_track, W=0, cost_bounds=None):
+    """The uncached evaluation: every constant recomputed for this one W."""
+    A, B = sys.A, sys.B
+    K_track = np.atleast_2d(np.asarray(K_track, dtype=float))
+    T = schedule.horizon
+    try:
+        ext = sequence_extrema(schedule)
+        Qb_min, Qb_max = ext.Qbar_min, ext.Qbar_max
+        Rb_min, Rb_max = ext.Rbar_min, ext.Rbar_max
+    except IncomparableScheduleError:
+        if cost_bounds is None:
+            raise
+        Qb_min, Qb_max = cost_bounds.Q_min, cost_bounds.Q_max
+        Rb_min, Rb_max = cost_bounds.R_min, cost_bounds.R_max
+
+    def norm(M):
+        return float(np.linalg.norm(np.atleast_2d(M), 2))
+
+    Pbar = solve_dare(A, B, Qb_max, Rb_max)
+    lam_P = max_eigenvalue(Pbar)
+    lam_Qmin = min_eigenvalue(Qb_min)
+    D = norm(Rb_max + B.T @ Pbar @ B)
+    C_K = (
+        norm(np.linalg.inv(Rb_min + B.T @ Qb_min @ B)) ** 2
+        * norm(Rb_max @ B.T)
+        * lam_P**2
+        / lam_Qmin
+    )
+    C = lam_P / lam_Qmin
+    eta = float(np.sqrt(max(0.0, 1.0 - lam_Qmin / lam_P)))
+
+    planner = FrozenPlanner(sys, schedule)
+    planner.prepare()
+    hi = T - 1 if T <= 2 else T - 2
+    stacked = planner.P[min(W, T - 1) :, 1 : hi + 1]
+    APA = A.T @ stacked @ A
+    APA = 0.5 * (APA + np.swapaxes(APA, -1, -2))
+    alpha = float(np.linalg.eigvalsh(APA)[..., -1].max())
+    beta = float(np.linalg.eigvalsh(schedule.Q[: T - 1])[:, 0].min())
+    gamma = alpha / (alpha + beta)
+
+    def batch_norm(stack):
+        return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+    t_all = np.arange(T - 1)
+    realized = planner.K[np.minimum(t_all + W, T - 1), t_all]
+    alpha1 = float(batch_norm(realized - K_track).max() ** 2)
+    alpha2 = float(2.0 * (batch_norm(planner.K[T - 1] - K_track).max() ** 2))
+
+    rho = spectral_radius(A + B @ K_track)
+    if not rho < 1.0:
+        raise ValueError(f"tracking gain must stabilize the loop, rho = {rho}")
+    epsilon = 0.5 * (1.0 - rho)
+    q = rho + epsilon
+    closed = A + B @ K_track
+    denom = q + epsilon
+    C_f = 1.0
+    M = np.eye(sys.n)
+    for power in range(1, 200000):
+        M = closed @ M
+        n_M = norm(M)
+        C_f = max(C_f, n_M / denom**power)
+        if n_M < 1e-30:
+            break
+
+    if not (0.0 < eta < 1.0 and 0.0 < gamma < 1.0 and 0.0 < q < 1.0):
+        raise DegenerateConstantsError("constants out of range")
+    return BoundConstants(
+        Pbar_max=Pbar, D=D, C_K=C_K, C=C, eta=eta, alpha=alpha, beta=beta,
+        gamma=gamma, alpha1=alpha1, alpha2=alpha2, C_f=C_f, q=q, epsilon=epsilon,
+        Qbar_min=np.asarray(Qb_min, dtype=float), Qbar_max=np.asarray(Qb_max, dtype=float),
+        Rbar_min=np.asarray(Rb_min, dtype=float), Rbar_max=np.asarray(Rb_max, dtype=float),
+    )
+
+
+def assert_constants_equal(actual, expected):
+    for field in dataclasses.fields(BoundConstants):
+        np.testing.assert_array_equal(
+            getattr(actual, field.name), getattr(expected, field.name), err_msg=field.name
+        )
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of fn, or the type of the exception it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as err:  # the reference and the cached path must agree on it
+        return type(err)
+
+
+def random_pd(rng, k):
+    M = rng.standard_normal((k, k))
+    return M @ M.T + 0.5 * np.eye(k)
+
+
+def constants_instance(seed, n, m, T, kind):
+    """A random controllable system, a stabilizing gain and a schedule.
+
+    ``kind`` "chain" draws the schedule on one Loewner chain (its extrema
+    exist); "free" draws independent matrices, which for n > 1 usually have
+    none, with a priori bounds ("free+bounds") or without.
+    """
+    rng = np.random.default_rng(seed)
+    sys_ = random_controllable_system(n, m, -1.2, 1.2, rng)
+    if m == 1:
+        K = place_poles_single_input(sys_, np.linspace(0.05, 0.3, n))
+    else:
+        P = solve_dare(sys_.A, sys_.B, np.eye(n), np.eye(m))
+        G = np.eye(m) + sys_.B.T @ P @ sys_.B
+        K = -np.linalg.solve(G, sys_.B.T @ P @ sys_.A)
+    Q_lo, R_lo = random_pd(rng, n), random_pd(rng, m)
+    bounds = CostBounds(Q_lo, Q_lo + random_pd(rng, n), R_lo, R_lo + random_pd(rng, m))
+    if kind == "chain":
+        sched = random_uniform_schedule(bounds, T, rng)
+    else:
+        sched = CostSchedule(
+            tuple(random_pd(rng, n) for _ in range(T)),
+            tuple(random_pd(rng, m) for _ in range(T - 1)),
+        )
+    return sys_, sched, K, (bounds if kind == "free+bounds" else None)
+
+
+class TestBoundConstantsCache:
+    @settings(max_examples=10, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 2),
+        st.integers(2, 60),
+        st.sampled_from(["chain", "free", "free+bounds"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(4, 1, 60, "chain", 0)
+    @example(4, 2, 2, "free+bounds", 1)
+    @example(1, 1, 2, "free", 2)
+    def test_every_field_matches_uncached_evaluation(self, n, m, T, kind, seed):
+        sys_, sched, K, bounds = constants_instance(seed, n, m, T, kind)
+        planner = FrozenPlanner(sys_, sched)
+        for W in range(T + 3):
+            cached = outcome(
+                compute_bound_constants, sys_, sched, K, W, cost_bounds=bounds, planner=planner
+            )
+            expected = outcome(reference_bound_constants, sys_, sched, K, W, cost_bounds=bounds)
+            if isinstance(expected, type):
+                assert cached is expected, f"W={W}"
+            else:
+                assert_constants_equal(cached, expected)
+
+    def test_preview_order_and_planner_reuse_do_not_matter(self):
+        sys_, bounds, sched, K = pendulum_setup(60, seed=4)
+        shared = FrozenPlanner(sys_, sched)
+        for W in range(10, 2, -1):
+            reused = compute_bound_constants(sys_, sched, K, W, planner=shared)
+            fresh = compute_bound_constants(
+                sys_, sched, K, W, planner=FrozenPlanner(sys_, sched)
+            )
+            assert_constants_equal(reused, fresh)
+
+    def test_caches_are_read_only(self):
+        sys_, bounds, sched, K = pendulum_setup(20)
+        planner = FrozenPlanner(sys_, sched)
+        compute_bound_constants(sys_, sched, K, 3, planner=planner)
+        with pytest.raises(ValueError):
+            planner.alpha_top()[0] = 0.0
+        with pytest.raises(ValueError):
+            planner.extrema()[1][0, 0] = 0.0
+
+    def test_memory_stays_bounded_at_long_horizon(self):
+        # One stack of the interior A'PA matrices over every pass would
+        # take about 60 MB at T = 400; blocks of passes keep it to a few.
+        sys_, bounds, sched, K = pendulum_setup(400, seed=2)
+        planner = FrozenPlanner(sys_, sched)
+        planner.prepare()
+        tracemalloc.start()
+        try:
+            compute_bound_constants(sys_, sched, K, 3, planner=planner)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+def high_precision_bound(c, T, W, x0):
+    """The bound's defining series, summed term by term in 60 digits.
+
+    The float constants are taken as exact, except gamma, which is
+    alpha / (alpha + beta) carried at full precision.
+    """
+    mpf = mpmath.mpf
+    with mpmath.workdps(60):
+        g = mpf(c.alpha) / (mpf(c.alpha) + mpf(c.beta))
+        e, q = mpf(c.eta), mpf(c.q)
+
+        def S(z):
+            return mpmath.fsum(z**t for t in range(T))
+
+        main = mpmath.fsum(e ** (2 * t) * (1 - g ** (t + 1)) ** 2 for t in range(T))
+        transient = (
+            (e * g / (q * (q - e * g)) - e / (q * (q - e))) ** 2 * S(q**2)
+            + (e * g) ** 2 * S(e**2 * g**2) / (q**2 * (q - e * g) ** 2)
+            + e**2 * S(e**2) / (q**2 * (q - e) ** 2)
+        )
+        C, C_K, C_f = mpf(c.C), mpf(c.C_K), mpf(c.C_f)
+        prefactor = (C**2 * C_K * g / (g - 1)) ** 2
+        inner = (mpf(c.alpha1) + mpf(c.alpha2)) * prefactor * (
+            main + mpf(10) / 3 * C_f**2 * transient
+        ) + (C_K * C**2) ** 2 * S(e**2)
+        x0_sq = mpmath.fsum(mpf(float(v)) ** 2 for v in x0)
+        return 10 * mpf(c.D) * g ** (2 * W) * x0_sq / 3 * inner
+
+
 class TestRegretUpperBound:
+    @pytest.mark.parametrize("T, W, seed", [(4, 2, 1), (20, 8, 1), (200, 3, 5), (200, 10, 5)])
+    def test_matches_high_precision_series(self, T, W, seed):
+        # On the pendulum gamma is within 1e-6 of 1, where forming 1 - gamma
+        # from the rounded gamma alone loses about ten digits.
+        sys_, bounds, sched, K = pendulum_setup(T, seed=seed)
+        c = compute_bound_constants(sys_, sched, K, W)
+        assert 1.0 - c.gamma < 1e-4
+        exact = high_precision_bound(c, T, W, sys_.x0)
+        got = regret_upper_bound(c, T, W, sys_.x0)
+        assert abs(mpmath.mpf(got) - exact) <= 1e-12 * exact
+
     def test_zero_initial_state(self):
         sys_, bounds, sched, K = pendulum_setup(20)
         c = compute_bound_constants(sys_, sched, K, W=2)

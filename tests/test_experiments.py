@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from preview_lqr import cli, experiments
+from preview_lqr import cli, experiments, policies
 from preview_lqr.cli import cli_main
 from preview_lqr.costs import CostBounds
 from preview_lqr.experiments import (
@@ -193,6 +193,18 @@ class TestRunGrid:
         res = run_grid(cfg)
         assert len(res.rows) == 2 * 3
         assert all(np.isfinite(r.phi_mean) for r in res.rows)
+
+    def test_noisy_cells_match_per_trial_comparator(self, monkeypatch):
+        # A noisy trial reads the comparator's true pass from its planner;
+        # solving it again per trial must give the same cells bit for bit.
+        cfg = small_config(scenario="pendulum-disturbance", trials=2, w_max=2)
+        shared = run_grid(cfg)
+
+        def per_trial(sys_, schedule, w=None, solution=None):
+            return policies.clairvoyant_policy(sys_, schedule, w)
+
+        monkeypatch.setattr(experiments, "clairvoyant_policy", per_trial)
+        assert run_grid(cfg) == shared
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

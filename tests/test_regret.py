@@ -22,6 +22,7 @@ from preview_lqr.riccati import (
     backward_riccati,
     schedule_cost,
 )
+from preview_lqr.seeding import generator
 from preview_lqr.systems import (
     DisturbanceModel,
     LinearSystem,
@@ -217,6 +218,38 @@ class TestExpectedRegretMc:
         b = expected_regret_mc(sys_, sched, policy, dist, trials=6, master_seed=17)
         assert a.regret == b.regret
         assert a.stderr == b.stderr
+
+    def test_matches_per_trial_comparator_loop(self):
+        # The comparator's true pass is solved once per call; the report
+        # must equal a loop that solves it again in every trial.
+        rng = np.random.default_rng(9)
+        sys_ = random_controllable_system(3, 1, -1.0, 1.0, rng)
+        sched = varying_schedule(rng, 3, 15)
+        K = place_poles_single_input(sys_, [0.1, 0.2, 0.3])
+        planner = FrozenPlanner(sys_, sched)
+
+        def policy(s, sch, w):
+            return prediction_tracking_policy(s, sch, PolicyConfig(2, K), w, planner=planner)
+
+        dist = DisturbanceModel(0.5 * np.eye(3))
+        report = expected_regret_mc(sys_, sched, policy, dist, trials=5, master_seed=3)
+        regrets, costs_policy, costs_opt = [], [], []
+        for trial in range(5):
+            w = dist.sample(generator(3, "mc", "disturbance", trial), 14)
+            traj = policy(sys_, sched, w)
+            opt = clairvoyant_policy(sys_, sched, w)
+            regrets.append(traj.cost - opt.cost)
+            costs_policy.append(traj.cost)
+            costs_opt.append(opt.cost)
+        arr = np.asarray(regrets)
+        assert report == RegretReport(
+            regret=float(arr.mean()),
+            cost_policy=float(np.mean(costs_policy)),
+            cost_optimal=float(np.mean(costs_opt)),
+            trials=5,
+            stderr=float(arr.std(ddof=1) / np.sqrt(5)),
+            excluded_trials=0,
+        )
 
     def test_overflow_trials_excluded(self):
         sys_ = scalar_system(0.8, 1.0, 2.0)
