@@ -247,21 +247,34 @@ def sufficient_condition_check(
     Compares the tenth power of the top eigenvalue of the a priori upper
     state cost against a constant built from the instance constants.
     """
-    c = constants
+    rhs = _sufficient_condition_rhs(constants, sys)
+    return bool(max_eigenvalue(bounds.Q_max) ** 10 >= rhs)
+
+
+def _sufficient_condition_rhs(c: BoundConstants, sys: LinearSystem) -> float:
+    """The constant that the sufficient condition compares lambda_max(Q_max)^10 with.
+
+    Evaluated, like the bound, without differences of nearly equal terms:
+    1 - gamma is beta / (alpha + beta), 1 - eta^2 is (1 - eta)(1 + eta),
+    1 - eta^2 gamma^2 is ((1 - eta) + eta (1 - gamma))(1 + eta gamma), and
+    1 - q^2 is (1 - q)(1 + q).
+    """
     g, e, q = c.gamma, c.eta, c.q
     if abs(q - e * g) < 1e-12 or abs(q - e) < 1e-12:
         raise DegenerateConstantsError(
             "condition has a pole at q = eta * gamma or q = eta"
         )
-    lhs = max_eigenvalue(bounds.Q_max) ** 10
-    bracket = (1.0 + (c.alpha1 + c.alpha2) / (1.0 - g) ** 2) * (1.0 / (1.0 - e**2))
+    one_minus_g = c.beta / (c.alpha + c.beta)
+    one_minus_e2 = (1.0 - e) * (1.0 + e)
+    one_minus_e2g2 = ((1.0 - e) + e * one_minus_g) * (1.0 + e * g)
+    bracket = (1.0 + (c.alpha1 + c.alpha2) / one_minus_g**2) / one_minus_e2
     bracket += (10.0 * c.C_f**2) / (
         q**2
         * (q - e * g) ** 2
         * (q - e) ** 2
-        * (1.0 - e**2)
-        * (1.0 - e**2 * g**2)
-        * (1.0 - q**2)
+        * one_minus_e2
+        * one_minus_e2g2
+        * ((1.0 - q) * (1.0 + q))
     )
     inv_factor = 1.0 / (
         c.C_K**2
@@ -276,8 +289,7 @@ def sufficient_condition_check(
         * _spectral_norm(sys.B) ** 2
         * _spectral_norm(sys.B @ Rmin_inv @ sys.B.T) ** 2
     )
-    rhs = 5.0 * bracket / denom
-    return bool(lhs >= rhs)
+    return 5.0 * bracket / denom
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,12 @@ DEFAULT_TRACKING_POLES_4 = (1e-3, 6e-3, 4e-3, 3e-3)
 # Freeze indices per eigvalsh batch of ``FrozenPlanner.alpha_top``: at
 # T = 1000 and n = 4 a block of A'PA matrices is about 4 MB.
 ALPHA_BLOCK = 32
+# Relative slack of the Frobenius screen in ``FrozenPlanner.alpha_top``:
+# a computed top eigenvalue exceeds ||M||_F by at most O(n eps), far below it.
+ALPHA_SCREEN_MARGIN = 1e-8
+# Below this candidate eigenvalue the squares in ||M||_F can underflow, so
+# the screen keeps every matrix of the pass.
+ALPHA_SCREEN_FLOOR = 1e-140
 
 
 @dataclass(frozen=True)
@@ -141,6 +147,23 @@ class FrozenPlanner:
         over i = 1..T-2 (i = 1 when T = 2), so alpha at preview W is the
         maximum of entries min(W, T-1)..T-1. Built once, ``ALPHA_BLOCK``
         freeze indices per batch; read-only.
+
+        A Frobenius screen runs ``eigvalsh`` only on the matrices that can
+        hold a pass's maximum, and the result is bit for bit that of
+        ``eigvalsh`` on every matrix. For symmetric M, lambda_max(M) <=
+        ||M||_2 <= ||M||_F. Per pass, the matrix of largest ||M||_F (NaN
+        counting as largest) gives a candidate low_s = lambda_max, and a
+        matrix is skipped only when ||M||_F (1 + ALPHA_SCREEN_MARGIN) <
+        low_s. ``eigvalsh`` is backward stable, so its computed top
+        eigenvalue is at most ||M||_F (1 + O(n eps)) and the margin never
+        skips the maximizer. Its result for one matrix does not depend on
+        the rest of the batch, and the matrices are formed as without the
+        screen, so the kept ones give the same values. A NaN norm or
+        candidate fails the comparisons and keeps the matrix, and a pass
+        whose candidate is below ``ALPHA_SCREEN_FLOOR``, where the squares
+        can underflow, is kept whole. An infinite candidate is already its
+        pass's maximum, and the matrices it skips have finite norms, so
+        none of them could have made that maximum NaN.
         """
         if self._alpha_top is None:
             self.prepare()
@@ -150,7 +173,15 @@ class FrozenPlanner:
             for s in range(0, T, ALPHA_BLOCK):
                 APA = A.T @ self.P[s : s + ALPHA_BLOCK, 1 : hi + 1] @ A
                 APA = 0.5 * (APA + np.swapaxes(APA, -1, -2))
-                top[s : s + ALPHA_BLOCK] = np.linalg.eigvalsh(APA)[..., -1].max(axis=-1)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    fro = np.sqrt(np.einsum("...ij,...ij->...", APA, APA))
+                    cand = APA[np.arange(len(APA)), fro.argmax(axis=-1)]
+                    low = np.linalg.eigvalsh(cand)[:, -1, None]
+                    skip = fro * (1.0 + ALPHA_SCREEN_MARGIN) < low
+                skip &= low >= ALPHA_SCREEN_FLOOR
+                eig = np.full(skip.shape, -np.inf)
+                eig[~skip] = np.linalg.eigvalsh(APA[~skip])[:, -1]
+                top[s : s + ALPHA_BLOCK] = eig.max(axis=-1)
             top.setflags(write=False)
             self._alpha_top = top
         return self._alpha_top

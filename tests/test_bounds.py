@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from preview_lqr.bounds import (
     BoundConstants,
     DegenerateConstantsError,
+    _sufficient_condition_rhs,
     compute_bound_constants,
     geometric_sum,
     make_bound_report,
@@ -26,7 +27,12 @@ from preview_lqr.costs import (
     random_uniform_schedule,
     sequence_extrema,
 )
-from preview_lqr.policies import FrozenPlanner, PolicyConfig, prediction_tracking_policy
+from preview_lqr.policies import (
+    ALPHA_BLOCK,
+    FrozenPlanner,
+    PolicyConfig,
+    prediction_tracking_policy,
+)
 from preview_lqr.regret import regret_via_control_deviation
 from preview_lqr.riccati import solve_dare
 from preview_lqr.systems import (
@@ -313,6 +319,116 @@ class TestBoundConstantsCache:
         assert peak < 16 * 2**20
 
 
+def unscreened_alpha_top(planner):
+    """The per-pass top eigenvalues with eigvalsh on every interior A'PA."""
+    A, T = planner.sys.A, planner.T
+    hi = T - 1 if T <= 2 else T - 2
+    top = np.empty(T)
+    for s in range(0, T, ALPHA_BLOCK):
+        APA = A.T @ planner.P[s : s + ALPHA_BLOCK, 1 : hi + 1] @ A
+        APA = 0.5 * (APA + np.swapaxes(APA, -1, -2))
+        top[s : s + ALPHA_BLOCK] = np.linalg.eigvalsh(APA)[..., -1].max(axis=-1)
+    return top
+
+
+def assert_screen_exact(planner):
+    planner.prepare()
+    np.testing.assert_array_equal(planner.alpha_top(), unscreened_alpha_top(planner))
+
+
+def hand_built_planner(A, P):
+    """A planner whose pass stack is ``P`` as given, finite or not."""
+    T, n = P.shape[0], P.shape[-1]
+    sys_ = LinearSystem(A, np.ones((n, 1)), np.ones(n))
+    planner = FrozenPlanner(sys_, CostSchedule((np.eye(n),) * T, (np.eye(1),) * (T - 1)))
+    planner.P = P
+    return planner
+
+
+class TestAlphaScreen:
+    """The Frobenius screen of ``FrozenPlanner.alpha_top`` changes no bit."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 2),
+        st.integers(2, 80),
+        st.sampled_from(["chain", "free"]),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(4, 1, 80, "chain", 0)
+    @example(4, 2, 80, "free", 1)
+    @example(1, 1, 2, "chain", 2)
+    def test_matches_unscreened_loop(self, n, m, T, kind, seed):
+        sys_, sched, _, _ = constants_instance(seed, n, m, T, kind)
+        assert_screen_exact(FrozenPlanner(sys_, sched))
+
+    def test_constant_schedule_ties(self):
+        # Every pass is the same, so every pass's screen values tie.
+        sys_, bounds, _, _ = pendulum_setup(50)
+        sched = CostSchedule((bounds.Q_max,) * 50, (bounds.R_min,) * 49)
+        planner = FrozenPlanner(sys_, sched)
+        assert_screen_exact(planner)
+        assert np.all(planner.alpha_top() == planner.alpha_top()[0])
+
+    def test_singular_products(self):
+        rng = np.random.default_rng(3)
+        A = rng.uniform(-1.2, 1.2, (3, 3))
+        A[:, 1] = 0.0
+        sys_ = LinearSystem(A, rng.uniform(-1, 1, (3, 1)), np.ones(3))
+        sched = random_uniform_schedule(
+            CostBounds(np.eye(3), 4 * np.eye(3), [[1.0]], [[3.0]]), 60, rng
+        )
+        assert_screen_exact(FrozenPlanner(sys_, sched))
+
+    @pytest.mark.parametrize("scale", [1e-175, 1e150])
+    def test_extreme_cost_scales(self, scale):
+        # At 1e-175 the squares in ||M||_F underflow; at 1e150 they overflow.
+        sys_, _, sched, _ = pendulum_setup(60, seed=1)
+        scaled = CostSchedule(scale * sched.Q, scale * sched.R, validate=False)
+        planner = FrozenPlanner(sys_, scaled)
+        assert_screen_exact(planner)
+        assert np.all(np.isfinite(planner.alpha_top()))
+
+    def test_non_finite_passes_are_kept(self):
+        # A NaN matrix must reach eigvalsh even beside a larger finite one.
+        T = 40
+        rng = np.random.default_rng(4)
+        P = rng.uniform(1.0, 2.0, (T, T, 1, 1))
+        P[3, 5] = np.nan
+        P[3, 6] = 1e6
+        P[7, 9] = np.inf
+        P[11, 2], P[11, 4] = np.inf, np.nan
+        planner = hand_built_planner([[0.9]], P)
+        top = planner.alpha_top()
+        np.testing.assert_array_equal(top, unscreened_alpha_top(planner))
+        assert np.isnan(top[3]) and top[7] == np.inf and np.isnan(top[11])
+
+        M = rng.standard_normal((T, T, 2, 2))
+        P = M @ np.swapaxes(M, -1, -2)
+        P[5, 8, 0, 1] = np.nan
+        P[5, 9] *= 1e6
+        planner = hand_built_planner(rng.standard_normal((2, 2)), P)
+        np.testing.assert_array_equal(planner.alpha_top(), unscreened_alpha_top(planner))
+        assert np.isnan(planner.alpha_top()[5])
+
+    def test_eigvalsh_sees_few_matrices(self, monkeypatch):
+        T = 400
+        sys_, _, sched, _ = pendulum_setup(T, seed=2)
+        planner = FrozenPlanner(sys_, sched)
+        planner.prepare()
+        seen = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            seen.append(int(np.prod(np.shape(a)[:-2])))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        planner.alpha_top()
+        assert sum(seen) <= 0.10 * T * (T - 2)
+
+
 def high_precision_bound(c, T, W, x0):
     """The bound's defining series, summed term by term in 60 digits.
 
@@ -402,7 +518,49 @@ class TestRegretUpperBound:
         assert realized <= bound
 
 
+def high_precision_condition_rhs(c, sys_):
+    """The sufficient condition's right-hand side in 60 digits.
+
+    Float inputs are taken as exact, gamma is alpha / (alpha + beta) at full
+    precision, and the matrix norms and eigenvalues are the float ones.
+    """
+    mpf = mpmath.mpf
+    with mpmath.workdps(60):
+        g = mpf(c.alpha) / (mpf(c.alpha) + mpf(c.beta))
+        e, q = mpf(c.eta), mpf(c.q)
+        bracket = (1 + (mpf(c.alpha1) + mpf(c.alpha2)) / (1 - g) ** 2) / (1 - e**2)
+        bracket += 10 * mpf(c.C_f) ** 2 / (
+            q**2 * (q - e * g) ** 2 * (q - e) ** 2
+            * (1 - e**2) * (1 - e**2 * g**2) * (1 - q**2)
+        )
+
+        def norm(M):
+            return mpf(float(np.linalg.norm(np.atleast_2d(M), 2)))
+
+        B_Rinv_B = sys_.B @ np.linalg.inv(c.Rbar_min) @ sys_.B.T
+        denom = (
+            6 * norm(sys_.A) ** 2 * norm(sys_.B) ** 2 * norm(B_Rinv_B) ** 2
+            / (
+                mpf(c.C_K) ** 2
+                * mpf(min_eigenvalue(c.Rbar_min)) ** 2
+                * mpf(min_eigenvalue(c.Qbar_min)) ** 4
+            )
+        )
+        return 5 * bracket / denom
+
+
 class TestSufficientCondition:
+    # gamma is within about 1e-6 of 1 on these instances; forming 1 - gamma
+    # from the rounded gamma costs about 1e-10 relative.
+    @pytest.mark.parametrize("T, W, seed", [(20, 8, 1), (200, 3, 5), (60, 0, 2)])
+    def test_rhs_matches_high_precision(self, T, W, seed):
+        sys_, bounds, sched, K = pendulum_setup(T, seed=seed)
+        c = compute_bound_constants(sys_, sched, K, W=W)
+        assert 1.0 - c.gamma < 1e-5
+        got = _sufficient_condition_rhs(c, sys_)
+        exact = high_precision_condition_rhs(c, sys_)
+        assert abs(mpmath.mpf(got) - exact) <= 1e-12 * exact
+
     def test_monotone_in_upper_state_cost(self):
         sys_, bounds, sched, K = pendulum_setup(20)
         c = compute_bound_constants(sys_, sched, K, W=2)

@@ -1,3 +1,9 @@
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -360,3 +366,35 @@ class TestCli:
         monkeypatch.setattr(verification, "run_all", fake_run_all)
         assert cli_main(["verify"]) == 1
         assert "FAILED" in capsys.readouterr().out
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+
+
+def test_demo_grid_reproduces_committed_csv(tmp_path):
+    # Any change that moves a grid output has to regenerate this file.
+    spec = importlib.util.spec_from_file_location(
+        "grid_heatmap", DEMOS / "grid_heatmap.py"
+    )
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    path = tmp_path / "pendulum.csv"
+    emit_csv(run_grid(demo.CONFIG, workers=1), path)
+    assert path.read_bytes() == (DEMOS / "output" / "pendulum.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "script", ["bound_constants.py", "pendulum_tracking.py", "disturbance_scaling.py"]
+)
+def test_demo_runs(script):
+    path = [str(DEMOS.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    proc = subprocess.run(
+        [sys.executable, str(DEMOS / script)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()
