@@ -8,11 +8,10 @@ from preview_lqr import (
     PolicyConfig,
     clairvoyant_policy,
     inverted_pendulum,
-    mpc_baseline_policy,
+    paired_regrets,
     place_poles_single_input,
-    prediction_tracking_policy,
     random_uniform_schedule,
-    regret_via_control_deviation,
+    solve_dare,
 )
 from preview_lqr.experiments import DEFAULT_POLES, pendulum_cost_bounds
 
@@ -35,15 +34,11 @@ def main():
     print(f"clairvoyant optimal cost: {opt.cost:.6e}")
 
     planner = FrozenPlanner(sys_, schedule)
-    true_sol = planner.solution(T - 1)
+    P_max = solve_dare(sys_.A, sys_.B, bounds.Q_max, bounds.R_max)
     print(f"\n{'W':>4}  {'regret (tracking)':>18}  {'regret (baseline)':>18}  {'gap':>12}")
     for W in (0, 2, 4, 6, 8, 12, 20):
-        ours = prediction_tracking_policy(
-            sys_, schedule, PolicyConfig(W, K_track), planner=planner
-        )
-        base = mpc_baseline_policy(sys_, schedule, bounds, W)
-        r_ours = regret_via_control_deviation(ours, sys_, schedule, solution=true_sol)
-        r_base = regret_via_control_deviation(base, sys_, schedule, solution=true_sol)
+        cfg = PolicyConfig(W, K_track)
+        r_ours, r_base = paired_regrets(planner, cfg, bounds, P_max)
         print(f"{W:>4}  {r_ours:>18.6e}  {r_base:>18.6e}  {r_base - r_ours:>12.3e}")
 
     print("\nThe tracking policy's regret collapses geometrically with W; the")

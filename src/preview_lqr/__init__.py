@@ -52,6 +52,7 @@ from .regret import (
     AllTrialsFailedError,
     RegretReport,
     expected_regret_mc,
+    paired_regrets,
     phi_metric,
     regret,
     regret_via_control_deviation,

@@ -30,6 +30,9 @@ from .riccati import solve_dare
 from .seeding import generator, substream_entropy
 from .systems import DisturbanceModel, LinearSystem, place_poles_single_input, spectral_radius
 
+# The scaling certificate holds when max r(T) / min r(T) is at most this.
+CERTIFICATE_RATIO = 10.0
+
 
 class DegenerateConstantsError(ArithmeticError):
     """A denominator of the bound is at or near a pole."""
@@ -316,7 +319,6 @@ def scaling_certificate(
     trials: int,
     master_seed: int,
     poles=None,
-    ratio_threshold: float = 10.0,
 ) -> ScalingReport:
     """Empirical check that expected regret grows like T * gamma^(2W).
 
@@ -325,7 +327,7 @@ def scaling_certificate(
     the expected regret of the tracking policy is estimated by Monte Carlo,
     and the normalized rate r(T) = regret / (T * gamma^(2W)) is formed with
     that instance's own gamma. The certificate holds when max r / min r is
-    at most ``ratio_threshold``.
+    at most ``CERTIFICATE_RATIO``.
     """
     Ts = tuple(int(T) for T in Ts)
     for T in Ts:
@@ -371,7 +373,7 @@ def scaling_certificate(
             certified = False
         else:
             ratio = hi / lo
-            certified = ratio <= ratio_threshold
+            certified = ratio <= CERTIFICATE_RATIO
     return ScalingReport(
         Ts=Ts,
         expected_regrets=tuple(means),

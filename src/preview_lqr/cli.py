@@ -7,9 +7,10 @@ Subcommands:
   bound-check        constants, bound value, and margin on one instance
   verify             oracle-equivalence and property suites
 
-A flat key-value config file can override defaults; explicit flags win
-over the config file. Exit codes: 0 success, 1 verification failure,
-2 usage error.
+A flat key-value config file can override defaults, and explicit flags
+win over it. Every value given neither way is the library's default, from
+``ExperimentConfig`` and ``pendulum_cost_bounds()``. Exit codes: 0
+success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -17,18 +18,18 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import verification
 from .bounds import make_bound_report
-from .costs import CostBounds, random_uniform_schedule
+from .costs import random_uniform_schedule
 from .experiments import (
-    DEFAULT_POLES,
-    DEFAULT_X0,
     ExperimentConfig,
     emit_csv,
     emit_heatmap_svg,
+    pendulum_cost_bounds,
     run_grid,
 )
 from .policies import FrozenPlanner, PolicyConfig, prediction_tracking_policy
@@ -88,9 +89,7 @@ def _add_grid_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--t-step", type=int, default=None)
     parser.add_argument("--w-max", type=int, default=None)
     parser.add_argument("--trials", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", type=str, default=None)
-    parser.add_argument("--config", type=str, default=None, metavar="FILE")
     parser.add_argument("--svg", action="store_true")
     parser.add_argument("--workers", type=int, default=None)
 
@@ -102,70 +101,60 @@ def build_parser() -> argparse.ArgumentParser:
         "bound evaluation, and verification suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("pendulum-grid", "random-grid", "disturbance-grid"):
-        p = sub.add_parser(name, help=f"run the {name.replace('-', ' ')}")
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--seed", type=int, default=None)
+    common.add_argument("--config", type=str, default=None, metavar="FILE")
+    for name in ("pendulum", "random", "disturbance"):
+        p = sub.add_parser(f"{name}-grid", parents=[common], help=f"run the {name} grid")
         _add_grid_flags(p)
-        if name == "disturbance-grid":
+        if name == "disturbance":
             p.add_argument("--system", choices=("pendulum", "random"), default=None)
             p.add_argument("--cov-scale", type=float, default=None)
-    p = sub.add_parser("bound-check", help="constants and bound on one instance")
+    p = sub.add_parser(
+        "bound-check", parents=[common], help="constants and bound on one instance"
+    )
     p.add_argument("--t", type=int, default=50)
     p.add_argument("--w", type=int, default=5)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", type=str, default=None, metavar="FILE")
-    p = sub.add_parser("verify", help="run the verification suites")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--config", type=str, default=None, metavar="FILE")
+    sub.add_parser("verify", parents=[common], help="run the verification suites")
     return parser
 
 
-def _setting(args, config: dict, key: str, default):
-    arg_val = getattr(args, key, None)
-    if arg_val is not None and arg_val is not False:
-        return arg_val
-    if key in config:
-        return config[key]
-    return default
+# Config keys and flags that name an ExperimentConfig field differently.
+_FIELD_NAMES = {
+    "seed": "master_seed", "cov_scale": "disturbance_cov_scale", "out": "output_dir"
+}
+# Each cost bound's scalar: q * I for state costs, [[r]] for control costs.
+_BOUND_KEYS = {"q_min": "Q_min", "q_max": "Q_max", "r_min": "R_min", "r_max": "R_max"}
 
 
-def _cost_bounds(args, config: dict, n: int) -> CostBounds:
-    """A priori cost bounds q * I and [[r]]; the defaults are the pendulum's."""
-    q_min = _setting(args, config, "q_min", 8e3)
-    q_max = _setting(args, config, "q_max", 3.2e4)
-    r_min = _setting(args, config, "r_min", 2e3)
-    r_max = _setting(args, config, "r_max", 9.8e4)
-    return CostBounds(q_min * np.eye(n), q_max * np.eye(n), [[r_min]], [[r_max]])
+def _given(settings: dict, *keys) -> dict:
+    return {key: settings[key] for key in keys if key in settings}
 
 
-def _experiment_config(args, config: dict, scenario: str) -> tuple:
-    x0 = _setting(args, config, "x0", DEFAULT_X0)
-    bounds = _cost_bounds(args, config, len(x0))
-    cfg = ExperimentConfig(
-        scenario=scenario,
-        t_min=_setting(args, config, "t_min", 20),
-        t_max=_setting(args, config, "t_max", 200),
-        t_step=_setting(args, config, "t_step", 20),
-        w_max=_setting(args, config, "w_max", 10),
-        trials=_setting(args, config, "trials", 20),
-        master_seed=_setting(args, config, "seed", 0),
-        bounds=bounds,
-        poles=_setting(args, config, "poles", DEFAULT_POLES),
-        disturbance_cov_scale=_setting(args, config, "cov_scale", 25.0),
-        x0=x0,
-        output_dir=_setting(args, config, "out", "results"),
-    )
-    workers = _setting(args, config, "workers", 1)
-    return cfg, workers
+def _experiment_config(settings: dict, scenario: str) -> ExperimentConfig:
+    """ExperimentConfig with the given settings in place of its defaults.
+
+    A cost bound that is not given keeps its ``pendulum_cost_bounds()`` value.
+    """
+    base = pendulum_cost_bounds()
+    scaled = {
+        name: settings[key] * np.eye(len(getattr(base, name)))
+        for key, name in _BOUND_KEYS.items()
+        if key in settings
+    }
+    given = {_FIELD_NAMES.get(key, key): value for key, value in settings.items()}
+    kwargs = _given(given, *(f.name for f in fields(ExperimentConfig)))
+    return ExperimentConfig(scenario=scenario, bounds=replace(base, **scaled), **kwargs)
 
 
-def _run_grid_command(args, config: dict, scenario: str) -> int:
-    cfg, workers = _experiment_config(args, config, scenario)
-    result = run_grid(cfg, workers=workers)
+def _run_grid_command(settings: dict, scenario: str) -> int:
+    cfg = _experiment_config(settings, scenario)
+    result = run_grid(cfg, **_given(settings, "workers"))
     os.makedirs(cfg.output_dir, exist_ok=True)
     csv_path = os.path.join(cfg.output_dir, f"{cfg.scenario}.csv")
     emit_csv(result, csv_path)
     print(f"wrote {len(result.rows)} cells to {csv_path}")
-    if args.svg:
+    if settings["svg"]:
         svg_path = os.path.join(cfg.output_dir, f"{cfg.scenario}.svg")
         emit_heatmap_svg(result, "phi_mean", svg_path)
         print(f"wrote heatmap to {svg_path}")
@@ -174,14 +163,11 @@ def _run_grid_command(args, config: dict, scenario: str) -> int:
     return 0
 
 
-def _run_bound_check(args, config: dict) -> int:
-    seed = _setting(args, config, "seed", 0)
-    T, W = args.t, args.w
-    x0 = np.asarray(_setting(args, config, "x0", DEFAULT_X0), dtype=float)
-    sys_ = inverted_pendulum(x0)
-    bounds = _cost_bounds(args, config, sys_.n)
-    poles = _setting(args, config, "poles", DEFAULT_POLES)
-    K_track = place_poles_single_input(sys_, poles)
+def _run_bound_check(settings: dict) -> int:
+    cfg = _experiment_config(settings, "pendulum")
+    seed, bounds, T, W = cfg.master_seed, cfg.bounds, settings["t"], settings["w"]
+    sys_ = inverted_pendulum(np.asarray(cfg.x0, dtype=float))
+    K_track = place_poles_single_input(sys_, cfg.poles)
     schedule = random_uniform_schedule(bounds, T, generator(seed, "bound-check", T, W))
     planner = FrozenPlanner(sys_, schedule)
     traj = prediction_tracking_policy(
@@ -206,9 +192,8 @@ def _run_bound_check(args, config: dict) -> int:
     return 0
 
 
-def _run_verify(args, config: dict) -> int:
-    seed = _setting(args, config, "seed", 0)
-    results = verification.run_all(seed=seed)
+def _run_verify(settings: dict) -> int:
+    results = verification.run_all(**_given(settings, "seed"))
     all_ok = True
     for res in results:
         status = "ok" if res.passed else "FAIL"
@@ -226,18 +211,19 @@ def cli_main(argv=None) -> int:
         code = exit_err.code
         return int(code) if code is not None else 0
     try:
-        config = _parse_config_file(args.config) if args.config else {}
+        settings = _parse_config_file(args.config) if args.config else {}
+        settings.update((k, v) for k, v in vars(args).items() if v is not None)
         if args.command == "pendulum-grid":
-            return _run_grid_command(args, config, "pendulum")
+            return _run_grid_command(settings, "pendulum")
         if args.command == "random-grid":
-            return _run_grid_command(args, config, "random")
+            return _run_grid_command(settings, "random")
         if args.command == "disturbance-grid":
-            system = _setting(args, config, "system", "pendulum")
-            return _run_grid_command(args, config, f"{system}-disturbance")
+            system = settings.get("system", "pendulum")
+            return _run_grid_command(settings, f"{system}-disturbance")
         if args.command == "bound-check":
-            return _run_bound_check(args, config)
+            return _run_bound_check(settings)
         if args.command == "verify":
-            return _run_verify(args, config)
+            return _run_verify(settings)
     except (ValueError, ArithmeticError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

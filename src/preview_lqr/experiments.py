@@ -12,7 +12,7 @@ count.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -23,14 +23,8 @@ from .bounds import (
     sufficient_condition_check,
 )
 from .costs import CostBounds, random_uniform_schedule
-from .policies import (
-    FrozenPlanner,
-    PolicyConfig,
-    clairvoyant_policy,
-    mpc_baseline_policy,
-    prediction_tracking_policy,
-)
-from .regret import regret_via_control_deviation
+from .policies import DEFAULT_POLES, FrozenPlanner, PolicyConfig, clairvoyant_policy
+from .regret import paired_regrets
 from .riccati import DareConvergenceError, TrajectoryOverflowError, solve_dare
 from .seeding import generator
 from .systems import (
@@ -40,8 +34,6 @@ from .systems import (
     place_poles_single_input,
     random_controllable_system,
 )
-
-from .policies import DEFAULT_TRACKING_POLES_4 as DEFAULT_POLES
 
 SCENARIOS = ("pendulum", "random", "pendulum-disturbance", "random-disturbance")
 
@@ -138,10 +130,11 @@ class GridResult:
     failures: tuple = ()
 
 
-CSV_HEADER = (
-    "T,W,phi_mean,phi_stderr,regret_ours_mean,regret_mpc_mean,"
-    "bound,margin_min,sufficient_condition,excluded_trials,clamped"
-)
+# The CSV columns are GridRow's fields in order. Their annotations read
+# "int", "float" or "bool" here, since annotations are not evaluated.
+_COLUMNS = tuple((f.name, f.type) for f in fields(GridRow))
+
+CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
 _TRIAL_ERRORS = (
     TrajectoryOverflowError,
@@ -190,8 +183,8 @@ def _evaluate_trial(config: ExperimentConfig, T: int, trial: int):
                 generator(config.master_seed, config.scenario, T, trial, "disturbance"),
                 T - 1,
             )
-            opt = clairvoyant_policy(sys_, schedule, w, solution=planner.solution(T - 1))
-            opt_cost = opt.cost
+            true_sol = planner.solution(T - 1)
+            opt_cost = clairvoyant_policy(sys_, schedule, w, solution=true_sol).cost
     except _TRIAL_ERRORS as err:
         reason = f"{type(err).__name__}: {err}"
         return {W: reason for W in config.w_values}
@@ -200,27 +193,10 @@ def _evaluate_trial(config: ExperimentConfig, T: int, trial: int):
         W_eff = min(W, T - 2)
         if W_eff not in computed:
             try:
-                ours = prediction_tracking_policy(
-                    sys_, schedule, PolicyConfig(W_eff, K_track), w, planner=planner
+                policy = PolicyConfig(W_eff, K_track)
+                reg_ours, reg_base = paired_regrets(
+                    planner, policy, config.bounds, P_max, w, opt_cost
                 )
-                base = mpc_baseline_policy(
-                    sys_, schedule, config.bounds, W_eff, w, P_max=P_max
-                )
-                if config.noisy:
-                    reg_ours = ours.cost - opt_cost
-                    reg_base = base.cost - opt_cost
-                else:
-                    # The deviation identity equals the regret on
-                    # disturbance-free runs and evaluates as a sum of
-                    # nonnegative terms, so tiny regrets are not drowned by
-                    # cancellation between near-equal costs.
-                    true_sol = planner.solution(T - 1)
-                    reg_ours = regret_via_control_deviation(
-                        ours, sys_, schedule, solution=true_sol
-                    )
-                    reg_base = regret_via_control_deviation(
-                        base, sys_, schedule, solution=true_sol
-                    )
                 constants = compute_bound_constants(
                     sys_, schedule, K_track, W_eff, planner=planner
                 )
@@ -233,45 +209,30 @@ def _evaluate_trial(config: ExperimentConfig, T: int, trial: int):
     return out
 
 
-def _aggregate_cell(config: ExperimentConfig, T: int, W: int, trial_outcomes):
-    W_eff = min(W, T - 2)
-    clamped = W_eff != W
-    reg_ours_list, reg_base_list, margins = [], [], []
-    suff_at_min = False
-    bound_at_min = float("nan")
-    excluded = 0
-    first_error = None
-    for outcome in trial_outcomes:
-        cell = outcome[W]
-        if isinstance(cell, str):
-            excluded += 1
-            if first_error is None:
-                first_error = cell
-            continue
-        reg_ours, reg_base, bound, suff = cell
-        reg_ours_list.append(reg_ours)
-        reg_base_list.append(reg_base)
-        margin = bound - reg_ours
-        if not margins or margin < min(margins):
-            bound_at_min = bound
-            suff_at_min = suff
-        margins.append(margin)
-    if not reg_ours_list:
-        return None, (T, W, first_error or "all trials failed")
-    phis = np.asarray(reg_base_list) - np.asarray(reg_ours_list)
+def _aggregate_cell(T: int, W: int, trial_outcomes):
+    cells = [outcome[W] for outcome in trial_outcomes]
+    ok = [cell for cell in cells if not isinstance(cell, str)]
+    if not ok:
+        return None, (T, W, cells[0])
+    reg_ours, reg_base, bounds, suffs = zip(*ok)
+    margins = [bound - reg for bound, reg in zip(bounds, reg_ours)]
+    # The trial of least margin supplies bound and sufficient_condition;
+    # the first one wins ties.
+    best = min(range(len(margins)), key=margins.__getitem__)
+    phis = np.asarray(reg_base) - np.asarray(reg_ours)
     stderr = float(phis.std(ddof=1) / np.sqrt(phis.size)) if phis.size > 1 else 0.0
     row = GridRow(
         T=T,
         W=W,
         phi_mean=float(phis.mean()),
         phi_stderr=stderr,
-        regret_ours_mean=float(np.mean(reg_ours_list)),
-        regret_mpc_mean=float(np.mean(reg_base_list)),
-        bound=float(bound_at_min),
-        margin_min=float(min(margins)),
-        sufficient_condition=bool(suff_at_min),
-        excluded_trials=excluded,
-        clamped=clamped,
+        regret_ours_mean=float(np.mean(reg_ours)),
+        regret_mpc_mean=float(np.mean(reg_base)),
+        bound=float(bounds[best]),
+        margin_min=float(margins[best]),
+        sufficient_condition=bool(suffs[best]),
+        excluded_trials=len(cells) - len(ok),
+        clamped=W > T - 2,
     )
     return row, None
 
@@ -298,7 +259,7 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
     for t_index, T in enumerate(config.t_values):
         trial_outcomes = flat[t_index * config.trials : (t_index + 1) * config.trials]
         for W in config.w_values:
-            row, failure = _aggregate_cell(config, T, W, trial_outcomes)
+            row, failure = _aggregate_cell(T, W, trial_outcomes)
             if row is not None:
                 rows.append(row)
             if failure is not None:
@@ -306,25 +267,23 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
     return GridResult(rows=tuple(rows), failures=tuple(failures))
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _csv_cell(value, kind: str) -> str:
+    return format(float(value), ".17g") if kind == "float" else str(int(value))
+
+
+_PARSE_CELL = {"int": int, "float": float, "bool": lambda text: bool(int(text))}
 
 
 def emit_csv(result: GridResult, path) -> None:
     """Write the grid as CSV, one row per cell, sorted by (T, W).
 
     Floats are printed with 17 significant digits so parsing reproduces
-    them exactly.
+    them exactly; bools print as 0 or 1.
     """
     rows = sorted(result.rows, key=lambda r: (r.T, r.W))
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(
-            f"{r.T},{r.W},{_fmt(r.phi_mean)},{_fmt(r.phi_stderr)},"
-            f"{_fmt(r.regret_ours_mean)},{_fmt(r.regret_mpc_mean)},"
-            f"{_fmt(r.bound)},{_fmt(r.margin_min)},"
-            f"{int(r.sufficient_condition)},{r.excluded_trials},{int(r.clamped)}"
-        )
+        lines.append(",".join(_csv_cell(getattr(r, n), kind) for n, kind in _COLUMNS))
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write("\n".join(lines) + "\n")
@@ -340,33 +299,12 @@ def parse_csv(path) -> GridResult:
         raise ValueError(f"unrecognized CSV header in {path}")
     rows = []
     for line in lines[1:]:
-        parts = line.split(",")
-        rows.append(
-            GridRow(
-                T=int(parts[0]),
-                W=int(parts[1]),
-                phi_mean=float(parts[2]),
-                phi_stderr=float(parts[3]),
-                regret_ours_mean=float(parts[4]),
-                regret_mpc_mean=float(parts[5]),
-                bound=float(parts[6]),
-                margin_min=float(parts[7]),
-                sufficient_condition=bool(int(parts[8])),
-                excluded_trials=int(parts[9]),
-                clamped=bool(int(parts[10])),
-            )
-        )
+        cells = zip(line.split(","), _COLUMNS)
+        rows.append(GridRow(*(_PARSE_CELL[kind](text) for text, (_, kind) in cells)))
     return GridResult(rows=tuple(rows))
 
 
-_METRICS = (
-    "phi_mean",
-    "phi_stderr",
-    "regret_ours_mean",
-    "regret_mpc_mean",
-    "bound",
-    "margin_min",
-)
+_METRICS = tuple(name for name, kind in _COLUMNS if kind == "float")
 
 
 def _diverging_color(value: float, scale: float) -> str:

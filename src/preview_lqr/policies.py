@@ -37,7 +37,8 @@ from .riccati import (
 )
 from .systems import LinearSystem, _freeze, spectral_radius
 
-DEFAULT_TRACKING_POLES_4 = (1e-3, 6e-3, 4e-3, 3e-3)
+# The pendulum benchmark's tracking-gain poles.
+DEFAULT_POLES = (1e-3, 6e-3, 4e-3, 3e-3)
 
 # Freeze indices per eigvalsh batch of ``FrozenPlanner.alpha_top``: at
 # T = 1000 and n = 4 a block of A'PA matrices is about 4 MB.
@@ -67,8 +68,8 @@ class PolicyConfig:
 
 def default_tracking_poles(n: int):
     """Small real pole set used for the benchmark tracking gains."""
-    if n == 4:
-        return DEFAULT_TRACKING_POLES_4
+    if n == len(DEFAULT_POLES):
+        return DEFAULT_POLES
     return tuple(1e-3 * (i + 1) for i in range(n))
 
 

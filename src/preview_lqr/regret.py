@@ -4,8 +4,10 @@ Dynamic regret is the cost of a policy's trajectory minus the cost of the
 clairvoyant trajectory on the same instance. A quadratic-form identity
 rewrites the disturbance-free regret as a weighted sum of deviations from
 the optimal feedback along the policy's own states, which gives an
-independent evaluation route. Monte-Carlo aggregation over disturbance
-draws uses deterministic per-trial substreams.
+independent evaluation route. ``paired_regrets`` measures the tracking
+policy and the baseline on one realization for every paired comparison.
+Monte-Carlo aggregation over disturbance draws uses deterministic per-trial
+substreams.
 """
 
 from __future__ import annotations
@@ -127,6 +129,37 @@ def expected_regret_mc(
     )
 
 
+def paired_regrets(
+    planner: FrozenPlanner,
+    cfg: PolicyConfig,
+    bounds: CostBounds,
+    P_max,
+    w=None,
+    opt_cost: float | None = None,
+) -> tuple[float, float]:
+    """(tracking regret, baseline regret) of both policies on one realization.
+
+    Both run on the planner's instance with disturbances ``w``, the baseline
+    with terminal value ``P_max``. Without disturbances the regrets come from
+    the control-deviation identity on the planner's true pass, which is exact
+    there and sums nonnegative terms, so no cancellation between near-equal
+    costs drowns a tiny regret. With disturbances a regret is the cost above
+    the clairvoyant comparator's, ``opt_cost`` when given.
+    """
+    sys, schedule = planner.sys, planner.schedule
+    ours = prediction_tracking_policy(sys, schedule, cfg, w, planner=planner)
+    base = mpc_baseline_policy(sys, schedule, bounds, cfg.W, w, P_max=P_max)
+    true_sol = planner.solution(planner.T - 1)
+    if w is None:
+        return (
+            regret_via_control_deviation(ours, sys, schedule, solution=true_sol),
+            regret_via_control_deviation(base, sys, schedule, solution=true_sol),
+        )
+    if opt_cost is None:
+        opt_cost = clairvoyant_policy(sys, schedule, w, solution=true_sol).cost
+    return ours.cost - opt_cost, base.cost - opt_cost
+
+
 def phi_metric(
     sys: LinearSystem,
     schedule_spec,
@@ -136,16 +169,14 @@ def phi_metric(
     master_seed: int,
     dist: DisturbanceModel | None = None,
     poles=None,
-    baseline_bounds: CostBounds | None = None,
 ) -> float:
     """Mean paired regret gap: baseline regret minus tracking-policy regret.
 
     ``schedule_spec`` is either a fixed CostSchedule reused across trials or
     a CostBounds object from which a fresh schedule is drawn per trial. Both
-    policies run on identical schedule and disturbance realizations; trials
-    where either one overflows are dropped for both. Disturbance-free
-    regrets are evaluated through the control-deviation identity, which is
-    exact there and immune to cancellation between near-equal costs.
+    policies run on identical schedule and disturbance realizations, and
+    ``paired_regrets`` measures them; trials where either one overflows are
+    dropped for both.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
@@ -154,9 +185,7 @@ def phi_metric(
     )
     cfg = PolicyConfig(W, K_track)
     fixed_schedule = isinstance(schedule_spec, CostSchedule)
-    if baseline_bounds is not None:
-        bounds = baseline_bounds
-    elif fixed_schedule:
+    if fixed_schedule:
         ext = sequence_extrema(schedule_spec)
         bounds = CostBounds(ext.Qbar_min, ext.Qbar_max, ext.Rbar_min, ext.Rbar_max)
     else:
@@ -173,21 +202,13 @@ def phi_metric(
         if dist is not None:
             rng_w = generator(master_seed, "phi", "disturbance", T, W, trial)
             w = dist.sample(rng_w, T - 1)
-        planner = FrozenPlanner(sys, schedule)
         try:
-            ours = prediction_tracking_policy(sys, schedule, cfg, w, planner=planner)
-            base = mpc_baseline_policy(sys, schedule, bounds, W, w, P_max=P_max)
+            reg_ours, reg_base = paired_regrets(
+                FrozenPlanner(sys, schedule), cfg, bounds, P_max, w
+            )
         except TrajectoryOverflowError:
             continue
-        if w is None:
-            true_sol = planner.solution(T - 1)
-            gaps.append(
-                regret_via_control_deviation(base, sys, schedule, solution=true_sol)
-                - regret_via_control_deviation(ours, sys, schedule, solution=true_sol)
-            )
-        else:
-            opt = clairvoyant_policy(sys, schedule, w)
-            gaps.append((base.cost - opt.cost) - (ours.cost - opt.cost))
+        gaps.append(reg_base - reg_ours)
     if not gaps:
         raise AllTrialsFailedError(f"all {trials} trials overflowed")
     return float(np.mean(gaps))

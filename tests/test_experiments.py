@@ -1,4 +1,6 @@
+import dataclasses
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -88,6 +90,33 @@ class TestEmitCsv:
         parsed = parse_csv(path)
         keys = [(r.T, r.W) for r in parsed.rows]
         assert keys == sorted(keys)
+
+    def test_header_and_round_trip_cover_every_field_type(self, tmp_path):
+        # The columns are GridRow's fields; extreme values of each kind
+        # (int, float, bool) come back unchanged.
+        assert CSV_HEADER.split(",") == [f.name for f in dataclasses.fields(GridRow)]
+        edge = (5e-324, -0.0, math.inf, -math.inf, math.nan, 1.0 / 3.0)
+        rows = tuple(
+            GridRow(
+                T=10**12 + i, W=i, phi_mean=v, phi_stderr=-v, regret_ours_mean=v,
+                regret_mpc_mean=1.7976931348623157e308, bound=v, margin_min=v,
+                sufficient_condition=i % 2 == 0, excluded_trials=10**9 * i,
+                clamped=i % 2 == 1,
+            )
+            for i, v in enumerate(edge)
+        )
+        path = tmp_path / "edge.csv"
+        emit_csv(GridResult(rows=rows), path)
+        parsed = parse_csv(path).rows
+        assert len(parsed) == len(rows)
+        for got, want in zip(parsed, rows):
+            for f in dataclasses.fields(GridRow):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                assert type(a) is type(b)
+                assert repr(a) == repr(b), f.name
+        again = tmp_path / "again.csv"
+        emit_csv(GridResult(rows=parsed), again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_write_error_has_path_context(self, tmp_path):
         with pytest.raises(OSError, match="no/such"):
@@ -212,6 +241,22 @@ class TestRunGrid:
         monkeypatch.setattr(experiments, "clairvoyant_policy", per_trial)
         assert run_grid(cfg) == shared
 
+    def test_least_margin_trial_supplies_bound_first_on_ties(self):
+        # Outcomes are (regret_ours, regret_baseline, bound, sufficient_condition).
+        outcomes = [
+            {0: "ValueError: first"},
+            {0: (1.0, 2.0, 9.0, False)},
+            {0: (2.0, 3.0, 6.0, True)},  # margin 4, tied with the next trial
+            {0: (0.0, 1.0, 4.0, False)},
+            {0: "ValueError: second"},
+        ]
+        row, failure = experiments._aggregate_cell(12, 0, outcomes)
+        assert failure is None
+        assert (row.bound, row.margin_min, row.sufficient_condition) == (6.0, 4.0, True)
+        assert row.excluded_trials == 2
+        row, failure = experiments._aggregate_cell(12, 0, [outcomes[0], outcomes[4]])
+        assert row is None and failure == (12, 0, "ValueError: first")
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             small_config(scenario="unknown")
@@ -255,6 +300,40 @@ class TestCli:
         assert cli_main(args + ["--out", str(out_b), "--workers", "2"]) == 0
         assert (out_a / "pendulum.csv").read_bytes() == (out_b / "pendulum.csv").read_bytes()
         assert (out_a / "pendulum.svg").read_bytes() == (out_b / "pendulum.svg").read_bytes()
+
+    @pytest.mark.parametrize(
+        "command, scenario",
+        [
+            ("pendulum-grid", "pendulum"),
+            ("random-grid", "random"),
+            ("disturbance-grid", "pendulum-disturbance"),
+        ],
+    )
+    def test_grid_defaults_are_the_library_defaults(
+        self, tmp_path, monkeypatch, command, scenario
+    ):
+        # With no flags and no config file the grid runs on
+        # ExperimentConfig's own defaults and run_grid's worker count.
+        calls = []
+
+        def capture(config, **kwargs):
+            calls.append((config, kwargs))
+            return GridResult(rows=())
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(cli, "run_grid", capture)
+        assert cli_main([command]) == 0
+        (got, kwargs), = calls
+        assert kwargs == {}
+        want = ExperimentConfig(scenario=scenario)
+        for f in dataclasses.fields(ExperimentConfig):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            if f.name == "bounds":
+                for name in ("Q_min", "Q_max", "R_min", "R_max"):
+                    np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+            else:
+                assert a == b, f.name
+        assert (tmp_path / want.output_dir / f"{scenario}.csv").exists()
 
     def test_usage_error_exit_code(self, capsys):
         assert cli_main(["pendulum-grid", "--no-such-flag"]) == 2

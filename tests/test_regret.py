@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
-from preview_lqr.costs import CostBounds, CostSchedule, random_uniform_schedule
+from preview_lqr.costs import (
+    CostBounds,
+    CostSchedule,
+    random_uniform_schedule,
+    sequence_extrema,
+)
+from preview_lqr.experiments import pendulum_cost_bounds
 from preview_lqr.policies import (
     FrozenPlanner,
     PolicyConfig,
     clairvoyant_policy,
+    default_tracking_poles,
+    mpc_baseline_policy,
     prediction_tracking_policy,
 )
 from preview_lqr.regret import (
@@ -21,11 +29,13 @@ from preview_lqr.riccati import (
     TrajectoryOverflowError,
     backward_riccati,
     schedule_cost,
+    solve_dare,
 )
 from preview_lqr.seeding import generator
 from preview_lqr.systems import (
     DisturbanceModel,
     LinearSystem,
+    inverted_pendulum,
     place_poles_single_input,
     random_controllable_system,
 )
@@ -299,6 +309,74 @@ class TestPhiMetric:
         sched = scalar_schedule(1.0, 1.0, 12)
         phi = phi_metric(sys_, sched, 12, 2, trials=2, master_seed=0, poles=[0.1])
         assert abs(phi) <= 1e-8
+
+
+def reference_phi_metric(sys, schedule_spec, T, W, trials, master_seed, dist=None, poles=None):
+    # phi_metric as written before paired_regrets: both policies run inline,
+    # and a noisy trial solves its comparator's backward pass itself.
+    K_track = place_poles_single_input(
+        sys, poles if poles is not None else default_tracking_poles(sys.n)
+    )
+    cfg = PolicyConfig(W, K_track)
+    fixed_schedule = isinstance(schedule_spec, CostSchedule)
+    if fixed_schedule:
+        ext = sequence_extrema(schedule_spec)
+        bounds = CostBounds(ext.Qbar_min, ext.Qbar_max, ext.Rbar_min, ext.Rbar_max)
+    else:
+        bounds = schedule_spec
+    P_max = solve_dare(sys.A, sys.B, bounds.Q_max, bounds.R_max)
+    gaps = []
+    for trial in range(trials):
+        if fixed_schedule:
+            schedule = schedule_spec
+        else:
+            rng = generator(master_seed, "phi", "schedule", T, W, trial)
+            schedule = random_uniform_schedule(schedule_spec, T, rng)
+        w = None
+        if dist is not None:
+            rng_w = generator(master_seed, "phi", "disturbance", T, W, trial)
+            w = dist.sample(rng_w, T - 1)
+        planner = FrozenPlanner(sys, schedule)
+        try:
+            ours = prediction_tracking_policy(sys, schedule, cfg, w, planner=planner)
+            base = mpc_baseline_policy(sys, schedule, bounds, W, w, P_max=P_max)
+        except TrajectoryOverflowError:
+            continue
+        if w is None:
+            true_sol = planner.solution(T - 1)
+            gaps.append(
+                regret_via_control_deviation(base, sys, schedule, solution=true_sol)
+                - regret_via_control_deviation(ours, sys, schedule, solution=true_sol)
+            )
+        else:
+            opt = clairvoyant_policy(sys, schedule, w)
+            gaps.append((base.cost - opt.cost) - (ours.cost - opt.cost))
+    return float(np.mean(gaps))
+
+
+class TestPhiMetricMatchesReference:
+    """``phi_metric`` through ``paired_regrets`` equals the inline loop bit for bit."""
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_pendulum(self, noisy):
+        dist = DisturbanceModel(25.0 * np.eye(4)) if noisy else None
+        args = (inverted_pendulum(), pendulum_cost_bounds(), 30, 3, 3, 1, dist)
+        assert phi_metric(*args) == reference_phi_metric(*args)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_fixed_schedule(self, noisy):
+        dist = DisturbanceModel(25.0 * np.eye(4)) if noisy else None
+        sched = random_uniform_schedule(pendulum_cost_bounds(), 25, np.random.default_rng(4))
+        args = (inverted_pendulum(), sched, 25, 5, 2, 2, dist)
+        assert phi_metric(*args) == reference_phi_metric(*args)
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_random_system(self, noisy):
+        sys_ = random_controllable_system(3, 1, 0.0, 2.0, np.random.default_rng(1))
+        bounds = CostBounds(0.5 * np.eye(3), 3.0 * np.eye(3), [[0.4]], [[1.8]])
+        dist = DisturbanceModel(np.eye(3)) if noisy else None
+        args = (sys_, bounds, 25, 4, 3, 0, dist, (0.1, 0.2, 0.3))
+        assert phi_metric(*args) == reference_phi_metric(*args)
 
 
 class TestRegretReport:
