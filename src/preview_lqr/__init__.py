@@ -54,7 +54,6 @@ from .regret import (
     expected_regret_mc,
     paired_regrets,
     phi_metric,
-    regret,
     regret_via_control_deviation,
 )
 from .riccati import (

@@ -41,14 +41,20 @@ from .systems import LinearSystem, _freeze, spectral_radius
 DEFAULT_POLES = (1e-3, 6e-3, 4e-3, 3e-3)
 
 # Freeze indices per eigvalsh batch of ``FrozenPlanner.alpha_top``: at
-# T = 1000 and n = 4 a block of A'PA matrices is about 4 MB.
+# T = 1000 and n = 4 a block of screen products is about 4 MB.
 ALPHA_BLOCK = 32
-# Relative slack of the Frobenius screen in ``FrozenPlanner.alpha_top``:
-# a computed top eigenvalue exceeds ||M||_F by at most O(n eps), far below it.
+# Relative slack of the Frobenius screen in ``FrozenPlanner.alpha_top``: a
+# computed top eigenvalue exceeds the bound on ||M||_F by O(n^2 eps) at most.
 ALPHA_SCREEN_MARGIN = 1e-8
-# Below this candidate eigenvalue the squares in ||M||_F can underflow, so
-# the screen keeps every matrix of the pass.
+# Below this candidate eigenvalue the squares in the screen's bound can
+# underflow, so the screen keeps every matrix of the pass.
 ALPHA_SCREEN_FLOOR = 1e-140
+
+
+def _symmetrized_apa(A, P):
+    """The symmetrized (A'P)A of every matrix in the stack P, as ``eigvalsh`` sees it."""
+    APA = A.T @ P @ A
+    return 0.5 * (APA + np.swapaxes(APA, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -96,7 +102,9 @@ class FrozenPlanner:
     T passes. ``prepare()`` solves them once, as read-only stacks indexed
     by freeze index: value matrices ``P`` (T, T, n, n), gains ``K``
     (T, T-1, m, n), and the nominal plans' states ``X`` (T, T, n) and
-    controls ``U`` (T, T-1, m). Known disturbances only add affine terms
+    controls ``U`` (T, T-1, m), each plan only to its freeze index s, the
+    last entry the tracker reads (zero above it; ``nominal_plan(s)``
+    continues the later rows). Known disturbances only add affine terms
     on top of these passes.
 
     ``plan(t, W, known_w)`` is the single-time API: the full-horizon plan
@@ -120,23 +128,23 @@ class FrozenPlanner:
         self._alpha_top = self._extrema = None
 
     def prepare(self):
-        """Solve every frozen pass and roll out its nominal plan, once."""
+        """Solve every frozen pass and roll out each nominal plan to its freeze index, once."""
         if self.P is not None:
             return
         P, K = frozen_backward_sweep(self.sys, self.schedule)
         T, n, m = self.T, self.sys.n, self.sys.m
-        AT = self.sys.A.T.copy()
-        BT = self.sys.B.T.copy()
-        X = np.empty((T, T, n))
-        U = np.empty((T, T - 1, m))
+        AT, BT = self.sys.A.T.copy(), self.sys.B.T.copy()
+        X, U = np.zeros((T, T, n)), np.zeros((T, T - 1, m))
         X[:, 0] = self.sys.x0
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(T - 1):
-                U[:, i] = (K[:, i] @ X[:, i, :, None])[..., 0]
-                X[:, i + 1] = X[:, i] @ AT + U[:, i] @ BT
-        if not np.all(np.isfinite(X)):
-            bad = int(np.argwhere(~np.isfinite(X).all(axis=(0, 2)))[0, 0])
-            raise TrajectoryOverflowError(bad, "non-finite planned state")
+                # Plans i..T-1 advance. Plan i's next state is computed and
+                # dropped, so the product keeps two rows or more: one row
+                # goes to gemv, which rounds unlike gemm.
+                U[i:, i] = (K[i:, i] @ X[i:, i, :, None])[..., 0]
+                X[i + 1 :, i + 1] = (X[i:, i] @ AT + U[i:, i] @ BT)[1:]
+                if not np.isfinite(X[i + 1 :, i + 1]).all():
+                    raise TrajectoryOverflowError(i + 1, "non-finite planned state")
         for stack in (P, K, X, U):
             stack.setflags(write=False)
         self.P, self.K, self.X, self.U = P, K, X, U
@@ -149,39 +157,53 @@ class FrozenPlanner:
         maximum of entries min(W, T-1)..T-1. Built once, ``ALPHA_BLOCK``
         freeze indices per batch; read-only.
 
-        A Frobenius screen runs ``eigvalsh`` only on the matrices that can
-        hold a pass's maximum, and the result is bit for bit that of
-        ``eigvalsh`` on every matrix. For symmetric M, lambda_max(M) <=
-        ||M||_2 <= ||M||_F. Per pass, the matrix of largest ||M||_F (NaN
-        counting as largest) gives a candidate low_s = lambda_max, and a
-        matrix is skipped only when ||M||_F (1 + ALPHA_SCREEN_MARGIN) <
-        low_s. ``eigvalsh`` is backward stable, so its computed top
-        eigenvalue is at most ||M||_F (1 + O(n eps)) and the margin never
-        skips the maximizer. Its result for one matrix does not depend on
-        the rest of the batch, and the matrices are formed as without the
-        screen, so the kept ones give the same values. A NaN norm or
-        candidate fails the comparisons and keeps the matrix, and a pass
-        whose candidate is below ``ALPHA_SCREEN_FLOOR``, where the squares
-        can underflow, is kept whole. An infinite candidate is already its
-        pass's maximum, and the matrices it skips have finite norms, so
-        none of them could have made that maximum NaN.
+        A screen forms A'PA and runs ``eigvalsh`` only where a pass's
+        maximum can be, and the result is bit for bit that of ``eigvalsh``
+        on every matrix. One flattened gemm gives q = vec(P)' (S kron S)
+        vec(P) = ||A'PA||_F^2, S = AA'. By Higham's dot-product bounds
+        (*Accuracy and Stability of Numerical Algorithms*, ch. 3), rounding
+        moves q by at most e1 ||P||_F^2, e1 = gamma_(2n^2+2n+2) || |A||A|'
+        ||_2^2, and the formed (A'P)A, C, lies within e2 ||P||_F of A'PA,
+        e2 = gamma_2n || |A| ||_2^2. So ub = sqrt(max(q, 0) + e1 ||P||_F^2)
+        + e2 ||P||_F >= ||C||_F, and C symmetrized, the M that ``eigvalsh``
+        sees, has lambda_max(M) <= ||M||_F <= ||C||_F (1 + u). Per pass the
+        matrix of largest ub (NaN counting as largest) gives a candidate
+        low_s = lambda_max, and a matrix is skipped only when
+        ub (1 + ALPHA_SCREEN_MARGIN) < low_s, which covers ``eigvalsh``'s
+        backward error, so the maximizer is never skipped. Formed matrices
+        are formed as without the screen and ``eigvalsh`` treats each one
+        alone, so they give the same values. A NaN or infinite ub, or a NaN
+        candidate, keeps the matrix; a pass whose candidate is below
+        ``ALPHA_SCREEN_FLOOR``, where q could underflow, is kept whole. An
+        infinite candidate is its pass's maximum, and the matrices it skips
+        have finite ub, so none could have made that maximum NaN.
         """
         if self._alpha_top is None:
             self.prepare()
-            A, T = self.sys.A, self.T
+            A, T, n = self.sys.A, self.T, self.sys.n
             hi = T - 1 if T <= 2 else T - 2
+            # gamma_k = k u / (1 - k u) <= 1.01 k u for the k here.
+            u, absA = 1.01 * np.finfo(float).epsneg, np.abs(A)
+            e1 = (2 * n * n + 2 * n + 2) * u * np.linalg.norm(absA @ absA.T, 2) ** 2
+            e2 = 2 * n * u * np.linalg.norm(absA, 2) ** 2
+            G = np.kron(A @ A.T, A @ A.T)
             top = np.empty(T)
             for s in range(0, T, ALPHA_BLOCK):
-                APA = A.T @ self.P[s : s + ALPHA_BLOCK, 1 : hi + 1] @ A
-                APA = 0.5 * (APA + np.swapaxes(APA, -1, -2))
+                P = self.P[s : s + ALPHA_BLOCK, 1 : hi + 1]
+                rows = np.arange(len(P))[:, None]
+                flat = P.reshape(P.shape[:2] + (n * n,))
                 with np.errstate(over="ignore", invalid="ignore"):
-                    fro = np.sqrt(np.einsum("...ij,...ij->...", APA, APA))
-                    cand = APA[np.arange(len(APA)), fro.argmax(axis=-1)]
-                    low = np.linalg.eigvalsh(cand)[:, -1, None]
-                    skip = fro * (1.0 + ALPHA_SCREEN_MARGIN) < low
-                skip &= low >= ALPHA_SCREEN_FLOOR
-                eig = np.full(skip.shape, -np.inf)
-                eig[~skip] = np.linalg.eigvalsh(APA[~skip])[:, -1]
+                    sq = np.einsum("...k,...k->...", flat, flat)
+                    q = np.einsum("...k,...k->...", flat @ G, flat)
+                    ub = np.sqrt(np.maximum(q, 0.0) + e1 * sq) + e2 * np.sqrt(sq)
+                    cand = ub.argmax(axis=-1)[:, None]
+                    low = np.linalg.eigvalsh(_symmetrized_apa(A, P[rows, cand]))[..., -1]
+                    keep = ~(ub * (1.0 + ALPHA_SCREEN_MARGIN) < low)
+                keep |= low < ALPHA_SCREEN_FLOOR
+                keep[rows, cand] = False
+                eig = np.full(keep.shape, -np.inf)
+                eig[rows, cand] = low
+                eig[keep] = np.linalg.eigvalsh(_symmetrized_apa(A, P[keep]))[:, -1]
                 top[s : s + ALPHA_BLOCK] = eig.max(axis=-1)
             top.setflags(write=False)
             self._alpha_top = top
@@ -214,10 +236,27 @@ class FrozenPlanner:
         return RiccatiSolution(self.P[s], self.K[s], frozen_schedule(self.schedule, s, 0))
 
     def nominal_plan(self, s: int):
-        """Disturbance-free plan (states, controls) from the initial state."""
+        """Disturbance-free plan (states, controls) from the initial state.
+
+        Rows 0..s are stored. Later rows continue row s with the gains of
+        pass s, by ``prepare``'s expressions on two copies of the row, so
+        they are the full-horizon rollout's, bit for bit.
+        """
         self.prepare()
-        s = min(int(s), self.T - 1)
-        return self.X[s], self.U[s]
+        T, s = self.T, min(int(s), self.T - 1)
+        X, U, K = self.X[s].copy(), self.U[s].copy(), self.K[s]
+        AT, BT = self.sys.A.T.copy(), self.sys.B.T.copy()
+        x = np.stack([X[s], X[s]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(s, T - 1):
+                u = (K[i] @ x[:, :, None])[..., 0]
+                x = x @ AT + u @ BT
+                U[i], X[i + 1] = u[0], x[0]
+                if not np.isfinite(x[0]).all():
+                    raise TrajectoryOverflowError(i + 1, "non-finite planned state")
+        X.setflags(write=False)
+        U.setflags(write=False)
+        return X, U
 
     def plan(self, t: int, W: int, known_w=None):
         """Full-horizon plan at time t with preview W.

@@ -225,8 +225,9 @@ def state_deviation_suite(instances, tol: float = 1e-9) -> CheckResult:
         )
         opt = clairvoyant_policy(inst.sys, inst.schedule)
         pref = c.C**2 * c.C_K * x0_norm * g**W / (g - 1.0)
+        # Row t is entry t of the plan made at time t, as the planner stores it.
+        plan_x = np.vstack([inst.planner.plan_points(W)[0], inst.planner.X[T - 1, T - 1]])
         for t in range(1, T):
-            plan_x = inst.planner.nominal_plan(t + W)[0]
             pred_gap = float(np.linalg.norm(plan_x[t] - opt.x[t]))
             pred_bound = pref * (e ** (t - 1) * g * (g**t - 1.0))
             worst = min(worst, pred_bound - pred_gap)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from preview_lqr import policies
 from preview_lqr.bounds import (
     BoundConstants,
     DegenerateConstantsError,
@@ -345,6 +346,24 @@ def hand_built_planner(A, P):
     return planner
 
 
+def cancelling_planner(seed, n, T):
+    """A planner whose A'PA sums cancel: |A|'|P||A| is far above |A'PA|.
+
+    Every P[s, i] has a large mixed-sign direction v, and the columns of
+    the mixed-sign A are all but orthogonal to v, so (A'P)A is small
+    against the rounding of its formation (for n = 1 nothing cancels).
+    """
+    rng = np.random.default_rng(seed)
+    v = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.5, n)
+    A = rng.uniform(-1.2, 1.2, (n, n))
+    A -= np.outer(v, v @ A) / (v @ v)
+    A += 1e-7 * rng.uniform(-1.0, 1.0, (n, n))
+    M = rng.uniform(-1.0, 1.0, (T, T, n, n))
+    big = 10.0 ** rng.uniform(6.0, 14.0, (T, T, 1, 1))
+    P = big * np.outer(v, v) + M @ np.swapaxes(M, -1, -2)
+    return hand_built_planner(A, P)
+
+
 class TestAlphaScreen:
     """The Frobenius screen of ``FrozenPlanner.alpha_top`` changes no bit."""
 
@@ -353,15 +372,21 @@ class TestAlphaScreen:
         st.integers(1, 4),
         st.integers(1, 2),
         st.integers(2, 80),
-        st.sampled_from(["chain", "free"]),
+        st.sampled_from(["chain", "free", "cancelling"]),
         st.integers(0, 2**32 - 1),
     )
     @example(4, 1, 80, "chain", 0)
     @example(4, 2, 80, "free", 1)
     @example(1, 1, 2, "chain", 2)
+    @example(4, 1, 80, "cancelling", 3)
+    @example(2, 1, 40, "cancelling", 4)
     def test_matches_unscreened_loop(self, n, m, T, kind, seed):
-        sys_, sched, _, _ = constants_instance(seed, n, m, T, kind)
-        assert_screen_exact(FrozenPlanner(sys_, sched))
+        if kind == "cancelling":
+            planner = cancelling_planner(seed, n, T)
+        else:
+            sys_, sched, _, _ = constants_instance(seed, n, m, T, kind)
+            planner = FrozenPlanner(sys_, sched)
+        assert_screen_exact(planner)
 
     def test_constant_schedule_ties(self):
         # Every pass is the same, so every pass's screen values tie.
@@ -427,6 +452,22 @@ class TestAlphaScreen:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         planner.alpha_top()
         assert sum(seen) <= 0.10 * T * (T - 2)
+
+    def test_few_products_are_formed(self, monkeypatch):
+        T = 400
+        sys_, _, sched, _ = pendulum_setup(T, seed=2)
+        planner = FrozenPlanner(sys_, sched)
+        planner.prepare()
+        formed = []
+        symmetrized_apa = policies._symmetrized_apa
+
+        def counting(A, P):
+            formed.append(int(np.prod(np.shape(P)[:-2])))
+            return symmetrized_apa(A, P)
+
+        monkeypatch.setattr(policies, "_symmetrized_apa", counting)
+        np.testing.assert_array_equal(planner.alpha_top(), unscreened_alpha_top(planner))
+        assert sum(formed) <= 0.10 * T * (T - 2)
 
 
 def high_precision_bound(c, T, W, x0):

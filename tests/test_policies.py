@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -21,6 +23,7 @@ from preview_lqr.riccati import (
     TrajectoryOverflowError,
     backward_riccati,
     brute_force_lqr_oracle,
+    frozen_backward_sweep,
     rollout,
     schedule_cost,
     solve_dare,
@@ -495,3 +498,119 @@ class TestFrozenPlanner:
         with pytest.raises(ValueError):
             us[3] = 0.0
         np.testing.assert_array_equal(planner.plan_points(2)[0], rows)
+
+
+def full_rollout_plans(sys_, sched):
+    """Every frozen pass's nominal plan over the whole horizon, in one batch.
+
+    The rollout ``FrozenPlanner.prepare`` ran before it stopped each plan
+    at its freeze index, kept as the reference for the stored rows.
+    """
+    P, K = frozen_backward_sweep(sys_, sched)
+    T, n, m = sched.horizon, sys_.n, sys_.m
+    AT, BT = sys_.A.T.copy(), sys_.B.T.copy()
+    X = np.empty((T, T, n))
+    U = np.empty((T, T - 1, m))
+    X[:, 0] = sys_.x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(T - 1):
+            U[:, i] = (K[:, i] @ X[:, i, :, None])[..., 0]
+            X[:, i + 1] = X[:, i] @ AT + U[:, i] @ BT
+    return X, U
+
+
+def first_bad_stored_index(X):
+    """The first t with a non-finite X[s, t] for some s >= t, or None."""
+    T = X.shape[0]
+    bad = [t for t in range(T) if not np.isfinite(X[t:, t]).all()]
+    return bad[0] if bad else None
+
+
+def stalled_plans_instance():
+    # Plans frozen before index 2 see no state cost after it, so they
+    # leave the unstable state alone and overflow near t = 28, above
+    # their freeze index. Plans frozen at 2..4 see a unit state cost
+    # for good and stay bounded. Later plans are steered down by that
+    # cost, then left alone from index 5 on, and overflow much later.
+    T = 60
+    sys_ = scalar_system(2.0, 1.0, 1e300)
+    q = np.full(T, 1e-300)
+    q[2:5] = 1.0
+    sched = CostSchedule(
+        tuple(np.array([[v]]) for v in q), tuple(np.eye(1) for _ in range(T - 1))
+    )
+    return sys_, sched
+
+
+class TestPlanStore:
+    """Each plan is stored to its freeze index and continued on demand."""
+
+    @plan_settings
+    @given(
+        st.integers(1, 4), st.integers(1, 2), st.integers(2, 60), st.integers(0, 2**32 - 1)
+    )
+    @example(1, 1, 2, 0)
+    @example(4, 2, 2, 1)
+    @example(3, 1, 3, 2)
+    @example(2, 2, 3, 3)
+    def test_rows_match_full_rollout(self, n, m, T, seed):
+        sys_, sched, _ = random_instance(seed, n, m, T)
+        planner = FrozenPlanner(sys_, sched)
+        X, U = full_rollout_plans(sys_, sched)
+        for s in range(T):
+            xs, us = planner.nominal_plan(s)
+            np.testing.assert_array_equal(xs, X[s])
+            np.testing.assert_array_equal(us, U[s])
+        t_all = np.arange(T - 1)
+        for W in range(T - 1):
+            s_of = np.minimum(t_all + W, T - 1)
+            xs, us = planner.plan_points(W)
+            np.testing.assert_array_equal(xs, X[s_of, t_all])
+            np.testing.assert_array_equal(us, U[s_of, t_all])
+
+    def test_overflow_above_the_diagonal_is_not_read(self):
+        sys_, sched = stalled_plans_instance()
+        X, _ = full_rollout_plans(sys_, sched)
+        first_any = int(np.argwhere(~np.isfinite(X).all(axis=(0, 2)))[0, 0])
+        first_stored = first_bad_stored_index(X)
+        assert first_any < first_stored
+        planner = FrozenPlanner(sys_, sched)
+        with pytest.raises(TrajectoryOverflowError) as info:
+            planner.prepare()
+        assert info.value.time_index == first_stored
+        assert str(info.value) == "non-finite planned state"
+
+    def test_prepare_succeeds_when_only_continuations_overflow(self):
+        sys_, sched = stalled_plans_instance()
+        # Cut before the later plans overflow: only plans 0 and 1 do.
+        sched = CostSchedule(sched.Q[:34], sched.R[:33])
+        X, U = full_rollout_plans(sys_, sched)
+        assert first_bad_stored_index(X) is None
+        planner = FrozenPlanner(sys_, sched)
+        planner.prepare()
+        overflowing = 0
+        for s in range(sched.horizon):
+            if np.isfinite(X[s]).all():
+                xs, us = planner.nominal_plan(s)
+                np.testing.assert_array_equal(xs, X[s])
+                np.testing.assert_array_equal(us, U[s])
+                continue
+            overflowing += 1
+            bad = int(np.argwhere(~np.isfinite(X[s]).all(axis=1))[0, 0])
+            with pytest.raises(TrajectoryOverflowError) as info:
+                planner.nominal_plan(s)
+            assert info.value.time_index == bad
+        assert overflowing == 2
+
+    def test_prepare_allocates_only_the_stacks(self):
+        # A full-size mask or copy of the plan stacks would show here.
+        sys_, sched, _ = random_instance(5, 4, 1, 300)
+        planner = FrozenPlanner(sys_, sched)
+        tracemalloc.start()
+        try:
+            planner.prepare()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        stored = sum(a.nbytes for a in (planner.P, planner.K, planner.X, planner.U))
+        assert peak <= 1.1 * stored

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import preview_lqr
+
 from preview_lqr.costs import (
     CostBounds,
     CostSchedule,
@@ -384,3 +386,9 @@ class TestRegretReport:
         report = RegretReport(regret=1.0, cost_policy=3.0, cost_optimal=2.0)
         assert report.trials == 1
         assert report.excluded_trials == 0
+
+
+def test_package_attribute_is_the_regret_module():
+    # The package exports no function under the module's name.
+    assert preview_lqr.regret.phi_metric is phi_metric
+    assert preview_lqr.regret.regret is regret
