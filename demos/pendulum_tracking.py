@@ -5,7 +5,6 @@ import numpy as np
 
 from preview_lqr import (
     FrozenPlanner,
-    PolicyConfig,
     clairvoyant_policy,
     inverted_pendulum,
     paired_regrets,
@@ -37,8 +36,10 @@ def main():
     P_max = solve_dare(sys_.A, sys_.B, bounds.Q_max, bounds.R_max)
     print(f"\n{'W':>4}  {'regret (tracking)':>18}  {'regret (baseline)':>18}  {'gap':>12}")
     for W in (0, 2, 4, 6, 8, 12, 20):
-        cfg = PolicyConfig(W, K_track)
-        r_ours, r_base = paired_regrets(planner, cfg, bounds, P_max)
+        (pair,) = paired_regrets(planner, K_track, [W], P_max)
+        if isinstance(pair, Exception):
+            raise pair
+        r_ours, r_base = pair
         print(f"{W:>4}  {r_ours:>18.6e}  {r_base:>18.6e}  {r_base - r_ours:>12.3e}")
 
     print("\nThe tracking policy's regret collapses geometrically with W; the")

@@ -23,7 +23,7 @@ from .bounds import (
     sufficient_condition_check,
 )
 from .costs import CostBounds, random_uniform_schedule
-from .policies import DEFAULT_POLES, FrozenPlanner, PolicyConfig, clairvoyant_policy
+from .policies import DEFAULT_POLES, FrozenPlanner, clairvoyant_policy
 from .regret import paired_regrets
 from .riccati import DareConvergenceError, TrajectoryOverflowError, solve_dare
 from .seeding import generator
@@ -161,12 +161,11 @@ def _evaluate_trial(config: ExperimentConfig, T: int, trial: int):
     """One realization, swept over every requested preview length.
 
     One trial draws one (system, schedule, disturbance) realization and
-    runs both policies on it for each W, mirroring how the benchmark
-    surface is swept along the preview axis. Returns {W: outcome} where an
-    outcome is (regret_ours, regret_baseline, bound, sufficient_condition)
-    or an error string.
+    runs both policies on it for every W in one ``paired_regrets`` batch,
+    mirroring how the benchmark surface is swept along the preview axis.
+    Returns {W: outcome} where an outcome is (regret_ours, regret_baseline,
+    bound, sufficient_condition) or an error string.
     """
-    out = {}
     try:
         sys_, K_track = _trial_system(config, T, trial)
         P_max = solve_dare(sys_.A, sys_.B, config.bounds.Q_max, config.bounds.R_max)
@@ -188,25 +187,19 @@ def _evaluate_trial(config: ExperimentConfig, T: int, trial: int):
     except _TRIAL_ERRORS as err:
         reason = f"{type(err).__name__}: {err}"
         return {W: reason for W in config.w_values}
+    Ws = list(dict.fromkeys(min(W, T - 2) for W in config.w_values))
     computed = {}
-    for W in config.w_values:
-        W_eff = min(W, T - 2)
-        if W_eff not in computed:
-            try:
-                policy = PolicyConfig(W_eff, K_track)
-                reg_ours, reg_base = paired_regrets(
-                    planner, policy, config.bounds, P_max, w, opt_cost
-                )
-                constants = compute_bound_constants(
-                    sys_, schedule, K_track, W_eff, planner=planner
-                )
-                bound = regret_upper_bound(constants, T, W_eff, sys_.x0)
-                suff = sufficient_condition_check(constants, config.bounds, sys_)
-                computed[W_eff] = (reg_ours, reg_base, bound, suff)
-            except _TRIAL_ERRORS as err:
-                computed[W_eff] = f"{type(err).__name__}: {err}"
-        out[W] = computed[W_eff]
-    return out
+    for W_eff, pair in zip(Ws, paired_regrets(planner, K_track, Ws, P_max, w, opt_cost)):
+        try:
+            if isinstance(pair, Exception):
+                raise pair
+            constants = compute_bound_constants(sys_, schedule, K_track, W_eff, planner=planner)
+            bound = regret_upper_bound(constants, T, W_eff, sys_.x0)
+            suff = sufficient_condition_check(constants, config.bounds, sys_)
+            computed[W_eff] = (*pair, bound, suff)
+        except _TRIAL_ERRORS as err:
+            computed[W_eff] = f"{type(err).__name__}: {err}"
+    return {W: computed[min(W, T - 2)] for W in config.w_values}
 
 
 def _aggregate_cell(T: int, W: int, trial_outcomes):

@@ -27,6 +27,7 @@ from .riccati import (
     RiccatiSolution,
     Trajectory,
     TrajectoryOverflowError,
+    _only,
     affine_terms,
     backward_riccati,
     frozen_backward_sweep,
@@ -282,10 +283,7 @@ class FrozenPlanner:
         w_plan = np.zeros((self.T - 1, self.sys.n))
         w_plan[:upto] = w[:upto]
         k = affine_terms(self.sys, self.P, self.K, self.schedule.R, w_plan, [s], [t])[:, 0]
-        K = sol.K
-        traj = simulate(
-            self.sys, sol.schedule, lambda i, x: K[i] @ x + k[i], self.sys.x0, w_plan
-        )
+        traj = _only(simulate(self.sys, sol.schedule, sol.K, self.sys.x0, w_plan, l=k))
         return traj.x, traj.u
 
     def plan_points(self, W: int, w=None):
@@ -342,10 +340,9 @@ def clairvoyant_policy(
     if w is None or not np.any(w):
         return rollout(sys, sol, sys.x0)
     w = np.asarray(w, dtype=float)
-    K = sol.K
     last = schedule.horizon - 2
-    k = affine_terms(sys, sol.P[None], K[None], schedule.R, w, [0], [last])[:, 0]
-    return simulate(sys, schedule, lambda t, x: K[t] @ x + k[t], sys.x0, w)
+    k = affine_terms(sys, sol.P[None], sol.K[None], schedule.R, w, [0], [last])[:, 0]
+    return _only(simulate(sys, schedule, sol.K, sys.x0, w, l=k))
 
 
 def prediction_tracking_policy(
@@ -367,11 +364,26 @@ def prediction_tracking_policy(
     validate_policy_config(cfg, sys, schedule.horizon)
     if planner is None:
         planner = FrozenPlanner(sys, schedule)
-    xs_plan, us_plan = planner.plan_points(cfg.W, w)
-    K = cfg.K_track
-    return simulate(
-        sys, schedule, lambda t, x: K @ (x - xs_plan[t]) + us_plan[t], sys.x0, w
-    )
+    return _only(simulate(sys, schedule, cfg.K_track, sys.x0, w, *planner.plan_points(cfg.W, w)))
+
+
+def mpc_gains(sys: LinearSystem, schedule: CostSchedule, W: int, P_max) -> np.ndarray:
+    """The (T-1, m, n) gains of the baseline, whose window plans are pure quadratics.
+
+    The full windows t <= T-2-W run as one batch of W+1 steps from P_max; the
+    truncated ones end at T-1, so their gains come from one backward pass.
+    """
+    T = schedule.horizon
+    full = T - 1 - W
+    P = np.asarray(P_max, dtype=float)
+    for j in range(W, -1, -1):
+        P, K = riccati_step(P, sys.A, sys.B, schedule.Q[j : j + full], schedule.R[j : j + full])
+    gains = np.empty((T - 1, sys.m, sys.n))
+    gains[:full] = K
+    if W > 0:
+        tail = CostSchedule(schedule.Q[full:], schedule.R[full:], validate=False)
+        gains[full:] = backward_riccati(sys, tail).K
+    return gains
 
 
 def mpc_baseline_policy(
@@ -393,21 +405,6 @@ def mpc_baseline_policy(
     T = schedule.horizon
     if not 0 <= W <= T - 2:
         raise ValueError(f"W must satisfy 0 <= W <= T - 2 = {T - 2}, got {W}")
-    A, B = sys.A, sys.B
     if P_max is None:
-        P_max = solve_dare(A, B, bounds.Q_max, bounds.R_max)
-    # The window plan is a pure quadratic from the current state, so the
-    # applied control is state feedback with a precomputable gain. The
-    # full windows t <= T-2-W run as one batch, W+1 steps from P_max.
-    full = T - 1 - W
-    P = np.asarray(P_max, dtype=float)
-    for j in range(W, -1, -1):
-        P, K = riccati_step(P, A, B, schedule.Q[j : j + full], schedule.R[j : j + full])
-    gains = np.empty((T - 1, sys.m, sys.n))
-    gains[:full] = K
-    # A truncated window t > T-2-W ends at T-1, so its gain is step t of
-    # one backward pass from Q[T-1].
-    if W > 0:
-        tail = CostSchedule(schedule.Q[full:], schedule.R[full:], validate=False)
-        gains[full:] = backward_riccati(sys, tail).K
-    return simulate(sys, schedule, lambda t, x: gains[t] @ x, sys.x0, w)
+        P_max = solve_dare(sys.A, sys.B, bounds.Q_max, bounds.R_max)
+    return _only(simulate(sys, schedule, mpc_gains(sys, schedule, W, P_max), sys.x0, w))

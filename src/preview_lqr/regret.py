@@ -22,10 +22,10 @@ from .policies import (
     PolicyConfig,
     clairvoyant_policy,
     default_tracking_poles,
-    mpc_baseline_policy,
-    prediction_tracking_policy,
+    mpc_gains,
+    validate_policy_config,
 )
-from .riccati import Trajectory, TrajectoryOverflowError, backward_riccati, solve_dare
+from .riccati import Trajectory, TrajectoryOverflowError, backward_riccati, simulate, solve_dare
 from .seeding import generator
 from .systems import DisturbanceModel, LinearSystem, place_poles_single_input
 
@@ -129,35 +129,61 @@ def expected_regret_mc(
     )
 
 
-def paired_regrets(
-    planner: FrozenPlanner,
-    cfg: PolicyConfig,
-    bounds: CostBounds,
-    P_max,
-    w=None,
-    opt_cost: float | None = None,
-) -> tuple[float, float]:
-    """(tracking regret, baseline regret) of both policies on one realization.
+# The failures paired_regrets returns per preview length.
+PAIR_ERRORS = (ValueError, TrajectoryOverflowError, np.linalg.LinAlgError)
 
-    Both run on the planner's instance with disturbances ``w``, the baseline
-    with terminal value ``P_max``. Without disturbances the regrets come from
-    the control-deviation identity on the planner's true pass, which is exact
-    there and sums nonnegative terms, so no cancellation between near-equal
-    costs drowns a tiny regret. With disturbances a regret is the cost above
-    the clairvoyant comparator's, ``opt_cost`` when given.
+
+def paired_regrets(planner: FrozenPlanner, K_track, Ws, P_max, w=None, opt_cost=None) -> list:
+    """Per preview length Ws[j], (tracking regret, baseline regret) or the error met.
+
+    Both policies run on the planner's instance with disturbances ``w``, the
+    baseline with terminal value ``P_max``, all in one ``simulate`` batch.
+    Without disturbances the regrets come from the control-deviation identity
+    on the planner's true pass, exact there and a sum of nonnegative terms, so
+    no cancellation drowns a tiny regret; with them, a regret is the cost above
+    the comparator's, ``opt_cost`` when given. A W's error is the first of
+    ``PAIR_ERRORS`` met in its tracker, baseline, then regret. A ``w`` of the
+    wrong shape raises.
     """
-    sys, schedule = planner.sys, planner.schedule
-    ours = prediction_tracking_policy(sys, schedule, cfg, w, planner=planner)
-    base = mpc_baseline_policy(sys, schedule, bounds, cfg.W, w, P_max=P_max)
-    true_sol = planner.solution(planner.T - 1)
-    if w is None:
-        return (
-            regret_via_control_deviation(ours, sys, schedule, solution=true_sol),
-            regret_via_control_deviation(base, sys, schedule, solution=true_sol),
-        )
-    if opt_cost is None:
-        opt_cost = clairvoyant_policy(sys, schedule, w, solution=true_sol).cost
-    return ours.cost - opt_cost, base.cost - opt_cost
+    sys, schedule, T = planner.sys, planner.schedule, planner.T
+    if w is not None and np.shape(w) != (T - 1, sys.n):
+        raise ValueError(f"w must have shape {(T - 1, sys.n)}, got {np.shape(w)}")
+    # Per W, the (L, r, l) of its tracker and baseline runs, up to the first
+    # error. The baseline's r = +0.0 and l = -0.0 change no bits of its loop.
+    runs = []
+    for W in Ws:
+        runs.append([])
+        try:
+            cfg = PolicyConfig(W, K_track)
+            validate_policy_config(cfg, sys, T)
+            K = np.broadcast_to(cfg.K_track, (T - 1, sys.m, sys.n))
+            runs[-1].append((K, *planner.plan_points(cfg.W, w)))
+            gains = mpc_gains(sys, schedule, cfg.W, P_max)
+            runs[-1].append((gains, np.zeros((T - 1, sys.n)), np.full((T - 1, sys.m), -0.0)))
+        except PAIR_ERRORS as err:
+            runs[-1].append(err)
+    inputs = [run for pair in runs for run in pair if isinstance(run, tuple)]
+    if inputs:
+        L, r, l = map(np.stack, zip(*inputs))
+        done = iter(simulate(sys, schedule, L, sys.x0, w, r, l))
+    out = []
+    for pair in runs:
+        pair = [next(done) if isinstance(run, tuple) else run for run in pair]
+        errors = [run for run in pair if isinstance(run, Exception)]
+        if errors:
+            out.append(errors[0])
+            continue
+        true_sol = planner.solution(T - 1)
+        if w is None:
+            out.append(tuple(regret_via_control_deviation(run, sys, schedule, true_sol) for run in pair))
+            continue
+        try:
+            if opt_cost is None:
+                opt_cost = clairvoyant_policy(sys, schedule, w, solution=true_sol).cost
+            out.append((pair[0].cost - opt_cost, pair[1].cost - opt_cost))
+        except PAIR_ERRORS as err:
+            out.append(err)
+    return out
 
 
 def phi_metric(
@@ -183,7 +209,6 @@ def phi_metric(
     K_track = place_poles_single_input(
         sys, poles if poles is not None else default_tracking_poles(sys.n)
     )
-    cfg = PolicyConfig(W, K_track)
     fixed_schedule = isinstance(schedule_spec, CostSchedule)
     if fixed_schedule:
         ext = sequence_extrema(schedule_spec)
@@ -202,13 +227,12 @@ def phi_metric(
         if dist is not None:
             rng_w = generator(master_seed, "phi", "disturbance", T, W, trial)
             w = dist.sample(rng_w, T - 1)
-        try:
-            reg_ours, reg_base = paired_regrets(
-                FrozenPlanner(sys, schedule), cfg, bounds, P_max, w
-            )
-        except TrajectoryOverflowError:
+        (pair,) = paired_regrets(FrozenPlanner(sys, schedule), K_track, [W], P_max, w)
+        if isinstance(pair, TrajectoryOverflowError):
             continue
-        gaps.append(reg_base - reg_ours)
+        if isinstance(pair, Exception):
+            raise pair
+        gaps.append(pair[1] - pair[0])
     if not gaps:
         raise AllTrialsFailedError(f"all {trials} trials overflowed")
     return float(np.mean(gaps))

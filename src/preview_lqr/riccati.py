@@ -223,42 +223,78 @@ def solve_dare(
     )
 
 
-def simulate(sys: LinearSystem, schedule, control, x0, w=None) -> Trajectory:
-    """Run the closed loop u[t] = control(t, x[t]) and fill in the cost.
+def simulate(sys: LinearSystem, schedule, L, x0, w=None, r=None, l=None) -> list:
+    """Closed loops u[t] = L[t] (x[t] - r[t]) + l[t], x[t+1] = (A x[t] + B u[t]) + w[t].
 
-    The state advances as x[t+1] = A x[t] + B u[t] + w[t], and the cost is
-    evaluated under ``schedule``. Raises TrajectoryOverflowError with the
-    failing time index if a state or the cost becomes non-finite.
+    ``L`` is one (m, n) gain or a (..., T-1, m, n) stack; ``r`` (..., T-1, n),
+    ``l`` (..., T-1, m) and ``w`` (..., T-1, n) are skipped when None, and
+    batch axes broadcast. Returns per trajectory, in C order, a Trajectory
+    costed under ``schedule`` or a TrajectoryOverflowError dated to its first
+    non-finite state (T-1 for a non-finite cost). The loop stops early once
+    every state is non-finite.
+
+    A trajectory keeps the bits of its own unbatched loop: stacked matmul makes
+    per entry the BLAS call of an unbatched product of the same shapes, so with
+    states as (n, 1) columns L[t] x is a dot (m = 1) or a gemv, as A x is.
+    einsum or one flattened gemm would reorder sums. An absent r or l is
+    skipped, as adding 0 turns -0.0 into +0.0; r = +0.0 and l = -0.0 are exact.
     """
     A, B = sys.A, sys.B
-    T = schedule.horizon
+    n, m, T = sys.n, sys.m, schedule.horizon
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != sys.n:
-        raise ValueError(f"x0 must have length {sys.n}")
-    w_arr = np.zeros((T - 1, sys.n)) if w is None else np.asarray(w, dtype=float)
-    if w_arr.shape != (T - 1, sys.n):
-        raise ValueError(f"w must have shape {(T - 1, sys.n)}")
-    x = np.zeros((T, sys.n))
-    u = np.zeros((T - 1, sys.m))
-    x[0] = x0
+    if x0.shape[0] != n:
+        raise ValueError(f"x0 must have length {n}")
+    L, stacks = np.asarray(L, dtype=float), {}
+    for name, a, tail in (("L", L, (m, n)), ("r", r, (n,)), ("l", l, (m,)), ("w", w, (n,))):
+        if a is not None and not (name == "L" and L.shape == tail):
+            a, tail = np.asarray(a, dtype=float), (T - 1,) + tail
+            if a.shape[a.ndim - len(tail) :] != tail:
+                raise ValueError(f"{name} must end in shape {tail}, got {a.shape}")
+            stacks[name] = a if name == "L" else a[..., None]
+    batch = np.broadcast_shapes(*(a.shape[:-3] for a in stacks.values()))
+    for name, a in stacks.items():
+        # Time-major, (T-1, batch or 1, rows, columns).
+        a = np.broadcast_to(a, (batch if a.ndim > 3 else ()) + a.shape[-3:]).reshape((-1,) + a.shape[-3:])
+        stacks[name] = np.ascontiguousarray(np.moveaxis(a, 0, 1))
+    L, r, l, w = stacks.get("L", L), stacks.get("r"), stacks.get("l"), stacks.get("w")
+    nb = int(np.prod(batch))
+    X, U = np.empty((T, nb, n, 1)), np.empty((T - 1, nb, m, 1))
+    X[0] = x0[:, None]
+    v, Bu, zero = np.empty((nb, n, 1)), np.empty((nb, n, 1)), np.zeros((n, 1))
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(T - 1):
-            ut = control(t, x[t])
-            xn = A @ x[t] + B @ ut + w_arr[t]
-            if not np.all(np.isfinite(xn)):
-                raise TrajectoryOverflowError(t + 1)
-            u[t] = ut
-            x[t + 1] = xn
-        cost = schedule_cost(x, u, schedule)
-    if not np.isfinite(cost):
-        raise TrajectoryOverflowError(T - 1, "non-finite cost")
-    return Trajectory(x, u, cost)
+            x, xn, u = X[t], X[t + 1], U[t]
+            np.matmul(L if L.ndim == 2 else L[t], x if r is None else np.subtract(x, r[t], v), u)
+            if l is not None:
+                np.add(u, l[t], u)
+            np.matmul(A, x, xn)
+            np.add(xn, np.matmul(B, u, Bu), xn)
+            np.add(xn, zero if w is None else w[t], xn)
+            if (t + 1) % 8 == 0 and not np.isfinite(xn).all(axis=(1, 2)).any():
+                break  # every trajectory has overflowed
+        finite = np.isfinite(X[1 : t + 2]).all(axis=(2, 3))
+        results = []
+        for b in range(nb):
+            x, u = np.ascontiguousarray(X[:, b, :, 0]), np.ascontiguousarray(U[:, b, :, 0])
+            if not finite[:, b].all():
+                results.append(TrajectoryOverflowError(int(finite[:, b].argmin()) + 1))
+            elif np.isfinite(cost := schedule_cost(x, u, schedule)):
+                results.append(Trajectory(x, u, cost))
+            else:
+                results.append(TrajectoryOverflowError(T - 1, "non-finite cost"))
+    return results
+
+
+def _only(results) -> Trajectory:
+    """The trajectory of a batch of one, or its overflow error raised."""
+    if isinstance(results[0], TrajectoryOverflowError):
+        raise results[0]
+    return results[0]
 
 
 def rollout(sys: LinearSystem, sol: RiccatiSolution, x0, w=None) -> Trajectory:
     """Forward-simulate the closed loop u = K x under the solution's schedule."""
-    K = sol.K
-    return simulate(sys, sol.schedule, lambda t, x: K[t] @ x, x0, w)
+    return _only(simulate(sys, sol.schedule, sol.K, x0, w))
 
 
 def brute_force_lqr_oracle(

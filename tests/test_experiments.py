@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from preview_lqr import cli, experiments, policies
+from preview_lqr.bounds import compute_bound_constants, regret_upper_bound, sufficient_condition_check
 from preview_lqr.cli import cli_main
-from preview_lqr.costs import CostBounds
+from preview_lqr.costs import CostBounds, random_uniform_schedule
 from preview_lqr.experiments import (
     CSV_HEADER,
     ExperimentConfig,
@@ -22,7 +23,10 @@ from preview_lqr.experiments import (
     parse_csv,
     run_grid,
 )
-from preview_lqr.riccati import DareConvergenceError
+from preview_lqr.regret import paired_regrets, regret_via_control_deviation
+from preview_lqr.riccati import DareConvergenceError, solve_dare
+from preview_lqr.seeding import generator
+from preview_lqr.systems import DisturbanceModel
 
 
 def small_config(**overrides):
@@ -273,6 +277,102 @@ class TestRunGrid:
             small_config(bounds=CostBounds(np.eye(3), 2 * np.eye(3), [[1.0]], [[2.0]]))
         with pytest.raises(ValueError, match="4x4 Q and 1x1 R"):
             small_config(bounds=CostBounds(np.eye(4), 2 * np.eye(4), np.eye(2), 2 * np.eye(2)))
+
+
+def per_w_evaluate_trial(config, T, trial):
+    # _evaluate_trial as written before the closed loops were batched over W:
+    # per preview length the tracker, the baseline and the regret run alone.
+    try:
+        sys_, K_track = experiments._trial_system(config, T, trial)
+        P_max = solve_dare(sys_.A, sys_.B, config.bounds.Q_max, config.bounds.R_max)
+        schedule = random_uniform_schedule(
+            config.bounds, T, generator(config.master_seed, config.scenario, T, trial, "schedule")
+        )
+        planner = policies.FrozenPlanner(sys_, schedule)
+        w = opt_cost = None
+        if config.noisy:
+            dist = DisturbanceModel(config.disturbance_cov_scale * np.eye(sys_.n))
+            w = dist.sample(
+                generator(config.master_seed, config.scenario, T, trial, "disturbance"), T - 1
+            )
+            true_sol = planner.solution(T - 1)
+            opt_cost = policies.clairvoyant_policy(sys_, schedule, w, solution=true_sol).cost
+    except experiments._TRIAL_ERRORS as err:
+        return {W: f"{type(err).__name__}: {err}" for W in config.w_values}
+    out, computed = {}, {}
+    for W in config.w_values:
+        W_eff = min(W, T - 2)
+        if W_eff not in computed:
+            try:
+                cfg = policies.PolicyConfig(W_eff, K_track)
+                ours = policies.prediction_tracking_policy(sys_, schedule, cfg, w, planner=planner)
+                base = policies.mpc_baseline_policy(
+                    sys_, schedule, config.bounds, W_eff, w, P_max=P_max
+                )
+                true_sol = planner.solution(T - 1)
+                if w is None:
+                    regrets = tuple(
+                        regret_via_control_deviation(traj, sys_, schedule, solution=true_sol)
+                        for traj in (ours, base)
+                    )
+                else:
+                    regrets = (ours.cost - opt_cost, base.cost - opt_cost)
+                constants = compute_bound_constants(sys_, schedule, K_track, W_eff, planner=planner)
+                bound = regret_upper_bound(constants, T, W_eff, sys_.x0)
+                suff = sufficient_condition_check(constants, config.bounds, sys_)
+                computed[W_eff] = (*regrets, bound, suff)
+            except experiments._TRIAL_ERRORS as err:
+                computed[W_eff] = f"{type(err).__name__}: {err}"
+        out[W] = computed[W_eff]
+    return out
+
+
+class TestTrialsBatchedOverW:
+    """One batched ``paired_regrets`` per trial gives the per-W trials' grid."""
+
+    @pytest.mark.parametrize("scenario", ["pendulum", "pendulum-disturbance", "random"])
+    def test_rows_match_per_w_trials(self, monkeypatch, scenario):
+        cfg = small_config(scenario=scenario, t_min=4, t_max=24, t_step=10, w_max=6, trials=3)
+        batched = run_grid(cfg)
+        assert any(row.clamped for row in batched.rows)
+        monkeypatch.setattr(experiments, "_evaluate_trial", per_w_evaluate_trial)
+        assert run_grid(cfg) == batched
+
+    def test_one_overflowing_preview_length(self, monkeypatch):
+        # The first trial's tracker overflows at W = 2 alone.
+        cfg = small_config(t_min=12, t_max=12, w_max=4, trials=2)
+        plan_points, planners = policies.FrozenPlanner.plan_points, []
+
+        def blow_up_first_trial(planner, W, w=None):
+            xs, us = plan_points(planner, W, w)
+            planners.append(planner)
+            return (xs, np.full_like(us, 1e307)) if W == 2 and planner is planners[0] else (xs, us)
+
+        monkeypatch.setattr(policies.FrozenPlanner, "plan_points", blow_up_first_trial)
+        batched = [experiments._evaluate_trial(cfg, 12, trial) for trial in range(2)]
+        planners.clear()
+        assert [per_w_evaluate_trial(cfg, 12, trial) for trial in range(2)] == batched
+        failed = [(trial, W) for trial in range(2) for W, cell in batched[trial].items() if isinstance(cell, str)]
+        assert failed == [(0, 2)]
+        assert batched[0][2].startswith("TrajectoryOverflowError: non-finite state at time index ")
+        planners.clear()
+        row = next(row for row in run_grid(cfg).rows if row.W == 2)
+        assert row.excluded_trials == 1
+
+    def test_misshapen_disturbance_raises_out_of_the_grid(self, monkeypatch):
+        cfg = small_config(scenario="pendulum-disturbance", t_min=12, t_max=12, w_max=2, trials=1)
+        sys_, K_track = experiments._trial_system(cfg, 12, 0)
+        schedule = random_uniform_schedule(cfg.bounds, 12, np.random.default_rng(0))
+        P_max = solve_dare(sys_.A, sys_.B, cfg.bounds.Q_max, cfg.bounds.R_max)
+        with pytest.raises(ValueError, match="w must have shape"):
+            paired_regrets(policies.FrozenPlanner(sys_, schedule), K_track, [0, 1], P_max, np.zeros((12, 4)))
+
+        def drop_last_disturbance(planner, K_track, Ws, P_max, w=None, opt_cost=None):
+            return paired_regrets(planner, K_track, Ws, P_max, w[:-1], opt_cost)
+
+        monkeypatch.setattr(experiments, "paired_regrets", drop_last_disturbance)
+        with pytest.raises(ValueError, match="w must have shape"):
+            run_grid(cfg)
 
 
 class TestCli:

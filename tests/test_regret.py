@@ -22,6 +22,7 @@ from preview_lqr.regret import (
     AllTrialsFailedError,
     RegretReport,
     expected_regret_mc,
+    paired_regrets,
     phi_metric,
     regret,
     regret_via_control_deviation,
@@ -289,6 +290,76 @@ class TestExpectedRegretMc:
         dist = DisturbanceModel(np.eye(1))
         with pytest.raises(AllTrialsFailedError):
             expected_regret_mc(sys_, sched, doomed, dist, trials=4, master_seed=0)
+
+
+class TestPairedRegrets:
+    """Each W of one batched call is what its own tracker and baseline runs give."""
+
+    def instance(self, T=20):
+        sys_ = inverted_pendulum()
+        bounds = pendulum_cost_bounds()
+        sched = random_uniform_schedule(bounds, T, np.random.default_rng(2))
+        K = place_poles_single_input(sys_, default_tracking_poles(4))
+        P_max = solve_dare(sys_.A, sys_.B, bounds.Q_max, bounds.R_max)
+        return sys_, bounds, sched, K, P_max
+
+    def per_w(self, sys_, bounds, sched, K, P_max, W, w=None):
+        # The first error of the tracker, the baseline, then the regret.
+        planner = FrozenPlanner(sys_, sched)
+        try:
+            ours = prediction_tracking_policy(sys_, sched, PolicyConfig(W, K), w, planner=planner)
+            base = mpc_baseline_policy(sys_, sched, bounds, W, w, P_max=P_max)
+        except (ValueError, TrajectoryOverflowError) as err:
+            return err
+        if w is None:
+            true_sol = planner.solution(sched.horizon - 1)
+            return tuple(
+                regret_via_control_deviation(traj, sys_, sched, true_sol) for traj in (ours, base)
+            )
+        opt = clairvoyant_policy(sys_, sched, w)
+        return ours.cost - opt.cost, base.cost - opt.cost
+
+    def assert_same(self, got, ref):
+        if isinstance(ref, Exception):
+            assert (type(got), str(got)) == (type(ref), str(ref))
+        else:
+            assert got == ref
+
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_each_w_matches_its_own_runs(self, noisy):
+        sys_, bounds, sched, K, P_max = self.instance()
+        w = DisturbanceModel(25.0 * np.eye(4)).sample(np.random.default_rng(3), 19) if noisy else None
+        Ws = [0, 3, 18, 19, -1]
+        got = paired_regrets(FrozenPlanner(sys_, sched), K, Ws, P_max, w)
+        assert len(got) == len(Ws)
+        for W, pair in zip(Ws, got):
+            self.assert_same(pair, self.per_w(sys_, bounds, sched, K, P_max, W, w))
+        assert isinstance(got[3], ValueError) and isinstance(got[4], ValueError)
+
+    def test_first_error_wins(self, monkeypatch):
+        # W = 2: the tracker's cost and the baseline's state overflow, and the
+        # tracker's error is returned. W = 3: only the baseline overflows.
+        sys_, bounds, sched, K, P_max = self.instance()
+        plan_points, mpc_gains = FrozenPlanner.plan_points, preview_lqr.policies.mpc_gains
+
+        def blown_plan(planner, W, w=None):
+            xs, us = plan_points(planner, W, w)
+            return (xs, np.full_like(us, 1e200)) if W == 2 else (xs, us)
+
+        def blown_gains(sys_, sched, W, P_max):
+            return mpc_gains(sys_, sched, W, P_max) * (1e200 if W in (2, 3) else 1.0)
+
+        monkeypatch.setattr(FrozenPlanner, "plan_points", blown_plan)
+        monkeypatch.setattr(preview_lqr.policies, "mpc_gains", blown_gains)
+        monkeypatch.setattr(preview_lqr.regret, "mpc_gains", blown_gains)
+        got = paired_regrets(FrozenPlanner(sys_, sched), K, [2, 3, 4], P_max)
+        for W, pair in zip([2, 3, 4], got):
+            self.assert_same(pair, self.per_w(sys_, bounds, sched, K, P_max, W))
+        assert [str(pair) for pair in got[:2]] == [
+            "non-finite cost",
+            "non-finite state at time index 2",
+        ]
+        assert isinstance(got[2], tuple)
 
 
 class TestPhiMetric:

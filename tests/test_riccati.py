@@ -1,3 +1,6 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +12,7 @@ from preview_lqr.riccati import (
     DareConvergenceError,
     OracleSizeError,
     RiccatiSolution,
+    Trajectory,
     TrajectoryOverflowError,
     affine_terms,
     backward_riccati,
@@ -17,6 +21,7 @@ from preview_lqr.riccati import (
     riccati_step,
     rollout,
     schedule_cost,
+    simulate,
     solve_dare,
 )
 from preview_lqr.systems import LinearSystem, inverted_pendulum, random_controllable_system
@@ -329,6 +334,159 @@ class TestRollout:
         with pytest.raises(TrajectoryOverflowError) as info:
             rollout(sys_, sol, [1.0])
         assert 0 < info.value.time_index < 40
+
+
+def callback_simulate(sys_, schedule, control, x0, w=None):
+    # The closed loop as written before the array loop: one trajectory, its
+    # control from a callback.
+    A, B = sys_.A, sys_.B
+    T = schedule.horizon
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    w_arr = np.zeros((T - 1, sys_.n)) if w is None else np.asarray(w, dtype=float)
+    x = np.zeros((T, sys_.n))
+    u = np.zeros((T - 1, sys_.m))
+    x[0] = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(T - 1):
+            ut = control(t, x[t])
+            xn = A @ x[t] + B @ ut + w_arr[t]
+            if not np.all(np.isfinite(xn)):
+                raise TrajectoryOverflowError(t + 1)
+            u[t] = ut
+            x[t + 1] = xn
+        cost = schedule_cost(x, u, schedule)
+    if not np.isfinite(cost):
+        raise TrajectoryOverflowError(T - 1, "non-finite cost")
+    return Trajectory(x, u, cost)
+
+
+def callback_run(sys_, schedule, L, x0, w=None, r=None, l=None):
+    """One trajectory through ``callback_simulate``, controlled as the callers did."""
+
+    def control(t, x):
+        K = L if L.ndim == 2 else L[t]
+        u = K @ (x if r is None else x - r[t])
+        return u if l is None else u + l[t]
+
+    try:
+        return callback_simulate(sys_, schedule, control, x0, w)
+    except TrajectoryOverflowError as err:
+        return err
+
+
+def assert_same_result(got, ref):
+    if isinstance(ref, TrajectoryOverflowError):
+        assert isinstance(got, TrajectoryOverflowError)
+        assert (got.time_index, str(got)) == (ref.time_index, str(ref))
+    else:
+        assert isinstance(got, Trajectory)
+        # tobytes tells -0.0 from +0.0.
+        for a, b in ((got.x, ref.x), (got.u, ref.u), (got.cost, ref.cost)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def signed_zeros(rng, shape, scale=1.0):
+    """Normal draws with about a third of the entries +0.0 or -0.0."""
+    a = scale * rng.standard_normal(shape)
+    a[rng.random(shape) < 0.3] = 0.0
+    return np.where(rng.random(shape) < 0.5, a, -a)
+
+
+class TestSimulate:
+    """The array loop against the callback loop it replaced, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        m=st.integers(1, 2),
+        T=st.integers(2, 60),
+        nb=st.integers(1, 5),
+        L_kind=st.sampled_from(["const", "shared", "batched"]),
+        kinds=st.tuples(*[st.sampled_from([None, "shared", "batched"])] * 3),
+        blow=st.sampled_from([None, 1e160, np.inf, np.nan]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_callback_loop(self, n, m, T, nb, L_kind, kinds, blow, seed):
+        rng = np.random.default_rng(seed)
+        sys_ = random_controllable_system(n, m, -1.2, 1.2, rng, x0=signed_zeros(rng, n))
+        Q = signed_zeros(rng, (T, n, n))
+        sched = CostSchedule(Q @ Q.swapaxes(1, 2) + np.eye(n), np.tile(np.eye(m), (T - 1, 1, 1)))
+        lead = {"shared": (), "batched": (nb,)}
+        L = signed_zeros(rng, (m, n) if L_kind == "const" else lead[L_kind] + (T - 1, m, n), 0.5)
+        args = {
+            name: signed_zeros(rng, lead[kind] + (T - 1, k))
+            for name, kind, k in zip("rlw", kinds, (n, m, n))
+            if kind is not None
+        }
+        given_kinds = [L_kind] + [kind for kind in kinds if kind is not None]
+        per_entry = [a for a, kind in zip([L, *args.values()], given_kinds) if kind == "batched"]
+        if blow is not None and per_entry:
+            # One entry of one per-entry argument blows up at one step.
+            target = per_entry[rng.integers(len(per_entry))]
+            target[rng.integers(nb), rng.integers(T - 1)] = blow
+        results = simulate(sys_, sched, L, sys_.x0, args.get("w"), args.get("r"), args.get("l"))
+        assert len(results) == (nb if per_entry else 1)
+        for b, got in enumerate(results):
+            entry = {name: a[b] if a.ndim == 3 else a for name, a in args.items()}
+            ref = callback_run(sys_, sched, L[b] if L.ndim == 4 else L, sys_.x0, **entry)
+            assert_same_result(got, ref)
+
+    def test_one_overflow_leaves_the_batch_alone(self):
+        rng = np.random.default_rng(5)
+        sys_ = random_controllable_system(2, 1, -1.0, 1.0, rng)
+        T = 30
+        sched = CostSchedule(np.tile(np.eye(2), (T, 1, 1)), np.ones((T - 1, 1, 1)))
+        L = 0.3 * rng.standard_normal((4, T - 1, 1, 2))
+        L[1, 4] = np.inf
+        l = np.zeros((4, T - 1, 1))
+        l[2, 7] = 1e200  # finite states, non-finite cost
+        results = simulate(sys_, sched, L, sys_.x0, l=l)
+        assert isinstance(results[0], Trajectory) and isinstance(results[3], Trajectory)
+        assert (results[1].time_index, str(results[1])) == (5, "non-finite state at time index 5")
+        assert (results[2].time_index, str(results[2])) == (T - 1, "non-finite cost")
+        for b, got in enumerate(results):
+            assert_same_result(got, callback_run(sys_, sched, L[b], sys_.x0, l=l[b]))
+
+    def test_stops_once_every_trajectory_has_overflowed(self):
+        sys_ = scalar_system(2.0, 1.0)
+        T = 400
+        L = np.zeros((2, T - 1, 1, 1))
+        L[:, 2] = np.inf
+        lines = Counter()
+
+        def in_simulate(frame, event, arg):
+            return count if frame.f_code is simulate.__code__ else None
+
+        def count(frame, event, arg):
+            if event == "line":
+                lines[frame.f_lineno] += 1
+            return count
+
+        sys.settrace(in_simulate)
+        try:
+            results = simulate(sys_, scalar_schedule(1.0, 1.0, T), L, sys_.x0)
+        finally:
+            sys.settrace(None)
+        assert [err.time_index for err in results] == [3, 3]
+        # The loop's busiest line ran a few steps, not the whole horizon.
+        assert max(lines.values()) < 20
+
+    def test_shapes_are_checked(self):
+        sys_ = random_controllable_system(3, 2, -1.0, 1.0, np.random.default_rng(0))
+        sched = CostSchedule(np.tile(np.eye(3), (5, 1, 1)), np.tile(np.eye(2), (4, 1, 1)))
+        K = np.zeros((2, 3))
+        for bad in (
+            dict(L=np.zeros((3, 2))),
+            dict(L=np.zeros((5, 2, 3))),
+            dict(r=np.zeros((4, 2))),
+            dict(l=np.zeros((2, 4, 3))),
+            dict(w=np.zeros((5, 3))),
+            dict(r=np.zeros((2, 4, 3)), l=np.zeros((3, 4, 2))),
+            dict(x0=np.zeros(2)),
+        ):
+            kwargs = dict(L=K, x0=sys_.x0) | bad
+            with pytest.raises(ValueError):
+                simulate(sys_, sched, **kwargs)
 
 
 class TestBruteForceOracle:

@@ -20,10 +20,13 @@ def scalar_system(a, b, x0=1.0):
 
 
 def simulate_step(sys_, x, u, w):
-    """x[1] of a one-step closed-loop run that applies the control u."""
+    """x[1] of a one-step closed-loop run that applies the control u.
+
+    The loop's control is L (x - r) + l with a zero gain L and l = u.
+    """
     sched = CostSchedule(np.stack([np.eye(sys_.n)] * 2), np.eye(sys_.m)[None])
-    u = np.asarray(u, dtype=float)
-    return simulate(sys_, sched, lambda t, x_t: u, x, [w]).x[1]
+    (traj,) = simulate(sys_, sched, np.zeros((sys_.m, sys_.n)), x, [w], l=[u])
+    return traj.x[1]
 
 
 class TestSimulateStep:
