@@ -24,7 +24,7 @@ from .costs import (
     min_eigenvalue,
     random_uniform_schedule,
 )
-from .policies import FrozenPlanner, PolicyConfig, default_tracking_poles, prediction_tracking_policy
+from .policies import FrozenPlanner, PolicyConfig, default_tracking_poles
 from .regret import expected_regret_mc
 from .riccati import solve_dare
 from .seeding import generator, substream_entropy
@@ -348,13 +348,7 @@ def scaling_certificate(
             schedule = random_uniform_schedule(schedule_spec, T, rng)
         planner = FrozenPlanner(sys, schedule)
         constants = compute_bound_constants(sys, schedule, K_track, W, planner=planner)
-
-        def policy(s, sched, w, _planner=planner, _cfg=cfg):
-            return prediction_tracking_policy(s, sched, _cfg, w, planner=_planner)
-
-        report = expected_regret_mc(
-            sys, schedule, policy, dist, trials, generator_seed(master_seed, T)
-        )
+        report = expected_regret_mc(planner, cfg, dist, trials, generator_seed(master_seed, T))
         means.append(report.regret)
         errs.append(report.stderr or 0.0)
         gammas.append(constants.gamma)

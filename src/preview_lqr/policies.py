@@ -296,32 +296,38 @@ class FrozenPlanner:
         ``affine_terms`` recursion batched over every t, then one forward
         rollout in which plan t stops at index t.
         Plan t reads only its own frozen pass and w[0..t], as ``plan`` does.
+        A ``w`` of shape (N, T-1, n) gives the rows of N disturbance trials,
+        (N, T-1, n) and (N, T-1, m), each as its own (T-1, n) call gives them.
         """
         T, n, m = self.T, self.sys.n, self.sys.m
         t_all = np.arange(T - 1)
         s_of = np.minimum(t_all + W, T - 1)
         self.prepare()
-        if w is not None:
-            w = np.asarray(w, dtype=float)
-            if w.shape != (T - 1, n):
-                raise ValueError(f"w must have shape {(T - 1, n)}, got {w.shape}")
-        if w is None or not np.any(w):
-            return self.X[s_of, t_all], self.U[s_of, t_all]
+        X, U = self.X[s_of, t_all], self.U[s_of, t_all]
+        if w is None:
+            return X, U
+        w = np.asarray(w, dtype=float)
+        if w.ndim not in (2, 3) or w.shape[-2:] != (T - 1, n):
+            raise ValueError(f"w must have shape {(T - 1, n)} or (N, {T - 1}, {n}), got {w.shape}")
+        lead = w.shape[:-2]
+        # A trial with an all-zero w keeps the cached rows.
+        zero = ~np.any(w, axis=(-2, -1))
+        if zero.all():
+            return tuple(np.broadcast_to(a, lead + a.shape).copy() for a in (X, U))
         # Plan t sits at position t of the batch and knows w[0..t].
         k = affine_terms(self.sys, self.P, self.K, self.schedule.R, w, s_of, t_all)
-        X = np.empty((T - 1, n))
-        U = np.empty((T - 1, m))
+        Xw, Uw = np.empty(w.shape), np.empty(lead + (T - 1, m))
         AT, BT = self.sys.A.T.copy(), self.sys.B.T.copy()
         # Forward: plan t rolls out from x0 and stops at index t.
-        x = np.tile(self.sys.x0, (T - 1, 1))
+        x = np.broadcast_to(self.sys.x0, w.shape).copy()
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(T - 1):
                 K = self.K[s_of[i:], i]
-                u = np.einsum("jmn,jn->jm", K, x[i:]) + k[i, i:]
-                X[i] = x[i]
-                U[i] = u[0]
-                x[i:] = x[i:] @ AT + u @ BT + w[i]
-        return X, U
+                u = np.einsum("jmn,...jn->...jm", K, x[..., i:, :]) + k[i, ..., i:, :]
+                Xw[..., i, :], Uw[..., i, :] = x[..., i, :], u[..., 0, :]
+                x[..., i:, :] = x[..., i:, :] @ AT + u @ BT + w[..., i, None, :]
+        Xw[zero], Uw[zero] = X, U
+        return Xw, Uw
 
 
 def clairvoyant_policy(

@@ -25,9 +25,21 @@ from .policies import (
     mpc_gains,
     validate_policy_config,
 )
-from .riccati import Trajectory, TrajectoryOverflowError, backward_riccati, simulate, solve_dare
+from .riccati import (
+    Trajectory,
+    TrajectoryOverflowError,
+    affine_terms,
+    backward_riccati,
+    simulate,
+    solve_dare,
+)
 from .seeding import generator
 from .systems import DisturbanceModel, LinearSystem, place_poles_single_input
+
+
+# Bytes of plan feedforward, (T-1, trials, T-1, m) floats, that
+# ``expected_regret_mc`` holds per block of trials: 26 trials at T = 200, m = 1.
+MC_BLOCK_BYTES = 8 * 2**20
 
 
 class AllTrialsFailedError(RuntimeError):
@@ -79,53 +91,57 @@ def regret_via_control_deviation(
 
 
 def expected_regret_mc(
-    sys: LinearSystem,
-    schedule: CostSchedule,
-    policy,
+    planner: FrozenPlanner,
+    cfg: PolicyConfig,
     dist: DisturbanceModel,
     trials: int,
     master_seed: int,
 ) -> RegretReport:
-    """Sample mean and standard error of regret over disturbance draws.
+    """Sample mean and standard error of the tracking policy's regret over disturbance draws.
 
-    ``policy`` is a callable (sys, schedule, w) -> Trajectory. Trials whose
-    simulation overflows are excluded from the averages and counted in
-    ``excluded_trials``; trial substreams derive deterministically from the
-    master seed, so the result does not depend on evaluation order. The
-    comparator's true backward pass is solved once and shared by every
-    trial.
+    The tracker runs with ``cfg`` on the planner's instance against the
+    clairvoyant comparator on the planner's true pass. Trial substreams derive
+    deterministically from the master seed, so the result does not depend on
+    evaluation order. Up to ``MC_BLOCK_BYTES`` of feedforward at a time, a
+    block of trials runs as one ``plan_points`` call, one comparator
+    ``affine_terms`` call and one ``simulate`` batch, and each trial's costs
+    are those of its own tracker and ``clairvoyant_policy`` runs, bit for bit.
+    A trial whose tracker or comparator overflows is excluded from the
+    averages and counted in ``excluded_trials``.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    T = schedule.horizon
-    true_sol = backward_riccati(sys, schedule)
-    regrets = []
-    costs_policy = []
-    costs_opt = []
-    excluded = 0
-    for trial in range(trials):
-        rng = generator(master_seed, "mc", "disturbance", trial)
-        w = dist.sample(rng, T - 1)
-        try:
-            traj = policy(sys, schedule, w)
-        except TrajectoryOverflowError:
-            excluded += 1
-            continue
-        opt = clairvoyant_policy(sys, schedule, w, solution=true_sol)
-        regrets.append(traj.cost - opt.cost)
-        costs_policy.append(traj.cost)
-        costs_opt.append(opt.cost)
-    if not regrets:
+    sys, schedule, T = planner.sys, planner.schedule, planner.T
+    validate_policy_config(cfg, sys, T)
+    sol = planner.solution(T - 1)
+    # One simulate batch: the trackers, u = K_track (x - X) + U, then the
+    # comparators, u = K x + k with r = +0.0, which is exact.
+    L = np.stack([np.broadcast_to(cfg.K_track, sol.K.shape), sol.K])[:, None]
+    block = max(1, MC_BLOCK_BYTES // (8 * (T - 1) ** 2 * sys.m))
+    pairs = []
+    for start in range(0, trials, block):
+        w = np.stack([
+            dist.sample(generator(master_seed, "mc", "disturbance", t), T - 1)
+            for t in range(start, min(start + block, trials))
+        ])
+        X, U = planner.plan_points(cfg.W, w)
+        k = affine_terms(sys, sol.P[None], sol.K[None], schedule.R, w, [0], [T - 2])[:, :, 0]
+        r, l = np.stack([X, np.zeros_like(X)]), np.stack([U, k.swapaxes(0, 1)])
+        runs = simulate(sys, schedule, L, sys.x0, w, r, l)
+        pairs += zip(runs[: len(w)], runs[len(w) :])
+    done = [pair for pair in pairs if all(isinstance(run, Trajectory) for run in pair)]
+    if not done:
         raise AllTrialsFailedError(f"all {trials} trials overflowed")
-    arr = np.asarray(regrets)
+    costs_policy, costs_opt = (np.array([run.cost for run in runs]) for runs in zip(*done))
+    arr = costs_policy - costs_opt
     stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
     return RegretReport(
         regret=float(arr.mean()),
-        cost_policy=float(np.mean(costs_policy)),
-        cost_optimal=float(np.mean(costs_opt)),
+        cost_policy=float(costs_policy.mean()),
+        cost_optimal=float(costs_opt.mean()),
         trials=arr.size,
         stderr=stderr,
-        excluded_trials=excluded,
+        excluded_trials=trials - arr.size,
     )
 
 

@@ -159,29 +159,35 @@ def affine_terms(sys: LinearSystem, P, K, R, w, s, last):
     (T-1, len(s), m). Per plan the recursion is q = 0 above last,
     k[i] = -(R[i] + B' P[i+1] B)^-1 B' (P[i+1] w[i] + q[i+1]),
     q[i] = (A + B K[i])' (q[i+1] + P[i+1] w[i]).
+
+    A ``w`` of shape (N, T-1, n) runs N disturbance trials through the same
+    plans and returns k of shape (T-1, N, len(s), m). Each trial's products
+    are stacked matmuls with the operand shapes of a (T-1, n) call, so a
+    trial keeps the bits of its own call.
     """
     A, B = sys.A, sys.B
     n, m = sys.n, sys.m
     T = P.shape[1]
-    if w.shape != (T - 1, n):
-        raise ValueError(f"w must have shape {(T - 1, n)}, got {w.shape}")
+    if w.shape[-2:] != (T - 1, n) or w.ndim not in (2, 3):
+        raise ValueError(f"w must have shape {(T - 1, n)} or (N, {T - 1}, {n}), got {w.shape}")
+    lead = w.shape[:-2]
     # At step i the plans j >= first[i] are active; a plan joins the batch
     # at its own last index with q = 0.
     first = np.searchsorted(last, np.arange(T - 1))
-    q = np.zeros((len(s), n))
-    k = np.zeros((T - 1, len(s), m))
+    q = np.zeros(lead + (len(s), n))
+    k = np.zeros((T - 1,) + lead + (len(s), m))
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(min(int(last[-1]), T - 2), -1, -1):
             j = first[i]
             Pn = P[s[j:], i + 1]
-            v = q[j:] + (Pn.reshape(-1, n) @ w[i]).reshape(-1, n)
+            v = q[..., j:, :] + (Pn.reshape(-1, n) @ w[..., i, :, None]).reshape(lead + (-1, n))
             Bv = v @ B
             G = R[i] + np.einsum("ni,jnk,kl->jil", B, Pn, B)
             if m == 1:
-                k[i, j:] = -Bv / G[:, 0]
+                k[i, ..., j:, :] = -Bv / G[:, 0]
             else:
-                k[i, j:] = -np.linalg.solve(G, Bv[..., None])[..., 0]
-            q[j:] = v @ A + np.einsum("jmn,jm->jn", K[s[j:], i], Bv)
+                k[i, ..., j:, :] = -np.linalg.solve(G, Bv[..., None])[..., 0]
+            q[..., j:, :] = v @ A + np.einsum("jmn,...jm->...jn", K[s[j:], i], Bv)
     return k
 
 

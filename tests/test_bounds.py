@@ -28,6 +28,7 @@ from preview_lqr.costs import (
     random_uniform_schedule,
     sequence_extrema,
 )
+from preview_lqr.experiments import pendulum_cost_bounds
 from preview_lqr.policies import (
     ALPHA_BLOCK,
     FrozenPlanner,
@@ -669,6 +670,39 @@ class TestScalingCertificate:
             master_seed=2, poles=[0.1],
         )
         assert 0.3 <= large.stderrs[0] / small.stderrs[0] <= 0.8
+
+    # ScalingReport fields of the pendulum at Ts = (50, 100), W = 8, 4 trials
+    # and w ~ N(0, 25 I), per master seed, as float.hex() strings recorded
+    # before the Monte-Carlo trials were batched.
+    GOLDEN = {
+        0: {
+            "expected_regrets": ("0x1.21744306e3980p+34", "0x1.1f1aea7c8b94ep+35"),
+            "stderrs": ("0x1.bfa29661b3a94p+31", "0x1.4e1f6434a71a9p+31"),
+            "gammas": ("0x1.ffffe39ff2cddp-1", "0x1.ffffe4f249d86p-1"),
+            "rates": ("0x1.72819e546062ap+28", "0x1.6f7fd37937e8ep+28"),
+            "ratio": "0x1.02183cc1f3a14p+0",
+        },
+        5: {
+            "expected_regrets": ("0x1.0372bb8dc2683p+34", "0x1.588cff8bbbddcp+35"),
+            "stderrs": ("0x1.e16d16546d82ep+30", "0x1.d5794db5be70fp+31"),
+            "gammas": ("0x1.ffffe30763cb2p-1", "0x1.ffffe4e52c51bp-1"),
+            "rates": ("0x1.4c1926f8a7e09p+28", "0x1.b907db615ce7ap+28"),
+            "ratio": "0x1.53f8a3bc55e53p+0",
+        },
+    }
+
+    @pytest.mark.parametrize("master_seed", sorted(GOLDEN))
+    def test_pendulum_report_is_golden(self, master_seed):
+        report = scaling_certificate(
+            inverted_pendulum(), pendulum_cost_bounds(), DisturbanceModel(25.0 * np.eye(4)),
+            Ts=(50, 100), W=8, trials=4, master_seed=master_seed,
+        )
+        golden = self.GOLDEN[master_seed]
+        assert report.Ts == (50, 100)
+        assert (report.certified, report.excluded, report.trials) == (True, (0, 0), 4)
+        assert report.ratio.hex() == golden["ratio"]
+        for field in ("expected_regrets", "stderrs", "gammas", "rates"):
+            assert tuple(v.hex() for v in getattr(report, field)) == golden[field], field
 
     def test_rejects_short_horizons(self):
         sys_ = scalar_system(0.8, 1.0, 2.0)

@@ -21,6 +21,7 @@ from preview_lqr.policies import (
 )
 from preview_lqr.riccati import (
     TrajectoryOverflowError,
+    affine_terms,
     backward_riccati,
     brute_force_lqr_oracle,
     frozen_backward_sweep,
@@ -384,6 +385,22 @@ def assert_plan_row_close(actual, full_ref, t):
     assert np.abs(actual - full_ref[t]).max() <= PLAN_RTOL * scale
 
 
+def unbatched_plan_points(planner, W, w):
+    """The noisy rows of ``plan_points`` as written before it took a trials axis."""
+    sys_, T = planner.sys, planner.T
+    t_all = np.arange(T - 1)
+    s_of = np.minimum(t_all + W, T - 1)
+    k = affine_terms(sys_, planner.P, planner.K, planner.schedule.R, w, s_of, t_all)
+    X, U = np.empty((T - 1, sys_.n)), np.empty((T - 1, sys_.m))
+    AT, BT = sys_.A.T.copy(), sys_.B.T.copy()
+    x = np.tile(sys_.x0, (T - 1, 1))
+    for i in range(T - 1):
+        u = np.einsum("jmn,jn->jm", planner.K[s_of[i:], i], x[i:]) + k[i, i:]
+        X[i], U[i] = x[i], u[0]
+        x[i:] = x[i:] @ AT + u @ BT + w[i]
+    return X, U
+
+
 class TestPlanPoints:
     @plan_settings
     @given(horizons(max_m=2), st.integers(0, 59))
@@ -458,11 +475,40 @@ class TestPlanPoints:
                 np.testing.assert_array_equal(X[t], xs[t])
                 np.testing.assert_array_equal(U[t], us[t])
 
+    @plan_settings
+    @given(horizons(max_m=2), st.lists(st.booleans(), min_size=1, max_size=5))
+    @example((1, 1, 3, 0, 0), [False])
+    @example((4, 2, 60, 58, 1), [True, False, True, False, False])
+    def test_trial_batch_matches_per_trial_calls(self, dims, zero):
+        # Each trial's rows are those of its own (T-1, n) call, and those of
+        # the unbatched loop, bit for bit; a trial with an all-zero w, of
+        # either sign, gets the cached rows.
+        n, m, T, W, seed = dims
+        sys_, sched, rng = random_instance(seed, n, m, T)
+        trials = len(zero)
+        w = rng.standard_normal((trials, T - 1, n))
+        w[np.array(zero)] = np.where(rng.random((T - 1, n)) < 0.5, 0.0, -0.0)
+        planner = FrozenPlanner(sys_, sched)
+        X, U = planner.plan_points(W, w)
+        assert (X.shape, U.shape) == ((trials, T - 1, n), (trials, T - 1, m))
+        nominal = [a.tobytes() for a in planner.plan_points(W)]
+        for t in range(trials):
+            ref = [a.tobytes() for a in planner.plan_points(W, w[t])]
+            assert [X[t].tobytes(), U[t].tobytes()] == ref
+            if zero[t]:
+                assert ref == nominal
+            else:
+                planner.prepare()
+                assert ref == [a.tobytes() for a in unbatched_plan_points(planner, W, w[t])]
+
     def test_rejects_bad_disturbance_shape(self):
         sys_ = scalar_system(0.9, 1.0)
         planner = FrozenPlanner(sys_, scalar_schedule(1.0, 1.0, 5))
         with pytest.raises(ValueError, match="shape"):
             planner.plan_points(1, np.ones((3, 1)))
+        for bad in (np.ones((2, 3, 1)), np.ones((4,)), np.ones((1, 2, 4, 1))):
+            with pytest.raises(ValueError, match="shape"):
+                planner.plan_points(1, bad)
 
 
 class TestFrozenPlanner:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import preview_lqr
 
@@ -201,95 +203,225 @@ class TestControlDeviationIdentity:
             assert via_planner == default
 
 
+def looped_expected_regret(planner, cfg, dist, trials, master_seed, drop=()):
+    """The Monte-Carlo estimate as one tracker and one comparator per trial.
+
+    The loop the batched estimate replaced, with the comparator's pass
+    solved again, except that a trial whose comparator overflows is
+    excluded, as one whose tracker overflows is, where the loop raised.
+    Trials in ``drop`` count as overflowed.
+    """
+    sys_, sched, T = planner.sys, planner.schedule, planner.T
+    true_sol = backward_riccati(sys_, sched)
+    regrets, costs_policy, costs_opt = [], [], []
+    excluded = 0
+    for trial in range(trials):
+        w = dist.sample(generator(master_seed, "mc", "disturbance", trial), T - 1)
+        try:
+            traj = prediction_tracking_policy(sys_, sched, cfg, w, planner=planner)
+            opt = clairvoyant_policy(sys_, sched, w, solution=true_sol)
+        except TrajectoryOverflowError:
+            excluded += 1
+            continue
+        if trial in drop:
+            excluded += 1
+            continue
+        regrets.append(traj.cost - opt.cost)
+        costs_policy.append(traj.cost)
+        costs_opt.append(opt.cost)
+    if not regrets:
+        raise AllTrialsFailedError(f"all {trials} trials overflowed")
+    arr = np.asarray(regrets)
+    stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
+    return RegretReport(
+        regret=float(arr.mean()),
+        cost_policy=float(np.mean(costs_policy)),
+        cost_optimal=float(np.mean(costs_opt)),
+        trials=arr.size,
+        stderr=stderr,
+        excluded_trials=excluded,
+    )
+
+
+class EditedDisturbance:
+    """A disturbance model whose draws for chosen trials are edited.
+
+    ``edits`` maps a trial, counted in call order from the last ``rewind()``,
+    to a function of its draw.
+    """
+
+    def __init__(self, dist, edits):
+        self.dist, self.edits, self.calls = dist, edits, 0
+
+    def rewind(self):
+        self.calls = 0
+        return self
+
+    def sample(self, rng, steps):
+        w = self.dist.sample(rng, steps)
+        edit = self.edits.get(self.calls)
+        self.calls += 1
+        return w if edit is None else edit(w)
+
+
+def mc_instance(seed, n, m, T):
+    rng = np.random.default_rng(seed)
+    sys_ = random_controllable_system(n, m, -1.2, 1.2, rng, x0=rng.standard_normal(n))
+    sched = CostSchedule(
+        tuple(np.eye(n) * (0.5 + rng.random()) for _ in range(T)),
+        tuple(np.eye(m) * (0.5 + rng.random()) for _ in range(T - 1)),
+    )
+    # The LQR gain of identity costs stabilizes the tracking loop for any m.
+    P = solve_dare(sys_.A, sys_.B, np.eye(n), np.eye(m))
+    BP = sys_.B.T @ P
+    K = -np.linalg.solve(np.eye(m) + BP @ sys_.B, BP @ sys_.A)
+    return FrozenPlanner(sys_, sched), K, DisturbanceModel(0.5 * np.eye(n)), rng
+
+
 class TestExpectedRegretMc:
     def test_zero_covariance_collapses(self):
         rng = np.random.default_rng(5)
         sys_ = scalar_system(0.8, 1.0, 2.0)
         sched = varying_schedule(rng, 1, 8)
         K = place_poles_single_input(sys_, [0.1])
-
-        def policy(s, sch, w):
-            return prediction_tracking_policy(s, sch, PolicyConfig(1, K), w)
-
         dist = DisturbanceModel(np.zeros((1, 1)))
-        report = expected_regret_mc(sys_, sched, policy, dist, trials=5, master_seed=0)
+        planner = FrozenPlanner(sys_, sched)
+        report = expected_regret_mc(planner, PolicyConfig(1, K), dist, trials=5, master_seed=0)
         deterministic = regret(prediction_tracking_policy(sys_, sched, PolicyConfig(1, K)), sys_, sched)
         assert report.stderr == 0.0
         assert report.regret == pytest.approx(deterministic.regret, rel=1e-9, abs=1e-9)
+        assert report == looped_expected_regret(planner, PolicyConfig(1, K), dist, 5, 0)
 
     def test_seed_reproducibility(self):
         rng = np.random.default_rng(6)
         sys_ = scalar_system(0.8, 1.0, 2.0)
         sched = varying_schedule(rng, 1, 8)
         K = place_poles_single_input(sys_, [0.1])
-
-        def policy(s, sch, w):
-            return prediction_tracking_policy(s, sch, PolicyConfig(1, K), w)
-
         dist = DisturbanceModel(0.5 * np.eye(1))
-        a = expected_regret_mc(sys_, sched, policy, dist, trials=6, master_seed=17)
-        b = expected_regret_mc(sys_, sched, policy, dist, trials=6, master_seed=17)
+        cfg = PolicyConfig(1, K)
+        a = expected_regret_mc(FrozenPlanner(sys_, sched), cfg, dist, trials=6, master_seed=17)
+        b = expected_regret_mc(FrozenPlanner(sys_, sched), cfg, dist, trials=6, master_seed=17)
         assert a.regret == b.regret
         assert a.stderr == b.stderr
 
     def test_matches_per_trial_comparator_loop(self):
-        # The comparator's true pass is solved once per call; the report
-        # must equal a loop that solves it again in every trial.
+        # The comparator reads the planner's true pass; the report must equal
+        # a loop that solves that pass again.
         rng = np.random.default_rng(9)
         sys_ = random_controllable_system(3, 1, -1.0, 1.0, rng)
         sched = varying_schedule(rng, 3, 15)
         K = place_poles_single_input(sys_, [0.1, 0.2, 0.3])
         planner = FrozenPlanner(sys_, sched)
-
-        def policy(s, sch, w):
-            return prediction_tracking_policy(s, sch, PolicyConfig(2, K), w, planner=planner)
-
         dist = DisturbanceModel(0.5 * np.eye(3))
-        report = expected_regret_mc(sys_, sched, policy, dist, trials=5, master_seed=3)
-        regrets, costs_policy, costs_opt = [], [], []
-        for trial in range(5):
-            w = dist.sample(generator(3, "mc", "disturbance", trial), 14)
-            traj = policy(sys_, sched, w)
-            opt = clairvoyant_policy(sys_, sched, w)
-            regrets.append(traj.cost - opt.cost)
-            costs_policy.append(traj.cost)
-            costs_opt.append(opt.cost)
-        arr = np.asarray(regrets)
-        assert report == RegretReport(
-            regret=float(arr.mean()),
-            cost_policy=float(np.mean(costs_policy)),
-            cost_optimal=float(np.mean(costs_opt)),
-            trials=5,
-            stderr=float(arr.std(ddof=1) / np.sqrt(5)),
-            excluded_trials=0,
-        )
+        report = expected_regret_mc(planner, PolicyConfig(2, K), dist, trials=5, master_seed=3)
+        assert report == looped_expected_regret(planner, PolicyConfig(2, K), dist, 5, 3)
+        assert report.trials == 5 and report.excluded_trials == 0
 
-    def test_overflow_trials_excluded(self):
-        sys_ = scalar_system(0.8, 1.0, 2.0)
-        sched = scalar_schedule(1.0, 1.0, 5)
-        calls = {"count": 0}
+    def blow_up_plans(self, monkeypatch, trials):
+        # The tracker's planned controls of the given trials of a block are inf.
+        plan_points = FrozenPlanner.plan_points
 
-        def flaky_policy(s, sch, w):
-            calls["count"] += 1
-            if calls["count"] % 2 == 1:
-                raise TrajectoryOverflowError(3)
-            return clairvoyant_policy(s, sch, w)
+        def blown_plan(planner, W, w=None):
+            xs, us = plan_points(planner, W, w)
+            us[list(trials)] = np.inf
+            return xs, us
 
-        dist = DisturbanceModel(0.1 * np.eye(1))
-        report = expected_regret_mc(sys_, sched, flaky_policy, dist, trials=6, master_seed=0)
+        monkeypatch.setattr(FrozenPlanner, "plan_points", blown_plan)
+
+    def test_overflow_trials_excluded(self, monkeypatch):
+        planner, K, dist, _ = mc_instance(1, 2, 1, 6)
+        cfg = PolicyConfig(1, K)
+        reference = looped_expected_regret(planner, cfg, dist, 6, 0, drop={0, 2, 4})
+        self.blow_up_plans(monkeypatch, [0, 2, 4])
+        report = expected_regret_mc(planner, cfg, dist, trials=6, master_seed=0)
         assert report.excluded_trials == 3
         assert report.trials == 3
+        assert report == reference
 
-    def test_all_failures_raise(self):
-        sys_ = scalar_system(0.8, 1.0, 2.0)
-        sched = scalar_schedule(1.0, 1.0, 5)
-
-        def doomed(s, sch, w):
-            raise TrajectoryOverflowError(1)
-
-        dist = DisturbanceModel(np.eye(1))
+    def test_all_failures_raise(self, monkeypatch):
+        planner, K, dist, _ = mc_instance(2, 1, 1, 5)
+        self.blow_up_plans(monkeypatch, range(4))
         with pytest.raises(AllTrialsFailedError):
-            expected_regret_mc(sys_, sched, doomed, dist, trials=4, master_seed=0)
+            expected_regret_mc(planner, PolicyConfig(1, K), dist, trials=4, master_seed=0)
+
+    def test_comparator_overflow_excludes_its_trial(self, monkeypatch):
+        # Only trial 1's comparator overflows: its feedforward is 1e200, so
+        # its cost is not finite. The trial is excluded, the others stand.
+        planner, K, dist, _ = mc_instance(3, 3, 1, 12)
+        cfg = PolicyConfig(2, K)
+        reference = looped_expected_regret(planner, cfg, dist, 5, 4, drop={1})
+        affine_terms = preview_lqr.regret.affine_terms
+
+        def blown_feedforward(*args):
+            k = affine_terms(*args)
+            k[:, 1] = 1e200
+            return k
+
+        monkeypatch.setattr(preview_lqr.regret, "affine_terms", blown_feedforward)
+        report = expected_regret_mc(planner, cfg, dist, trials=5, master_seed=4)
+        assert (report.trials, report.excluded_trials) == (4, 1)
+        assert report == reference
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        m=st.integers(1, 2),
+        T=st.integers(2, 25),
+        trials=st.integers(1, 6),
+        edit=st.sampled_from([None, "zero", 1e160, np.inf, np.nan]),
+        tiny_blocks=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=1, m=1, T=2, trials=1, edit="zero", tiny_blocks=False, seed=0)
+    @example(n=3, m=2, T=25, trials=6, edit=np.inf, tiny_blocks=True, seed=1)
+    def test_matches_looped_estimate(self, n, m, T, trials, edit, tiny_blocks, seed):
+        # One trial's draw is all zero, of either sign, or has one entry
+        # blown up; the report equals the per-trial loop's with ==.
+        planner, K, dist, rng = mc_instance(seed, n, m, T)
+        cfg = PolicyConfig(int(rng.integers(T - 1)), K)
+        target, where = int(rng.integers(trials)), (int(rng.integers(T - 1)), int(rng.integers(n)))
+        signs = np.where(rng.random((T - 1, n)) < 0.5, 0.0, -0.0)
+
+        def edited(w):
+            if edit == "zero":
+                return signs.copy()
+            w[where] = edit
+            return w
+
+        dist = EditedDisturbance(dist, {} if edit is None else {target: edited})
+        try:
+            reference = looped_expected_regret(planner, cfg, dist.rewind(), trials, seed)
+        except AllTrialsFailedError:
+            reference = AllTrialsFailedError
+        block = 1 if tiny_blocks else preview_lqr.regret.MC_BLOCK_BYTES
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(preview_lqr.regret, "MC_BLOCK_BYTES", block)
+            if reference is AllTrialsFailedError:
+                with pytest.raises(AllTrialsFailedError):
+                    expected_regret_mc(planner, cfg, dist.rewind(), trials, seed)
+            else:
+                assert expected_regret_mc(planner, cfg, dist.rewind(), trials, seed) == reference
+
+    def test_block_size_does_not_matter(self, monkeypatch):
+        # Blocks of one trial and one block of every trial give one report,
+        # with a zero draw and an overflowing draw among the trials.
+        planner, K, dist, _ = mc_instance(4, 4, 1, 30)
+        dist = EditedDisturbance(dist, {2: np.zeros_like, 5: lambda w: w * 1e160})
+        cfg = PolicyConfig(3, K)
+        reports = []
+        for block in (1, 2**62, preview_lqr.regret.MC_BLOCK_BYTES):
+            monkeypatch.setattr(preview_lqr.regret, "MC_BLOCK_BYTES", block)
+            reports.append(expected_regret_mc(planner, cfg, dist.rewind(), 9, 11))
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0].excluded_trials == 1
+        assert reports[0] == looped_expected_regret(planner, cfg, dist.rewind(), 9, 11)
+
+    def test_rejects_bad_arguments(self):
+        planner, K, dist, _ = mc_instance(5, 2, 1, 6)
+        with pytest.raises(ValueError, match="trials"):
+            expected_regret_mc(planner, PolicyConfig(1, K), dist, trials=0, master_seed=0)
+        with pytest.raises(ValueError, match="W must satisfy"):
+            expected_regret_mc(planner, PolicyConfig(5, K), dist, trials=2, master_seed=0)
 
 
 class TestPairedRegrets:

@@ -187,6 +187,28 @@ def looped_affine_terms(sys_, P, K, R, w, last):
     return k
 
 
+def unbatched_affine_terms(sys_, P, K, R, w, s, last):
+    """``affine_terms`` as written before it took a trials axis: one w only."""
+    A, B = sys_.A, sys_.B
+    n, m = sys_.n, sys_.m
+    T = P.shape[1]
+    first = np.searchsorted(last, np.arange(T - 1))
+    q = np.zeros((len(s), n))
+    k = np.zeros((T - 1, len(s), m))
+    for i in range(min(int(last[-1]), T - 2), -1, -1):
+        j = first[i]
+        Pn = P[s[j:], i + 1]
+        v = q[j:] + (Pn.reshape(-1, n) @ w[i]).reshape(-1, n)
+        Bv = v @ B
+        G = R[i] + np.einsum("ni,jnk,kl->jil", B, Pn, B)
+        if m == 1:
+            k[i, j:] = -Bv / G[:, 0]
+        else:
+            k[i, j:] = -np.linalg.solve(G, Bv[..., None])[..., 0]
+        q[j:] = v @ A + np.einsum("jmn,jm->jn", K[s[j:], i], Bv)
+    return k
+
+
 def clairvoyant_terms(sys_, sched, w):
     sol = backward_riccati(sys_, sched)
     T = sched.horizon
@@ -259,11 +281,53 @@ class TestAffineTerms:
             assert np.abs(batch[:, t] - ref).max() <= tol
             assert np.abs(single[:, 0] - ref).max() <= tol
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dims,
+        st.integers(2, 40),
+        st.integers(1, 5),
+        st.sampled_from([None, 1e160, np.inf, np.nan]),
+    )
+    @example((4, 2, 0), 40, 5, np.nan)
+    @example((1, 1, 1), 2, 1, None)
+    def test_trial_batches_match_per_trial_calls(self, nms, T, trials, blow):
+        # Ascending last with s >= last, as every caller passes them. Each
+        # trial's feedforward is its own (T-1, n) call's, and that call's is
+        # the unbatched recursion's, bit for bit; a trial blown up to 1e160,
+        # inf or NaN leaves every other trial alone.
+        n, m, seed = nms
+        rng = np.random.default_rng(seed)
+        sys_ = random_controllable_system(n, m, -1.2, 1.2, rng)
+        sched = random_schedule(rng, n, m, T)
+        P, K = frozen_backward_sweep(sys_, sched)
+        plans = 1 + int(rng.integers(5))
+        last = np.sort(rng.integers(0, T - 1, plans))
+        s = last + rng.integers(0, T - last)
+        w = rng.standard_normal((trials, T - 1, n))
+        blown = int(rng.integers(trials))
+        if blow is not None:
+            w[blown, rng.integers(T - 1), rng.integers(n)] = blow
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = affine_terms(sys_, P, K, sched.R, w, s, last)
+            assert batch.shape == (T - 1, trials, plans, m)
+            for t in range(trials):
+                single = affine_terms(sys_, P, K, sched.R, w[t], s, last)
+                if blow is None or t != blown:
+                    assert batch[:, t].tobytes() == single.tobytes()
+                    ref = unbatched_affine_terms(sys_, P, K, sched.R, w[t], s, last)
+                    assert single.tobytes() == ref.tobytes()
+                else:
+                    # NumPy's SIMD loops may give a NaN either sign.
+                    np.testing.assert_array_equal(batch[:, t], single)
+
     def test_rejects_bad_disturbance_shape(self):
         sys_ = scalar_system(0.9, 1.0)
         sched = scalar_schedule(1.0, 1.0, 4)
         with pytest.raises(ValueError, match="shape"):
             clairvoyant_terms(sys_, sched, np.ones((4, 1)))
+        for bad in (np.ones((2, 4, 1)), np.ones((3,)), np.ones((1, 2, 3, 1))):
+            with pytest.raises(ValueError, match="shape"):
+                clairvoyant_terms(sys_, sched, bad)
 
 
 class TestSolveDare:
