@@ -6,7 +6,9 @@ initial state under the schedule frozen at the preview boundary, then
 steers toward the planned state with a fixed stabilizing gain. The
 baseline re-solves a short window from the current state at every step,
 capping the tail with the fixed-point value matrix of the upper cost
-bounds.
+bounds. Each policy's closed-loop law, the (L, r, l) stacks that
+``simulate`` runs, is built once, by ``tracking_law``, ``baseline_law`` or
+``clairvoyant_law``; single runs and the batched evaluators stack them.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .riccati import (
     backward_riccati,
     frozen_backward_sweep,
     riccati_step,
-    rollout,
     simulate,
     solve_dare,
 )
@@ -330,25 +331,39 @@ class FrozenPlanner:
         return Xw, Uw
 
 
-def clairvoyant_policy(
-    sys: LinearSystem, schedule: CostSchedule, w=None, solution=None
-) -> Trajectory:
+def clairvoyant_law(sys: LinearSystem, sol: RiccatiSolution, w):
+    """The comparator's (L, r, l): u = K x + k, with r = +0.0, which is exact.
+
+    K is the true pass ``sol`` and k the ``affine_terms`` feedforward of one
+    plan on it that knows every w. A ``w`` of shape (N, T-1, n) gives the
+    stacks of N disturbance trials, each as its own (T-1, n) call gives them.
+    """
+    w = np.asarray(w, dtype=float)
+    k = affine_terms(sys, sol.P[None], sol.K[None], sol.schedule.R, w, [0], [len(sol.P) - 2])
+    l = np.moveaxis(k[..., 0, :], 0, -2)
+    return np.broadcast_to(sol.K, l.shape[:-1] + sol.K.shape[-2:]), np.zeros(w.shape), l
+
+
+def clairvoyant_policy(sys: LinearSystem, schedule: CostSchedule, w=None, solution=None) -> Trajectory:
     """Full-information optimal trajectory used as the regret comparator.
 
-    With disturbances present, the comparator knows the whole sequence and
-    applies the exact affine minimizer u[t] = K[t] x[t] + k[t]: the gains of
-    the true backward pass plus the feedforward of ``affine_terms`` for one
-    plan that knows every w. ``solution``, when given, is that true pass
+    It knows every disturbance (zero when ``w`` is None) and runs
+    ``clairvoyant_law``. ``solution``, when given, is the true pass
     (``backward_riccati`` on the schedule, or ``FrozenPlanner.solution(T-1)``),
-    so callers evaluating many disturbance draws solve it once.
+    so callers that hold it do not solve it again.
     """
     sol = solution if solution is not None else backward_riccati(sys, schedule)
-    if w is None or not np.any(w):
-        return rollout(sys, sol, sys.x0)
-    w = np.asarray(w, dtype=float)
-    last = schedule.horizon - 2
-    k = affine_terms(sys, sol.P[None], sol.K[None], schedule.R, w, [0], [last])[:, 0]
-    return _only(simulate(sys, schedule, sol.K, sys.x0, w, l=k))
+    w = np.zeros((schedule.horizon - 1, sys.n)) if w is None else w
+    L, r, l = clairvoyant_law(sys, sol, w)
+    return _only(simulate(sys, schedule, L, sys.x0, w, r, l))
+
+
+def tracking_law(planner: FrozenPlanner, cfg: PolicyConfig, w=None):
+    """The tracker's (L, r, l): u = K_track (x - X) + U, with (X, U) from
+    ``planner.plan_points``, so a ``w`` of shape (N, T-1, n) gives N trials' stacks."""
+    validate_policy_config(cfg, planner.sys, planner.T)
+    X, U = planner.plan_points(cfg.W, w)
+    return np.broadcast_to(cfg.K_track, U.shape[:-1] + cfg.K_track.shape), X, U
 
 
 def prediction_tracking_policy(
@@ -367,19 +382,22 @@ def prediction_tracking_policy(
     ``FrozenPlanner.plan_points`` call: O(T) batched array steps, with or
     without disturbances.
     """
-    validate_policy_config(cfg, sys, schedule.horizon)
     if planner is None:
         planner = FrozenPlanner(sys, schedule)
-    return _only(simulate(sys, schedule, cfg.K_track, sys.x0, w, *planner.plan_points(cfg.W, w)))
+    L, r, l = tracking_law(planner, cfg, w)
+    return _only(simulate(sys, schedule, L, sys.x0, w, r, l))
 
 
-def mpc_gains(sys: LinearSystem, schedule: CostSchedule, W: int, P_max) -> np.ndarray:
-    """The (T-1, m, n) gains of the baseline, whose window plans are pure quadratics.
+def baseline_law(sys: LinearSystem, schedule: CostSchedule, W: int, P_max):
+    """The baseline's (L, r, l): u = K x, whose window plans are pure quadratics.
 
     The full windows t <= T-2-W run as one batch of W+1 steps from P_max; the
     truncated ones end at T-1, so their gains come from one backward pass.
+    r = +0.0 and l = -0.0 change no bits of the loop.
     """
     T = schedule.horizon
+    if not 0 <= W <= T - 2:
+        raise ValueError(f"W must satisfy 0 <= W <= T - 2 = {T - 2}, got {W}")
     full = T - 1 - W
     P = np.asarray(P_max, dtype=float)
     for j in range(W, -1, -1):
@@ -389,7 +407,7 @@ def mpc_gains(sys: LinearSystem, schedule: CostSchedule, W: int, P_max) -> np.nd
     if W > 0:
         tail = CostSchedule(schedule.Q[full:], schedule.R[full:], validate=False)
         gains[full:] = backward_riccati(sys, tail).K
-    return gains
+    return gains, np.zeros((T - 1, sys.n)), np.full((T - 1, sys.m), -0.0)
 
 
 def mpc_baseline_policy(
@@ -408,9 +426,7 @@ def mpc_baseline_policy(
     of the horizon (terminal index past T-1) the window truncates and the
     true final state cost is used instead.
     """
-    T = schedule.horizon
-    if not 0 <= W <= T - 2:
-        raise ValueError(f"W must satisfy 0 <= W <= T - 2 = {T - 2}, got {W}")
     if P_max is None:
         P_max = solve_dare(sys.A, sys.B, bounds.Q_max, bounds.R_max)
-    return _only(simulate(sys, schedule, mpc_gains(sys, schedule, W, P_max), sys.x0, w))
+    L, r, l = baseline_law(sys, schedule, W, P_max)
+    return _only(simulate(sys, schedule, L, sys.x0, w, r, l))

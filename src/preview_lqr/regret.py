@@ -20,19 +20,13 @@ from .costs import CostBounds, CostSchedule, random_uniform_schedule, sequence_e
 from .policies import (
     FrozenPlanner,
     PolicyConfig,
+    baseline_law,
+    clairvoyant_law,
     clairvoyant_policy,
     default_tracking_poles,
-    mpc_gains,
-    validate_policy_config,
+    tracking_law,
 )
-from .riccati import (
-    Trajectory,
-    TrajectoryOverflowError,
-    affine_terms,
-    backward_riccati,
-    simulate,
-    solve_dare,
-)
+from .riccati import Trajectory, TrajectoryOverflowError, backward_riccati, simulate, solve_dare
 from .seeding import generator
 from .systems import DisturbanceModel, LinearSystem, place_poles_single_input
 
@@ -103,20 +97,15 @@ def expected_regret_mc(
     clairvoyant comparator on the planner's true pass. Trial substreams derive
     deterministically from the master seed, so the result does not depend on
     evaluation order. Up to ``MC_BLOCK_BYTES`` of feedforward at a time, a
-    block of trials runs as one ``plan_points`` call, one comparator
-    ``affine_terms`` call and one ``simulate`` batch, and each trial's costs
-    are those of its own tracker and ``clairvoyant_policy`` runs, bit for bit.
+    block of trials runs the stacked ``tracking_law`` and ``clairvoyant_law``
+    of its draws as one ``simulate`` batch, and each trial's costs are those
+    of its own tracker and ``clairvoyant_policy`` runs, bit for bit.
     A trial whose tracker or comparator overflows is excluded from the
     averages and counted in ``excluded_trials``.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     sys, schedule, T = planner.sys, planner.schedule, planner.T
-    validate_policy_config(cfg, sys, T)
-    sol = planner.solution(T - 1)
-    # One simulate batch: the trackers, u = K_track (x - X) + U, then the
-    # comparators, u = K x + k with r = +0.0, which is exact.
-    L = np.stack([np.broadcast_to(cfg.K_track, sol.K.shape), sol.K])[:, None]
     block = max(1, MC_BLOCK_BYTES // (8 * (T - 1) ** 2 * sys.m))
     pairs = []
     for start in range(0, trials, block):
@@ -124,9 +113,8 @@ def expected_regret_mc(
             dist.sample(generator(master_seed, "mc", "disturbance", t), T - 1)
             for t in range(start, min(start + block, trials))
         ])
-        X, U = planner.plan_points(cfg.W, w)
-        k = affine_terms(sys, sol.P[None], sol.K[None], schedule.R, w, [0], [T - 2])[:, :, 0]
-        r, l = np.stack([X, np.zeros_like(X)]), np.stack([U, k.swapaxes(0, 1)])
+        laws = tracking_law(planner, cfg, w), clairvoyant_law(sys, planner.solution(T - 1), w)
+        L, r, l = map(np.stack, zip(*laws))
         runs = simulate(sys, schedule, L, sys.x0, w, r, l)
         pairs += zip(runs[: len(w)], runs[len(w) :])
     done = [pair for pair in pairs if all(isinstance(run, Trajectory) for run in pair)]
@@ -149,7 +137,7 @@ def expected_regret_mc(
 PAIR_ERRORS = (ValueError, TrajectoryOverflowError, np.linalg.LinAlgError)
 
 
-def paired_regrets(planner: FrozenPlanner, K_track, Ws, P_max, w=None, opt_cost=None) -> list:
+def paired_regrets(planner: FrozenPlanner, K_track, Ws, P_max, w=None) -> list:
     """Per preview length Ws[j], (tracking regret, baseline regret) or the error met.
 
     Both policies run on the planner's instance with disturbances ``w``, the
@@ -157,48 +145,43 @@ def paired_regrets(planner: FrozenPlanner, K_track, Ws, P_max, w=None, opt_cost=
     Without disturbances the regrets come from the control-deviation identity
     on the planner's true pass, exact there and a sum of nonnegative terms, so
     no cancellation drowns a tiny regret; with them, a regret is the cost above
-    the comparator's, ``opt_cost`` when given. A W's error is the first of
-    ``PAIR_ERRORS`` met in its tracker, baseline, then regret. A ``w`` of the
-    wrong shape raises.
+    the comparator's, which joins the batch once for every W. A W's error is
+    the first of ``PAIR_ERRORS`` met in its tracker, baseline, then regret. A
+    ``w`` of the wrong shape raises.
     """
     sys, schedule, T = planner.sys, planner.schedule, planner.T
     if w is not None and np.shape(w) != (T - 1, sys.n):
         raise ValueError(f"w must have shape {(T - 1, sys.n)}, got {np.shape(w)}")
-    # Per W, the (L, r, l) of its tracker and baseline runs, up to the first
-    # error. The baseline's r = +0.0 and l = -0.0 change no bits of its loop.
+    # Per W the laws of its tracker and baseline or the first error met; the
+    # comparator's law, when there are disturbances, comes last.
     runs = []
     for W in Ws:
-        runs.append([])
         try:
             cfg = PolicyConfig(W, K_track)
-            validate_policy_config(cfg, sys, T)
-            K = np.broadcast_to(cfg.K_track, (T - 1, sys.m, sys.n))
-            runs[-1].append((K, *planner.plan_points(cfg.W, w)))
-            gains = mpc_gains(sys, schedule, cfg.W, P_max)
-            runs[-1].append((gains, np.zeros((T - 1, sys.n)), np.full((T - 1, sys.m), -0.0)))
+            runs.append([tracking_law(planner, cfg, w), baseline_law(sys, schedule, cfg.W, P_max)])
         except PAIR_ERRORS as err:
-            runs[-1].append(err)
-    inputs = [run for pair in runs for run in pair if isinstance(run, tuple)]
-    if inputs:
-        L, r, l = map(np.stack, zip(*inputs))
+            runs.append([err])
+    if w is not None:
+        try:
+            runs.append([clairvoyant_law(sys, planner.solution(T - 1), w)])
+        except PAIR_ERRORS as err:
+            runs.append([err])
+    laws = [run for pair in runs for run in pair if isinstance(run, tuple)]
+    if laws:
+        L, r, l = map(np.stack, zip(*laws))
         done = iter(simulate(sys, schedule, L, sys.x0, w, r, l))
+    runs = [[next(done) if isinstance(run, tuple) else run for run in pair] for pair in runs]
+    opt = runs.pop()[0] if w is not None else None
     out = []
     for pair in runs:
-        pair = [next(done) if isinstance(run, tuple) else run for run in pair]
-        errors = [run for run in pair if isinstance(run, Exception)]
+        errors = [run for run in (*pair, opt) if isinstance(run, Exception)]
         if errors:
             out.append(errors[0])
-            continue
-        true_sol = planner.solution(T - 1)
-        if w is None:
+        elif w is None:
+            true_sol = planner.solution(T - 1)
             out.append(tuple(regret_via_control_deviation(run, sys, schedule, true_sol) for run in pair))
-            continue
-        try:
-            if opt_cost is None:
-                opt_cost = clairvoyant_policy(sys, schedule, w, solution=true_sol).cost
-            out.append((pair[0].cost - opt_cost, pair[1].cost - opt_cost))
-        except PAIR_ERRORS as err:
-            out.append(err)
+        else:
+            out.append((pair[0].cost - opt.cost, pair[1].cost - opt.cost))
     return out
 
 

@@ -22,7 +22,7 @@ from .policies import (
     prediction_tracking_policy,
 )
 from .regret import regret_via_control_deviation
-from .riccati import backward_riccati, brute_force_lqr_oracle, rollout
+from .riccati import RiccatiSolution, Trajectory, backward_riccati, brute_force_lqr_oracle, rollout
 from .seeding import generator
 from .systems import LinearSystem, place_poles_single_input, random_controllable_system
 
@@ -109,6 +109,9 @@ class _Instance:
     W: int
     planner: FrozenPlanner
     constants: BoundConstants
+    true_sol: RiccatiSolution
+    traj: Trajectory
+    opt: Trajectory
 
 
 def _random_bounded_instance(rng: np.random.Generator) -> _Instance:
@@ -132,7 +135,12 @@ def _random_bounded_instance(rng: np.random.Generator) -> _Instance:
     # object serves all the property checks on this instance. Computing it
     # also prepares the planner, whose pass stacks the suites read.
     constants = compute_bound_constants(sys_, schedule, K_track, 0, planner=planner)
-    return _Instance(sys_, schedule, K_track, W, planner, constants)
+    # The tracker and the comparator on the planner's true pass, run once
+    # for the state-deviation and regret-identity suites.
+    true_sol = planner.solution(T - 1)
+    traj = prediction_tracking_policy(sys_, schedule, PolicyConfig(W, K_track), planner=planner)
+    opt = clairvoyant_policy(sys_, schedule, solution=true_sol)
+    return _Instance(sys_, schedule, K_track, W, planner, constants, true_sol, traj, opt)
 
 
 def _instances(seed: int, count: int):
@@ -220,10 +228,7 @@ def state_deviation_suite(instances, tol: float = 1e-9) -> CheckResult:
         W = inst.W
         g, e, q, Cf = c.gamma, c.eta, c.q, c.C_f
         x0_norm = float(np.linalg.norm(inst.sys.x0))
-        traj = prediction_tracking_policy(
-            inst.sys, inst.schedule, PolicyConfig(W, inst.K_track), planner=inst.planner
-        )
-        opt = clairvoyant_policy(inst.sys, inst.schedule)
+        traj, opt = inst.traj, inst.opt
         pref = c.C**2 * c.C_K * x0_norm * g**W / (g - 1.0)
         # Row t is entry t of the plan made at time t, as the planner stores it.
         plan_x = np.vstack([inst.planner.plan_points(W)[0], inst.planner.X[T - 1, T - 1]])
@@ -249,14 +254,8 @@ def regret_identity_suite(instances, tol: float = 1e-6) -> CheckResult:
     """Direct regret agrees with the control-deviation identity."""
     worst = 0.0
     for inst in instances:
-        traj = prediction_tracking_policy(
-            inst.sys, inst.schedule, PolicyConfig(inst.W, inst.K_track), planner=inst.planner
-        )
-        opt = clairvoyant_policy(inst.sys, inst.schedule)
-        direct = traj.cost - opt.cost
-        ident = regret_via_control_deviation(
-            traj, inst.sys, inst.schedule, solution=inst.planner.solution(inst.schedule.horizon - 1)
-        )
+        direct = inst.traj.cost - inst.opt.cost
+        ident = regret_via_control_deviation(inst.traj, inst.sys, inst.schedule, inst.true_sol)
         worst = max(worst, abs(direct - ident) / max(1.0, abs(direct)))
     return CheckResult(
         "regret identity",

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from preview_lqr import cli, experiments, policies
+from preview_lqr import cli, experiments, policies, regret
 from preview_lqr.bounds import compute_bound_constants, regret_upper_bound, sufficient_condition_check
 from preview_lqr.cli import cli_main
 from preview_lqr.costs import CostBounds, random_uniform_schedule
@@ -24,7 +24,7 @@ from preview_lqr.experiments import (
     run_grid,
 )
 from preview_lqr.regret import paired_regrets, regret_via_control_deviation
-from preview_lqr.riccati import DareConvergenceError, solve_dare
+from preview_lqr.riccati import DareConvergenceError, backward_riccati, solve_dare
 from preview_lqr.seeding import generator
 from preview_lqr.systems import DisturbanceModel
 
@@ -239,10 +239,10 @@ class TestRunGrid:
         cfg = small_config(scenario="pendulum-disturbance", trials=2, w_max=2)
         shared = run_grid(cfg)
 
-        def per_trial(sys_, schedule, w=None, solution=None):
-            return policies.clairvoyant_policy(sys_, schedule, w)
+        def per_trial(sys_, sol, w):
+            return policies.clairvoyant_law(sys_, backward_riccati(sys_, sol.schedule), w)
 
-        monkeypatch.setattr(experiments, "clairvoyant_policy", per_trial)
+        monkeypatch.setattr(regret, "clairvoyant_law", per_trial)
         assert run_grid(cfg) == shared
 
     def test_least_margin_trial_supplies_bound_first_on_ties(self):
@@ -367,12 +367,32 @@ class TestTrialsBatchedOverW:
         with pytest.raises(ValueError, match="w must have shape"):
             paired_regrets(policies.FrozenPlanner(sys_, schedule), K_track, [0, 1], P_max, np.zeros((12, 4)))
 
-        def drop_last_disturbance(planner, K_track, Ws, P_max, w=None, opt_cost=None):
-            return paired_regrets(planner, K_track, Ws, P_max, w[:-1], opt_cost)
+        def drop_last_disturbance(planner, K_track, Ws, P_max, w=None):
+            return paired_regrets(planner, K_track, Ws, P_max, w[:-1])
 
         monkeypatch.setattr(experiments, "paired_regrets", drop_last_disturbance)
         with pytest.raises(ValueError, match="w must have shape"):
             run_grid(cfg)
+
+    def test_comparator_overflow_excludes_the_trial_at_every_w(self, monkeypatch):
+        # Only the first trial's comparator overflows. Its tracker and
+        # baseline run, yet every W of that trial is excluded and counted.
+        cfg = small_config(scenario="pendulum-disturbance", t_min=12, t_max=12, w_max=3, trials=2)
+        clairvoyant_law, calls = regret.clairvoyant_law, []
+
+        def blow_up_first_trial(sys_, sol, w):
+            L, r, l = clairvoyant_law(sys_, sol, w)
+            calls.append(w)
+            return (L, r, np.full_like(l, 1e200)) if len(calls) == 1 else (L, r, l)
+
+        monkeypatch.setattr(regret, "clairvoyant_law", blow_up_first_trial)
+        outcomes = [experiments._evaluate_trial(cfg, 12, trial) for trial in range(2)]
+        assert all(cell.startswith("TrajectoryOverflowError: ") for cell in outcomes[0].values())
+        assert not any(isinstance(cell, str) for cell in outcomes[1].values())
+        calls.clear()
+        result = run_grid(cfg)
+        assert [row.W for row in result.rows] == [0, 1, 2, 3] and not result.failures
+        assert all(row.excluded_trials == 1 for row in result.rows)
 
 
 class TestCli:
@@ -524,6 +544,25 @@ class TestCli:
         assert err.startswith("error:")
         assert "x0 must have length 4" in err
         assert not (out / "random.csv").exists()
+
+    @pytest.mark.parametrize(
+        "poles, message",
+        [
+            ("1e-3, 2e-3, 3e-3", "poles must have length 4, got 3"),
+            ("1.5, 2e-3, 3e-3, 4e-3", "poles must lie inside the unit circle"),
+        ],
+    )
+    def test_bad_poles_are_usage_error(self, tmp_path, capsys, poles, message):
+        out = tmp_path / "results"
+        cfg_file = tmp_path / "f"
+        cfg_file.write_text(
+            f"poles = {poles}\nt_min = 10\nt_max = 10\nw_max = 2\ntrials = 1\nout = {out}\n"
+        )
+        assert cli_main(["pendulum-grid", "--config", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err
+        assert not (out / "pendulum.csv").exists()
 
     def test_bad_config_file_is_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"

@@ -86,6 +86,27 @@ class TestClairvoyant:
             ref = brute_force_lqr_oracle(sys_, sched, w)
             np.testing.assert_allclose(mine.u, ref.u, rtol=1e-8, atol=1e-10)
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_zero_disturbance_is_the_undisturbed_run(self, m):
+        # An all-zero w of either sign gives the w=None cost bit for bit and
+        # equal states and controls, and both are the rollout of the true
+        # pass's gains.
+        rng = np.random.default_rng(10 + m)
+        for _ in range(10):
+            n, T = int(rng.integers(m, 5)), int(rng.integers(2, 30))
+            sys_ = random_controllable_system(n, m, -1.5, 1.5, rng, x0=rng.standard_normal(n))
+            bounds = CostBounds(0.5 * np.eye(n), 3.0 * np.eye(n), 0.4 * np.eye(m), 1.8 * np.eye(m))
+            sched = random_uniform_schedule(bounds, T, rng)
+            plain = clairvoyant_policy(sys_, sched)
+            ref = rollout(sys_, backward_riccati(sys_, sched), sys_.x0)
+            assert plain.cost.hex() == ref.cost.hex()
+            for zero in (np.zeros((T - 1, n)), np.full((T - 1, n), -0.0)):
+                traj = clairvoyant_policy(sys_, sched, zero)
+                assert traj.cost.hex() == plain.cost.hex()
+                np.testing.assert_array_equal(traj.x, plain.x)
+                np.testing.assert_array_equal(traj.u, plain.u)
+                np.testing.assert_array_equal(traj.u, ref.u)
+
 
 class TestPredictTrajectory:
     """The single-time plan, ``FrozenPlanner.plan(t, W, known_w)``."""

@@ -350,14 +350,14 @@ class TestExpectedRegretMc:
         planner, K, dist, _ = mc_instance(3, 3, 1, 12)
         cfg = PolicyConfig(2, K)
         reference = looped_expected_regret(planner, cfg, dist, 5, 4, drop={1})
-        affine_terms = preview_lqr.regret.affine_terms
+        clairvoyant_law = preview_lqr.regret.clairvoyant_law
 
         def blown_feedforward(*args):
-            k = affine_terms(*args)
-            k[:, 1] = 1e200
-            return k
+            L, r, l = clairvoyant_law(*args)
+            l[1] = 1e200
+            return L, r, l
 
-        monkeypatch.setattr(preview_lqr.regret, "affine_terms", blown_feedforward)
+        monkeypatch.setattr(preview_lqr.regret, "clairvoyant_law", blown_feedforward)
         report = expected_regret_mc(planner, cfg, dist, trials=5, master_seed=4)
         assert (report.trials, report.excluded_trials) == (4, 1)
         assert report == reference
@@ -472,18 +472,19 @@ class TestPairedRegrets:
         # W = 2: the tracker's cost and the baseline's state overflow, and the
         # tracker's error is returned. W = 3: only the baseline overflows.
         sys_, bounds, sched, K, P_max = self.instance()
-        plan_points, mpc_gains = FrozenPlanner.plan_points, preview_lqr.policies.mpc_gains
+        plan_points, baseline_law = FrozenPlanner.plan_points, preview_lqr.policies.baseline_law
 
         def blown_plan(planner, W, w=None):
             xs, us = plan_points(planner, W, w)
             return (xs, np.full_like(us, 1e200)) if W == 2 else (xs, us)
 
         def blown_gains(sys_, sched, W, P_max):
-            return mpc_gains(sys_, sched, W, P_max) * (1e200 if W in (2, 3) else 1.0)
+            gains, r, l = baseline_law(sys_, sched, W, P_max)
+            return gains * (1e200 if W in (2, 3) else 1.0), r, l
 
         monkeypatch.setattr(FrozenPlanner, "plan_points", blown_plan)
-        monkeypatch.setattr(preview_lqr.policies, "mpc_gains", blown_gains)
-        monkeypatch.setattr(preview_lqr.regret, "mpc_gains", blown_gains)
+        monkeypatch.setattr(preview_lqr.policies, "baseline_law", blown_gains)
+        monkeypatch.setattr(preview_lqr.regret, "baseline_law", blown_gains)
         got = paired_regrets(FrozenPlanner(sys_, sched), K, [2, 3, 4], P_max)
         for W, pair in zip([2, 3, 4], got):
             self.assert_same(pair, self.per_w(sys_, bounds, sched, K, P_max, W))
