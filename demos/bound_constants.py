@@ -31,7 +31,8 @@ def pendulum_section():
     schedule = random_uniform_schedule(bounds, T, np.random.default_rng(1))
     K = place_poles_single_input(sys_, DEFAULT_POLES)
     planner = FrozenPlanner(sys_, schedule)
-    constants = compute_bound_constants(sys_, schedule, K, W, planner=planner)
+    # One call evaluates a list of preview lengths; here it is one.
+    (constants,) = compute_bound_constants(planner, K, [W])
 
     for name in ("D", "C_K", "C", "eta", "alpha", "beta", "gamma",
                  "alpha1", "alpha2", "C_f", "q", "epsilon"):
@@ -61,7 +62,7 @@ def sublinearity_section():
     schedule = CostSchedule(
         tuple(np.eye(1) for _ in range(T0)), tuple(np.eye(1) for _ in range(T0 - 1))
     )
-    constants = compute_bound_constants(sys_, schedule, [[0.0]], W=0)
+    (constants,) = compute_bound_constants(FrozenPlanner(sys_, schedule), [[0.0]], [0])
     for T in (100, 1000, 10000):
         b = regret_upper_bound(constants, T, 0, sys_.x0)
         print(f"  T = {T:>6}: bound = {b:.9e}, bound / T = {b / T:.3e}")

@@ -176,7 +176,7 @@ def _run_bound_check(settings: dict) -> int:
     realized = regret_via_control_deviation(
         traj, sys_, schedule, solution=planner.solution(T - 1)
     )
-    report = make_bound_report(sys_, schedule, K_track, W, realized, bounds, planner)
+    report = make_bound_report(planner, K_track, W, realized, bounds)
     c = report.constants
     print(f"instance: pendulum, T={T}, W={W}, seed={seed}")
     for name in (

@@ -24,7 +24,7 @@ from .bounds import (
 )
 from .costs import CostBounds, random_uniform_schedule
 from .policies import DEFAULT_POLES, FrozenPlanner
-from .regret import PAIR_ERRORS, paired_regrets
+from .regret import PAIR_ERRORS, paired_regrets, standard_error
 from .riccati import DareConvergenceError, solve_dare
 from .seeding import generator
 from .systems import (
@@ -185,14 +185,21 @@ def _evaluate_trial(config: ExperimentConfig, T: int, trial: int):
         reason = f"{type(err).__name__}: {err}"
         return {W: reason for W in config.w_values}
     Ws = list(dict.fromkeys(min(W, T - 2) for W in config.w_values))
+    pairs = paired_regrets(planner, K_track, Ws, P_max, w)
+    # The bound constants of every W whose pair succeeded, in one call.
+    ok = [W for W, pair in zip(Ws, pairs) if not isinstance(pair, Exception)]
+    try:
+        constants = dict(zip(ok, compute_bound_constants(planner, K_track, ok) if ok else ()))
+    except _TRIAL_ERRORS as err:
+        constants = dict.fromkeys(ok, err)
     computed = {}
-    for W_eff, pair in zip(Ws, paired_regrets(planner, K_track, Ws, P_max, w)):
+    for W_eff, pair in zip(Ws, pairs):
         try:
-            if isinstance(pair, Exception):
-                raise pair
-            constants = compute_bound_constants(sys_, schedule, K_track, W_eff, planner=planner)
-            bound = regret_upper_bound(constants, T, W_eff, sys_.x0)
-            suff = sufficient_condition_check(constants, config.bounds, sys_)
+            c = pair if isinstance(pair, Exception) else constants[W_eff]
+            if isinstance(c, Exception):
+                raise c
+            bound = regret_upper_bound(c, T, W_eff, sys_.x0)
+            suff = sufficient_condition_check(c, config.bounds, sys_)
             computed[W_eff] = (*pair, bound, suff)
         except _TRIAL_ERRORS as err:
             computed[W_eff] = f"{type(err).__name__}: {err}"
@@ -210,12 +217,11 @@ def _aggregate_cell(T: int, W: int, trial_outcomes):
     # the first one wins ties.
     best = min(range(len(margins)), key=margins.__getitem__)
     phis = np.asarray(reg_base) - np.asarray(reg_ours)
-    stderr = float(phis.std(ddof=1) / np.sqrt(phis.size)) if phis.size > 1 else 0.0
     row = GridRow(
         T=T,
         W=W,
         phi_mean=float(phis.mean()),
-        phi_stderr=stderr,
+        phi_stderr=standard_error(phis),
         regret_ours_mean=float(np.mean(reg_ours)),
         regret_mpc_mean=float(np.mean(reg_base)),
         bound=float(bounds[best]),

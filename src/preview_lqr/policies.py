@@ -17,14 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import (
-    CostBounds,
-    CostExtrema,
-    CostSchedule,
-    IncomparableScheduleError,
-    frozen_schedule,
-    sequence_extrema,
-)
+from .costs import CostBounds, CostSchedule, frozen_schedule
 from .riccati import (
     RiccatiSolution,
     Trajectory,
@@ -41,22 +34,6 @@ from .systems import LinearSystem, _freeze, spectral_radius
 
 # The pendulum benchmark's tracking-gain poles.
 DEFAULT_POLES = (1e-3, 6e-3, 4e-3, 3e-3)
-
-# Freeze indices per eigvalsh batch of ``FrozenPlanner.alpha_top``: at
-# T = 1000 and n = 4 a block of screen products is about 4 MB.
-ALPHA_BLOCK = 32
-# Relative slack of the Frobenius screen in ``FrozenPlanner.alpha_top``: a
-# computed top eigenvalue exceeds the bound on ||M||_F by O(n^2 eps) at most.
-ALPHA_SCREEN_MARGIN = 1e-8
-# Below this candidate eigenvalue the squares in the screen's bound can
-# underflow, so the screen keeps every matrix of the pass.
-ALPHA_SCREEN_FLOOR = 1e-140
-
-
-def _symmetrized_apa(A, P):
-    """The symmetrized (A'P)A of every matrix in the stack P, as ``eigvalsh`` sees it."""
-    APA = A.T @ P @ A
-    return 0.5 * (APA + np.swapaxes(APA, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -114,12 +91,6 @@ class FrozenPlanner:
     tracking policy reads, entry t of the plan made at time t, for every t
     at once; with disturbances it runs one backward and one forward sweep
     batched over t, O(T) array steps instead of a replan per step.
-
-    The preview-independent parts of the bound constants are cached here
-    too, each built on first use, so paths that never evaluate the bound
-    pay nothing: ``alpha_top()``, the per-pass maxima that alpha takes a
-    suffix maximum of, and ``extrema()``, the schedule's Loewner extrema
-    and the fixed point of their upper costs.
     """
 
     def __init__(self, sys: LinearSystem, schedule: CostSchedule):
@@ -127,7 +98,6 @@ class FrozenPlanner:
         self.schedule = schedule
         self.T = schedule.horizon
         self.P = self.K = self.X = self.U = None
-        self._alpha_top = self._extrema = None
 
     def prepare(self):
         """Solve every frozen pass and roll out each nominal plan to its freeze index, once."""
@@ -150,86 +120,6 @@ class FrozenPlanner:
         for stack in (P, K, X, U):
             stack.setflags(write=False)
         self.P, self.K, self.X, self.U = P, K, X, U
-
-    def alpha_top(self) -> np.ndarray:
-        """Per freeze index s, the top eigenvalue of A' P[s, i] A over the interior.
-
-        Entry s is the largest eigenvalue of the symmetrized A' P[s, i] A
-        over i = 1..T-2 (i = 1 when T = 2), so alpha at preview W is the
-        maximum of entries min(W, T-1)..T-1. Built once, ``ALPHA_BLOCK``
-        freeze indices per batch; read-only.
-
-        A screen forms A'PA and runs ``eigvalsh`` only where a pass's
-        maximum can be, and the result is bit for bit that of ``eigvalsh``
-        on every matrix. One flattened gemm gives q = vec(P)' (S kron S)
-        vec(P) = ||A'PA||_F^2, S = AA'. By Higham's dot-product bounds
-        (*Accuracy and Stability of Numerical Algorithms*, ch. 3), rounding
-        moves q by at most e1 ||P||_F^2, e1 = gamma_(2n^2+2n+2) || |A||A|'
-        ||_2^2, and the formed (A'P)A, C, lies within e2 ||P||_F of A'PA,
-        e2 = gamma_2n || |A| ||_2^2. So ub = sqrt(max(q, 0) + e1 ||P||_F^2)
-        + e2 ||P||_F >= ||C||_F, and C symmetrized, the M that ``eigvalsh``
-        sees, has lambda_max(M) <= ||M||_F <= ||C||_F (1 + u). Per pass the
-        matrix of largest ub (NaN counting as largest) gives a candidate
-        low_s = lambda_max, and a matrix is skipped only when
-        ub (1 + ALPHA_SCREEN_MARGIN) < low_s, which covers ``eigvalsh``'s
-        backward error, so the maximizer is never skipped. Formed matrices
-        are formed as without the screen and ``eigvalsh`` treats each one
-        alone, so they give the same values. A NaN or infinite ub, or a NaN
-        candidate, keeps the matrix; a pass whose candidate is below
-        ``ALPHA_SCREEN_FLOOR``, where q could underflow, is kept whole. An
-        infinite candidate is its pass's maximum, and the matrices it skips
-        have finite ub, so none could have made that maximum NaN.
-        """
-        if self._alpha_top is None:
-            self.prepare()
-            A, T, n = self.sys.A, self.T, self.sys.n
-            hi = T - 1 if T <= 2 else T - 2
-            # gamma_k = k u / (1 - k u) <= 1.01 k u for the k here.
-            u, absA = 1.01 * np.finfo(float).epsneg, np.abs(A)
-            e1 = (2 * n * n + 2 * n + 2) * u * np.linalg.norm(absA @ absA.T, 2) ** 2
-            e2 = 2 * n * u * np.linalg.norm(absA, 2) ** 2
-            G = np.kron(A @ A.T, A @ A.T)
-            top = np.empty(T)
-            for s in range(0, T, ALPHA_BLOCK):
-                P = self.P[s : s + ALPHA_BLOCK, 1 : hi + 1]
-                rows = np.arange(len(P))[:, None]
-                flat = P.reshape(P.shape[:2] + (n * n,))
-                with np.errstate(over="ignore", invalid="ignore"):
-                    sq = np.einsum("...k,...k->...", flat, flat)
-                    q = np.einsum("...k,...k->...", flat @ G, flat)
-                    ub = np.sqrt(np.maximum(q, 0.0) + e1 * sq) + e2 * np.sqrt(sq)
-                    cand = ub.argmax(axis=-1)[:, None]
-                    low = np.linalg.eigvalsh(_symmetrized_apa(A, P[rows, cand]))[..., -1]
-                    keep = ~(ub * (1.0 + ALPHA_SCREEN_MARGIN) < low)
-                keep |= low < ALPHA_SCREEN_FLOOR
-                keep[rows, cand] = False
-                eig = np.full(keep.shape, -np.inf)
-                eig[rows, cand] = low
-                eig[keep] = np.linalg.eigvalsh(_symmetrized_apa(A, P[keep]))[:, -1]
-                top[s : s + ALPHA_BLOCK] = eig.max(axis=-1)
-            top.setflags(write=False)
-            self._alpha_top = top
-        return self._alpha_top
-
-    def extrema(self) -> tuple[CostExtrema, np.ndarray]:
-        """The schedule's Loewner extrema and the fixed point of their upper costs.
-
-        Returns ``sequence_extrema(schedule)`` and, read-only, ``solve_dare``
-        on its Qbar_max and Rbar_max, both computed once. Raises
-        IncomparableScheduleError on every call when the schedule's
-        matrices have no Loewner extrema.
-        """
-        if self._extrema is None:
-            try:
-                ext = sequence_extrema(self.schedule)
-            except IncomparableScheduleError as err:
-                self._extrema = str(err)
-            else:
-                P = solve_dare(self.sys.A, self.sys.B, ext.Qbar_max, ext.Rbar_max)
-                self._extrema = (ext, _freeze(P))
-        if isinstance(self._extrema, str):
-            raise IncomparableScheduleError(self._extrema)
-        return self._extrema
 
     def solution(self, s: int) -> RiccatiSolution:
         """Backward pass for the schedule frozen at index s."""
@@ -347,13 +237,16 @@ def clairvoyant_law(sys: LinearSystem, sol: RiccatiSolution, w):
 def clairvoyant_policy(sys: LinearSystem, schedule: CostSchedule, w=None, solution=None) -> Trajectory:
     """Full-information optimal trajectory used as the regret comparator.
 
-    It knows every disturbance (zero when ``w`` is None) and runs
-    ``clairvoyant_law``. ``solution``, when given, is the true pass
-    (``backward_riccati`` on the schedule, or ``FrozenPlanner.solution(T-1)``),
-    so callers that hold it do not solve it again.
+    It knows every disturbance and runs ``clairvoyant_law``. With ``w`` None
+    it runs the true pass's gains alone, which is the law on an all-zero w
+    bit for bit, since that law's r = +0.0 and l = -0.0 are exact.
+    ``solution``, when given, is the true pass (``backward_riccati`` on the
+    schedule, or ``FrozenPlanner.solution(T-1)``), so callers that hold it
+    do not solve it again.
     """
     sol = solution if solution is not None else backward_riccati(sys, schedule)
-    w = np.zeros((schedule.horizon - 1, sys.n)) if w is None else w
+    if w is None:
+        return _only(simulate(sys, schedule, sol.K, sys.x0))
     L, r, l = clairvoyant_law(sys, sol, w)
     return _only(simulate(sys, schedule, L, sys.x0, w, r, l))
 

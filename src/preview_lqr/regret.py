@@ -22,7 +22,6 @@ from .policies import (
     PolicyConfig,
     baseline_law,
     clairvoyant_law,
-    clairvoyant_policy,
     default_tracking_poles,
     tracking_law,
 )
@@ -52,16 +51,22 @@ class RegretReport:
     excluded_trials: int = 0
 
 
-def regret(
-    policy_traj: Trajectory, sys: LinearSystem, schedule: CostSchedule, w=None
-) -> RegretReport:
-    """Dynamic regret of a trajectory against the clairvoyant comparator."""
-    opt = clairvoyant_policy(sys, schedule, w)
-    return RegretReport(
-        regret=policy_traj.cost - opt.cost,
-        cost_policy=policy_traj.cost,
-        cost_optimal=opt.cost,
-    )
+def standard_error(values) -> float:
+    """Standard error of the mean, std(ddof=1) / sqrt(n), or 0.0 for one value.
+
+    Where the squares in std overflow, about |values| > 1e154, the values are
+    scaled by their largest magnitude first; elsewhere that scaling would
+    move bits, so it is skipped.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.size < 2:
+        return 0.0
+    with np.errstate(over="ignore"):
+        err = values.std(ddof=1) / np.sqrt(values.size)
+        if not np.isfinite(err):
+            scale = np.abs(values).max()
+            err = (values / scale).std(ddof=1) / np.sqrt(values.size) * scale
+    return float(err)
 
 
 def regret_via_control_deviation(
@@ -122,13 +127,12 @@ def expected_regret_mc(
         raise AllTrialsFailedError(f"all {trials} trials overflowed")
     costs_policy, costs_opt = (np.array([run.cost for run in runs]) for runs in zip(*done))
     arr = costs_policy - costs_opt
-    stderr = float(arr.std(ddof=1) / np.sqrt(arr.size)) if arr.size > 1 else 0.0
     return RegretReport(
         regret=float(arr.mean()),
         cost_policy=float(costs_policy.mean()),
         cost_optimal=float(costs_opt.mean()),
         trials=arr.size,
-        stderr=stderr,
+        stderr=standard_error(arr),
         excluded_trials=trials - arr.size,
     )
 

@@ -291,9 +291,9 @@ def simulate(sys: LinearSystem, schedule, L, x0, w=None, r=None, l=None) -> list
     return results
 
 
-def _only(results) -> Trajectory:
-    """The trajectory of a batch of one, or its overflow error raised."""
-    if isinstance(results[0], TrajectoryOverflowError):
+def _only(results):
+    """The result of a batch of one, raised when it is an error."""
+    if isinstance(results[0], Exception):
         raise results[0]
     return results[0]
 

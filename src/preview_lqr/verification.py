@@ -22,7 +22,7 @@ from .policies import (
     prediction_tracking_policy,
 )
 from .regret import regret_via_control_deviation
-from .riccati import RiccatiSolution, Trajectory, backward_riccati, brute_force_lqr_oracle, rollout
+from .riccati import RiccatiSolution, Trajectory, _only, backward_riccati, brute_force_lqr_oracle, rollout
 from .seeding import generator
 from .systems import LinearSystem, place_poles_single_input, random_controllable_system
 
@@ -134,7 +134,7 @@ def _random_bounded_instance(rng: np.random.Generator) -> _Instance:
     # Zero preview takes alpha over every frozen pass, so one constants
     # object serves all the property checks on this instance. Computing it
     # also prepares the planner, whose pass stacks the suites read.
-    constants = compute_bound_constants(sys_, schedule, K_track, 0, planner=planner)
+    constants = _only(compute_bound_constants(planner, K_track, [0]))
     # The tracker and the comparator on the planner's true pass, run once
     # for the state-deviation and regret-identity suites.
     true_sol = planner.solution(T - 1)

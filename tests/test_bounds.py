@@ -7,11 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from preview_lqr import policies
+from preview_lqr import bounds as bounds_module
 from preview_lqr.bounds import (
+    ALPHA_BLOCK,
     BoundConstants,
     DegenerateConstantsError,
     _sufficient_condition_rhs,
+    alpha_top,
     compute_bound_constants,
     geometric_sum,
     make_bound_report,
@@ -29,14 +31,9 @@ from preview_lqr.costs import (
     sequence_extrema,
 )
 from preview_lqr.experiments import pendulum_cost_bounds
-from preview_lqr.policies import (
-    ALPHA_BLOCK,
-    FrozenPlanner,
-    PolicyConfig,
-    prediction_tracking_policy,
-)
+from preview_lqr.policies import FrozenPlanner, PolicyConfig, prediction_tracking_policy
 from preview_lqr.regret import regret_via_control_deviation
-from preview_lqr.riccati import solve_dare
+from preview_lqr.riccati import _only, solve_dare
 from preview_lqr.systems import (
     DisturbanceModel,
     LinearSystem,
@@ -66,6 +63,11 @@ def pendulum_setup(T, seed=0):
     return sys_, bounds, sched, K
 
 
+def constants_at(sys_, sched, K, W, cost_bounds=None):
+    """The bound constants of one instance at one preview length."""
+    return _only(compute_bound_constants(FrozenPlanner(sys_, sched), K, [W], cost_bounds))
+
+
 class TestGeometricSum:
     def test_zero_ratio(self):
         assert geometric_sum(0.0, 5) == pytest.approx(1.0)
@@ -89,7 +91,7 @@ class TestComputeBoundConstants:
         sys_ = scalar_system(a, 1.0)
         T = 200
         sched = scalar_schedule(1.0, 1.0, T)
-        c = compute_bound_constants(sys_, sched, [[0.0]], W=0)
+        c = constants_at(sys_, sched, [[0.0]], 0)
         p_expected = (0.25 + np.sqrt(0.0625 + 4.0)) / 2.0
         assert c.Pbar_max[0, 0] == pytest.approx(p_expected, rel=1e-9)
         assert c.eta == pytest.approx(np.sqrt(1.0 - 1.0 / p_expected), rel=1e-9)
@@ -104,7 +106,7 @@ class TestComputeBoundConstants:
         sys_ = scalar_system(0.8, 1.0)
         sched = scalar_schedule(2.0, 1.0, 30)
         values = [
-            compute_bound_constants(sys_, sched, [[0.1]], W=W).alpha1
+            constants_at(sys_, sched, [[0.1]], W).alpha1
             for W in (0, 2, 5)
         ]
         assert values[0] == pytest.approx(values[1], rel=1e-12)
@@ -112,7 +114,7 @@ class TestComputeBoundConstants:
 
     def test_pendulum_constant_ranges(self):
         sys_, bounds, sched, K = pendulum_setup(40)
-        c = compute_bound_constants(sys_, sched, K, W=5)
+        c = constants_at(sys_, sched, K, 5)
         assert 0.0 < c.eta < 1.0
         assert 0.0 < c.gamma < 1.0
         assert 0.0 < c.q < 1.0
@@ -126,18 +128,17 @@ class TestComputeBoundConstants:
         R = (np.eye(1), np.eye(1))
         sched = CostSchedule(Q, R)
         with pytest.raises(IncomparableScheduleError):
-            compute_bound_constants(sys_, sched, [[0.0, 0.0]], W=0)
+            constants_at(sys_, sched, [[0.0, 0.0]], 0)
         bounds = CostBounds(0.5 * np.eye(2), 3.0 * np.eye(2), [[0.5]], [[2.0]])
-        c = compute_bound_constants(
-            sys_, sched, [[0.0, 0.0]], W=0, cost_bounds=bounds
-        )
+        c = constants_at(sys_, sched, [[0.0, 0.0]], 0, cost_bounds=bounds)
         np.testing.assert_array_equal(c.Qbar_max, bounds.Q_max)
+        assert not c.Pbar_max.flags.writeable
 
     def test_rejects_unstable_tracking_gain(self):
         sys_ = scalar_system(1.5, 1.0)
         sched = scalar_schedule(1.0, 1.0, 10)
         with pytest.raises(ValueError, match="stabilize"):
-            compute_bound_constants(sys_, sched, [[0.0]], W=0)
+            constants_at(sys_, sched, [[0.0]], 0)
 
 
 def reference_bound_constants(sys, schedule, K_track, W=0, cost_bounds=None):
@@ -275,36 +276,36 @@ class TestBoundConstantsCache:
     @example(4, 2, 2, "free+bounds", 1)
     @example(1, 1, 2, "free", 2)
     def test_every_field_matches_uncached_evaluation(self, n, m, T, kind, seed):
+        # One call over every preview length, with the W-independent
+        # failures raised and the per-W ones returned, against the reference
+        # evaluated per W.
         sys_, sched, K, bounds = constants_instance(seed, n, m, T, kind)
-        planner = FrozenPlanner(sys_, sched)
-        for W in range(T + 3):
-            cached = outcome(
-                compute_bound_constants, sys_, sched, K, W, cost_bounds=bounds, planner=planner
-            )
+        Ws = range(T + 3)
+        batch = outcome(compute_bound_constants, FrozenPlanner(sys_, sched), K, Ws, bounds)
+        if not isinstance(batch, type):
+            assert len(batch) == len(Ws)
+        for W in Ws:
+            got = batch if isinstance(batch, type) else batch[W]
+            got = type(got) if isinstance(got, Exception) else got
             expected = outcome(reference_bound_constants, sys_, sched, K, W, cost_bounds=bounds)
             if isinstance(expected, type):
-                assert cached is expected, f"W={W}"
+                assert got is expected, f"W={W}"
             else:
-                assert_constants_equal(cached, expected)
+                assert_constants_equal(got, expected)
 
     def test_preview_order_and_planner_reuse_do_not_matter(self):
         sys_, bounds, sched, K = pendulum_setup(60, seed=4)
-        shared = FrozenPlanner(sys_, sched)
-        for W in range(10, 2, -1):
-            reused = compute_bound_constants(sys_, sched, K, W, planner=shared)
-            fresh = compute_bound_constants(
-                sys_, sched, K, W, planner=FrozenPlanner(sys_, sched)
-            )
-            assert_constants_equal(reused, fresh)
+        Ws = range(10, 2, -1)
+        batch = compute_bound_constants(FrozenPlanner(sys_, sched), K, Ws)
+        for W, c in zip(Ws, batch):
+            assert_constants_equal(c, constants_at(sys_, sched, K, W))
 
-    def test_caches_are_read_only(self):
+    def test_shared_pbar_max_is_read_only(self):
         sys_, bounds, sched, K = pendulum_setup(20)
-        planner = FrozenPlanner(sys_, sched)
-        compute_bound_constants(sys_, sched, K, 3, planner=planner)
+        first, second = compute_bound_constants(FrozenPlanner(sys_, sched), K, [2, 3])
+        assert first.Pbar_max is second.Pbar_max
         with pytest.raises(ValueError):
-            planner.alpha_top()[0] = 0.0
-        with pytest.raises(ValueError):
-            planner.extrema()[1][0, 0] = 0.0
+            first.Pbar_max[0, 0] = 0.0
 
     def test_memory_stays_bounded_at_long_horizon(self):
         # One stack of the interior A'PA matrices over every pass would
@@ -314,41 +315,38 @@ class TestBoundConstantsCache:
         planner.prepare()
         tracemalloc.start()
         try:
-            compute_bound_constants(sys_, sched, K, 3, planner=planner)
+            compute_bound_constants(planner, K, [3])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
 
-def unscreened_alpha_top(planner):
+def unscreened_alpha_top(A, P):
     """The per-pass top eigenvalues with eigvalsh on every interior A'PA."""
-    A, T = planner.sys.A, planner.T
+    T = P.shape[0]
     hi = T - 1 if T <= 2 else T - 2
     top = np.empty(T)
     for s in range(0, T, ALPHA_BLOCK):
-        APA = A.T @ planner.P[s : s + ALPHA_BLOCK, 1 : hi + 1] @ A
+        APA = A.T @ P[s : s + ALPHA_BLOCK, 1 : hi + 1] @ A
         APA = 0.5 * (APA + np.swapaxes(APA, -1, -2))
         top[s : s + ALPHA_BLOCK] = np.linalg.eigvalsh(APA)[..., -1].max(axis=-1)
     return top
 
 
-def assert_screen_exact(planner):
+def assert_screen_exact(A, P):
+    np.testing.assert_array_equal(alpha_top(A, P), unscreened_alpha_top(A, P))
+
+
+def frozen_passes(sys_, sched):
+    """The system matrix and the planner's stack of frozen passes."""
+    planner = FrozenPlanner(sys_, sched)
     planner.prepare()
-    np.testing.assert_array_equal(planner.alpha_top(), unscreened_alpha_top(planner))
+    return sys_.A, planner.P
 
 
-def hand_built_planner(A, P):
-    """A planner whose pass stack is ``P`` as given, finite or not."""
-    T, n = P.shape[0], P.shape[-1]
-    sys_ = LinearSystem(A, np.ones((n, 1)), np.ones(n))
-    planner = FrozenPlanner(sys_, CostSchedule((np.eye(n),) * T, (np.eye(1),) * (T - 1)))
-    planner.P = P
-    return planner
-
-
-def cancelling_planner(seed, n, T):
-    """A planner whose A'PA sums cancel: |A|'|P||A| is far above |A'PA|.
+def cancelling_passes(seed, n, T):
+    """A system matrix and passes whose A'PA sums cancel: |A|'|P||A| is far above |A'PA|.
 
     Every P[s, i] has a large mixed-sign direction v, and the columns of
     the mixed-sign A are all but orthogonal to v, so (A'P)A is small
@@ -361,12 +359,11 @@ def cancelling_planner(seed, n, T):
     A += 1e-7 * rng.uniform(-1.0, 1.0, (n, n))
     M = rng.uniform(-1.0, 1.0, (T, T, n, n))
     big = 10.0 ** rng.uniform(6.0, 14.0, (T, T, 1, 1))
-    P = big * np.outer(v, v) + M @ np.swapaxes(M, -1, -2)
-    return hand_built_planner(A, P)
+    return A, big * np.outer(v, v) + M @ np.swapaxes(M, -1, -2)
 
 
 class TestAlphaScreen:
-    """The Frobenius screen of ``FrozenPlanner.alpha_top`` changes no bit."""
+    """The Frobenius screen of ``bounds.alpha_top`` changes no bit."""
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -383,19 +380,19 @@ class TestAlphaScreen:
     @example(2, 1, 40, "cancelling", 4)
     def test_matches_unscreened_loop(self, n, m, T, kind, seed):
         if kind == "cancelling":
-            planner = cancelling_planner(seed, n, T)
+            assert_screen_exact(*cancelling_passes(seed, n, T))
         else:
             sys_, sched, _, _ = constants_instance(seed, n, m, T, kind)
-            planner = FrozenPlanner(sys_, sched)
-        assert_screen_exact(planner)
+            assert_screen_exact(*frozen_passes(sys_, sched))
 
     def test_constant_schedule_ties(self):
         # Every pass is the same, so every pass's screen values tie.
         sys_, bounds, _, _ = pendulum_setup(50)
         sched = CostSchedule((bounds.Q_max,) * 50, (bounds.R_min,) * 49)
-        planner = FrozenPlanner(sys_, sched)
-        assert_screen_exact(planner)
-        assert np.all(planner.alpha_top() == planner.alpha_top()[0])
+        A, P = frozen_passes(sys_, sched)
+        assert_screen_exact(A, P)
+        top = alpha_top(A, P)
+        assert np.all(top == top[0])
 
     def test_singular_products(self):
         rng = np.random.default_rng(3)
@@ -405,16 +402,16 @@ class TestAlphaScreen:
         sched = random_uniform_schedule(
             CostBounds(np.eye(3), 4 * np.eye(3), [[1.0]], [[3.0]]), 60, rng
         )
-        assert_screen_exact(FrozenPlanner(sys_, sched))
+        assert_screen_exact(*frozen_passes(sys_, sched))
 
     @pytest.mark.parametrize("scale", [1e-175, 1e150])
     def test_extreme_cost_scales(self, scale):
         # At 1e-175 the squares in ||M||_F underflow; at 1e150 they overflow.
         sys_, _, sched, _ = pendulum_setup(60, seed=1)
         scaled = CostSchedule(scale * sched.Q, scale * sched.R, validate=False)
-        planner = FrozenPlanner(sys_, scaled)
-        assert_screen_exact(planner)
-        assert np.all(np.isfinite(planner.alpha_top()))
+        A, P = frozen_passes(sys_, scaled)
+        assert_screen_exact(A, P)
+        assert np.all(np.isfinite(alpha_top(A, P)))
 
     def test_non_finite_passes_are_kept(self):
         # A NaN matrix must reach eigvalsh even beside a larger finite one.
@@ -425,24 +422,24 @@ class TestAlphaScreen:
         P[3, 6] = 1e6
         P[7, 9] = np.inf
         P[11, 2], P[11, 4] = np.inf, np.nan
-        planner = hand_built_planner([[0.9]], P)
-        top = planner.alpha_top()
-        np.testing.assert_array_equal(top, unscreened_alpha_top(planner))
+        A = np.array([[0.9]])
+        top = alpha_top(A, P)
+        np.testing.assert_array_equal(top, unscreened_alpha_top(A, P))
         assert np.isnan(top[3]) and top[7] == np.inf and np.isnan(top[11])
 
         M = rng.standard_normal((T, T, 2, 2))
         P = M @ np.swapaxes(M, -1, -2)
         P[5, 8, 0, 1] = np.nan
         P[5, 9] *= 1e6
-        planner = hand_built_planner(rng.standard_normal((2, 2)), P)
-        np.testing.assert_array_equal(planner.alpha_top(), unscreened_alpha_top(planner))
-        assert np.isnan(planner.alpha_top()[5])
+        A = rng.standard_normal((2, 2))
+        top = alpha_top(A, P)
+        np.testing.assert_array_equal(top, unscreened_alpha_top(A, P))
+        assert np.isnan(top[5])
 
     def test_eigvalsh_sees_few_matrices(self, monkeypatch):
         T = 400
         sys_, _, sched, _ = pendulum_setup(T, seed=2)
-        planner = FrozenPlanner(sys_, sched)
-        planner.prepare()
+        A, P = frozen_passes(sys_, sched)
         seen = []
         eigvalsh = np.linalg.eigvalsh
 
@@ -451,23 +448,22 @@ class TestAlphaScreen:
             return eigvalsh(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        planner.alpha_top()
+        alpha_top(A, P)
         assert sum(seen) <= 0.10 * T * (T - 2)
 
     def test_few_products_are_formed(self, monkeypatch):
         T = 400
         sys_, _, sched, _ = pendulum_setup(T, seed=2)
-        planner = FrozenPlanner(sys_, sched)
-        planner.prepare()
+        A, P = frozen_passes(sys_, sched)
         formed = []
-        symmetrized_apa = policies._symmetrized_apa
+        symmetrized_apa = bounds_module._symmetrized_apa
 
         def counting(A, P):
             formed.append(int(np.prod(np.shape(P)[:-2])))
             return symmetrized_apa(A, P)
 
-        monkeypatch.setattr(policies, "_symmetrized_apa", counting)
-        np.testing.assert_array_equal(planner.alpha_top(), unscreened_alpha_top(planner))
+        monkeypatch.setattr(bounds_module, "_symmetrized_apa", counting)
+        np.testing.assert_array_equal(alpha_top(A, P), unscreened_alpha_top(A, P))
         assert sum(formed) <= 0.10 * T * (T - 2)
 
 
@@ -506,7 +502,7 @@ class TestRegretUpperBound:
         # On the pendulum gamma is within 1e-6 of 1, where forming 1 - gamma
         # from the rounded gamma alone loses about ten digits.
         sys_, bounds, sched, K = pendulum_setup(T, seed=seed)
-        c = compute_bound_constants(sys_, sched, K, W)
+        c = constants_at(sys_, sched, K, W)
         assert 1.0 - c.gamma < 1e-4
         exact = high_precision_bound(c, T, W, sys_.x0)
         got = regret_upper_bound(c, T, W, sys_.x0)
@@ -514,12 +510,12 @@ class TestRegretUpperBound:
 
     def test_zero_initial_state(self):
         sys_, bounds, sched, K = pendulum_setup(20)
-        c = compute_bound_constants(sys_, sched, K, W=2)
+        c = constants_at(sys_, sched, K, 2)
         assert regret_upper_bound(c, 20, 2, np.zeros(4)) == 0.0
 
     def test_preview_ratio_is_exact(self):
         sys_, bounds, sched, K = pendulum_setup(30)
-        c = compute_bound_constants(sys_, sched, K, W=3)
+        c = constants_at(sys_, sched, K, 3)
         b0 = regret_upper_bound(c, 30, 3, sys_.x0)
         b1 = regret_upper_bound(c, 30, 4, sys_.x0)
         assert b1 / b0 == pytest.approx(c.gamma**2, rel=1e-12)
@@ -527,7 +523,7 @@ class TestRegretUpperBound:
     def test_growth_in_horizon_saturates(self):
         sys_ = scalar_system(0.5, 1.0)
         sched = scalar_schedule(1.0, 1.0, 50)
-        c = compute_bound_constants(sys_, sched, [[0.0]], W=0)
+        c = constants_at(sys_, sched, [[0.0]], 0)
         values = [regret_upper_bound(c, T, 0, sys_.x0) for T in (100, 1000, 10000)]
         assert values[0] <= values[1] <= values[2]
         assert values[1] / 100 > values[2] / 10000 * 99  # strictly sublinear growth
@@ -535,7 +531,7 @@ class TestRegretUpperBound:
 
     def test_pole_detection(self):
         sys_, bounds, sched, K = pendulum_setup(20)
-        c = compute_bound_constants(sys_, sched, K, W=2)
+        c = constants_at(sys_, sched, K, 2)
         broken = BoundConstants(
             Pbar_max=c.Pbar_max, D=c.D, C_K=c.C_K, C=c.C, eta=0.5,
             alpha=c.alpha, beta=c.beta, gamma=c.gamma, alpha1=c.alpha1,
@@ -555,7 +551,7 @@ class TestRegretUpperBound:
         realized = regret_via_control_deviation(
             traj, sys_, sched, solution=planner.solution(49)
         )
-        c = compute_bound_constants(sys_, sched, K, W=5, planner=planner)
+        c = _only(compute_bound_constants(planner, K, [5]))
         bound = regret_upper_bound(c, 50, 5, sys_.x0)
         assert realized <= bound
 
@@ -597,7 +593,7 @@ class TestSufficientCondition:
     @pytest.mark.parametrize("T, W, seed", [(20, 8, 1), (200, 3, 5), (60, 0, 2)])
     def test_rhs_matches_high_precision(self, T, W, seed):
         sys_, bounds, sched, K = pendulum_setup(T, seed=seed)
-        c = compute_bound_constants(sys_, sched, K, W=W)
+        c = constants_at(sys_, sched, K, W)
         assert 1.0 - c.gamma < 1e-5
         got = _sufficient_condition_rhs(c, sys_)
         exact = high_precision_condition_rhs(c, sys_)
@@ -605,7 +601,7 @@ class TestSufficientCondition:
 
     def test_monotone_in_upper_state_cost(self):
         sys_, bounds, sched, K = pendulum_setup(20)
-        c = compute_bound_constants(sys_, sched, K, W=2)
+        c = constants_at(sys_, sched, K, 2)
         held = sufficient_condition_check(c, bounds, sys_)
         bigger = CostBounds(
             bounds.Q_min, 10.0 * bounds.Q_max, bounds.R_min, bounds.R_max
@@ -617,7 +613,7 @@ class TestSufficientCondition:
         sys_ = scalar_system(0.5, 1.0)
         sched = scalar_schedule(1.0, 1.0, 60)
         bounds = CostBounds(np.eye(1), np.eye(1), np.eye(1), np.eye(1))
-        c = compute_bound_constants(sys_, sched, [[0.0]], W=0)
+        c = constants_at(sys_, sched, [[0.0]], 0)
         g, e, q = c.gamma, c.eta, c.q
         bracket = (1.0 + (c.alpha1 + c.alpha2) / (1.0 - g) ** 2) / (1.0 - e**2)
         bracket += (10.0 * c.C_f**2) / (
@@ -724,7 +720,7 @@ class TestBoundReport:
         realized = regret_via_control_deviation(
             traj, sys_, sched, solution=planner.solution(29)
         )
-        report = make_bound_report(sys_, sched, K, 4, realized, bounds, planner)
+        report = make_bound_report(planner, K, 4, realized, bounds)
         assert report.margin == pytest.approx(
             report.bound_value - report.realized_regret
         )

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from preview_lqr import cli, experiments, policies, regret
+from preview_lqr import bounds, cli, experiments, policies, regret
 from preview_lqr.bounds import compute_bound_constants, regret_upper_bound, sufficient_condition_check
 from preview_lqr.cli import cli_main
 from preview_lqr.costs import CostBounds, random_uniform_schedule
@@ -24,7 +24,7 @@ from preview_lqr.experiments import (
     run_grid,
 )
 from preview_lqr.regret import paired_regrets, regret_via_control_deviation
-from preview_lqr.riccati import DareConvergenceError, backward_riccati, solve_dare
+from preview_lqr.riccati import DareConvergenceError, _only, backward_riccati, solve_dare
 from preview_lqr.seeding import generator
 from preview_lqr.systems import DisturbanceModel
 
@@ -192,6 +192,41 @@ class TestRunGrid:
         reason = "DareConvergenceError: no fixed point"
         assert res.failures == ((12, 0, reason), (12, 1, reason))
 
+    def test_one_constants_call_per_trial(self, monkeypatch):
+        cfg = small_config(t_min=4, t_max=24, t_step=10, w_max=5, trials=2)
+        calls = []
+
+        def counting(planner, K_track, Ws, cost_bounds=None):
+            calls.append((planner.T, list(Ws)))
+            return compute_bound_constants(planner, K_track, Ws, cost_bounds)
+
+        monkeypatch.setattr(experiments, "compute_bound_constants", counting)
+        run_grid(cfg)
+        # Clamped preview lengths are evaluated once.
+        assert calls == [(4, [0, 1, 2])] * 2 + [(T, list(range(6))) for T in (14, 24) for _ in range(2)]
+
+    def test_constants_failure_excludes_every_w_of_the_trial(self, monkeypatch):
+        def no_fixed_point(*args, **kwargs):
+            raise DareConvergenceError("no fixed point")
+
+        monkeypatch.setattr(bounds, "solve_dare", no_fixed_point)
+        cfg = small_config(t_min=12, t_max=12, w_max=2, trials=1)
+        outcome = experiments._evaluate_trial(cfg, 12, 0)
+        assert outcome == {W: "DareConvergenceError: no fixed point" for W in range(3)}
+        assert outcome == per_w_evaluate_trial(cfg, 12, 0)
+
+    def test_huge_regrets_give_a_finite_stderr(self):
+        # The regrets reach about 1e160, where the squares in the standard
+        # deviation overflow unless the regrets are scaled first.
+        cfg = small_config(
+            scenario="random-disturbance", t_min=10, t_max=40, t_step=30, w_max=4,
+            trials=3, master_seed=2, disturbance_cov_scale=1e150,
+        )
+        result = run_grid(cfg)
+        assert len(result.rows) == 10 and result.failures == ()
+        assert min(abs(row.phi_mean) for row in result.rows) > 1e159
+        assert all(0.0 < row.phi_stderr < math.inf for row in result.rows)
+
     def test_pendulum_never_excludes(self):
         cfg = small_config(trials=3)
         res = run_grid(cfg)
@@ -317,7 +352,7 @@ def per_w_evaluate_trial(config, T, trial):
                     )
                 else:
                     regrets = (ours.cost - opt_cost, base.cost - opt_cost)
-                constants = compute_bound_constants(sys_, schedule, K_track, W_eff, planner=planner)
+                constants = _only(compute_bound_constants(planner, K_track, [W_eff]))
                 bound = regret_upper_bound(constants, T, W_eff, sys_.x0)
                 suff = sufficient_condition_check(constants, config.bounds, sys_)
                 computed[W_eff] = (*regrets, bound, suff)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import preview_lqr.policies
 from preview_lqr.costs import (
     CostBounds,
     CostSchedule,
@@ -106,6 +107,21 @@ class TestClairvoyant:
                 np.testing.assert_array_equal(traj.x, plain.x)
                 np.testing.assert_array_equal(traj.u, plain.u)
                 np.testing.assert_array_equal(traj.u, ref.u)
+
+    def test_no_feedforward_without_disturbances(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("affine_terms ran without disturbances")
+
+        monkeypatch.setattr(preview_lqr.policies, "affine_terms", refuse)
+        rng = np.random.default_rng(12)
+        sys_ = random_controllable_system(3, 1, -1.5, 1.5, rng, x0=rng.standard_normal(3))
+        bounds = CostBounds(0.5 * np.eye(3), 3.0 * np.eye(3), [[0.4]], [[1.8]])
+        sched = random_uniform_schedule(bounds, 9, rng)
+        sol = backward_riccati(sys_, sched)
+        traj = clairvoyant_policy(sys_, sched, solution=sol)
+        assert traj.cost.hex() == rollout(sys_, sol, sys_.x0).cost.hex()
+        with pytest.raises(AssertionError, match="affine_terms"):
+            clairvoyant_policy(sys_, sched, np.zeros((8, 3)), solution=sol)
 
 
 class TestPredictTrajectory:

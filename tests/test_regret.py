@@ -26,8 +26,8 @@ from preview_lqr.regret import (
     expected_regret_mc,
     paired_regrets,
     phi_metric,
-    regret,
     regret_via_control_deviation,
+    standard_error,
 )
 from preview_lqr.riccati import (
     Trajectory,
@@ -98,13 +98,19 @@ class TestTotalCost:
             assert abs(schedule_cost(x, u, sched) - ref) <= 1e-14 * ref
 
 
+def direct_regret(traj, sys_, sched) -> RegretReport:
+    """Regret as the trajectory's cost above the clairvoyant comparator's."""
+    opt = clairvoyant_policy(sys_, sched)
+    return RegretReport(regret=traj.cost - opt.cost, cost_policy=traj.cost, cost_optimal=opt.cost)
+
+
 class TestRegret:
     def test_clairvoyant_has_zero_regret(self):
         rng = np.random.default_rng(1)
         sys_ = scalar_system(0.8, 1.0, 2.0)
         sched = varying_schedule(rng, 1, 6)
         opt = clairvoyant_policy(sys_, sched)
-        report = regret(opt, sys_, sched)
+        report = direct_regret(opt, sys_, sched)
         assert report.regret == pytest.approx(0.0, abs=1e-12)
         assert report.cost_policy == report.cost_optimal
 
@@ -114,7 +120,7 @@ class TestRegret:
         sched = varying_schedule(rng, 1, 8)
         K = place_poles_single_input(sys_, [0.1])
         traj = prediction_tracking_policy(sys_, sched, PolicyConfig(1, K))
-        report = regret(traj, sys_, sched)
+        report = direct_regret(traj, sys_, sched)
         assert report.regret == pytest.approx(
             report.cost_policy - report.cost_optimal, rel=1e-12
         )
@@ -163,7 +169,7 @@ class TestControlDeviationIdentity:
             sched = varying_schedule(rng, n, T)
             K = place_poles_single_input(sys_, np.linspace(0.05, 0.3, n))
             traj = prediction_tracking_policy(sys_, sched, PolicyConfig(1, K))
-            report = regret(traj, sys_, sched)
+            report = direct_regret(traj, sys_, sched)
             ident = regret_via_control_deviation(traj, sys_, sched)
             assert abs(report.regret - ident) <= 1e-6 * max(1.0, abs(report.regret))
 
@@ -287,7 +293,7 @@ class TestExpectedRegretMc:
         dist = DisturbanceModel(np.zeros((1, 1)))
         planner = FrozenPlanner(sys_, sched)
         report = expected_regret_mc(planner, PolicyConfig(1, K), dist, trials=5, master_seed=0)
-        deterministic = regret(prediction_tracking_policy(sys_, sched, PolicyConfig(1, K)), sys_, sched)
+        deterministic = direct_regret(prediction_tracking_policy(sys_, sched, PolicyConfig(1, K)), sys_, sched)
         assert report.stderr == 0.0
         assert report.regret == pytest.approx(deterministic.regret, rel=1e-9, abs=1e-9)
         assert report == looped_expected_regret(planner, PolicyConfig(1, K), dist, 5, 0)
@@ -585,6 +591,24 @@ class TestPhiMetricMatchesReference:
         assert phi_metric(*args) == reference_phi_metric(*args)
 
 
+class TestStandardError:
+    def test_is_the_plain_expression_where_finite(self):
+        rng = np.random.default_rng(8)
+        for scale in (1e-300, 1e-3, 1.0, 1e6, 1e150):
+            values = scale * rng.standard_normal(7)
+            expected = float(values.std(ddof=1) / np.sqrt(values.size))
+            assert standard_error(values).hex() == expected.hex()
+        assert standard_error([5.0]) == 0.0
+
+    @pytest.mark.parametrize("scale", [1e154, 1e200, 1e300])
+    def test_scales_where_the_squares_overflow(self, scale):
+        values = np.array([3.0, -1.0, 1.0, 0.5])
+        assert standard_error(scale * values) == pytest.approx(scale * standard_error(values), rel=1e-15)
+
+    def test_non_finite_values_stay_non_finite(self):
+        assert np.isnan(standard_error([1.0, np.nan, 2.0]))
+
+
 class TestRegretReport:
     def test_defaults(self):
         report = RegretReport(regret=1.0, cost_policy=3.0, cost_optimal=2.0)
@@ -595,4 +619,3 @@ class TestRegretReport:
 def test_package_attribute_is_the_regret_module():
     # The package exports no function under the module's name.
     assert preview_lqr.regret.phi_metric is phi_metric
-    assert preview_lqr.regret.regret is regret
