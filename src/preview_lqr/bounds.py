@@ -25,7 +25,7 @@ from .costs import (
     random_uniform_schedule,
     sequence_extrema,
 )
-from .policies import FrozenPlanner, PolicyConfig, default_tracking_poles
+from .policies import FrozenPlanner, PolicyConfig, UnstableTrackingError, default_tracking_poles
 from .regret import expected_regret_mc
 from .riccati import _only, solve_dare
 from .seeding import generator, substream_entropy
@@ -33,17 +33,6 @@ from .systems import DisturbanceModel, LinearSystem, _freeze, place_poles_single
 
 # The scaling certificate holds when max r(T) / min r(T) is at most this.
 CERTIFICATE_RATIO = 10.0
-# Freeze indices per eigvalsh batch of ``alpha_top``: at T = 1000 and n = 4
-# a block of screen products is about 4 MB.
-ALPHA_BLOCK = 32
-# Relative slack of the Frobenius screen in ``alpha_top``: a computed top
-# eigenvalue exceeds the bound on ||M||_F by O(n^2 eps) at most.
-ALPHA_SCREEN_MARGIN = 1e-8
-# Below this candidate eigenvalue the squares in the screen's bound can
-# underflow, so the screen keeps every matrix of the pass.
-ALPHA_SCREEN_FLOOR = 1e-140
-
-
 class DegenerateConstantsError(ArithmeticError):
     """A denominator of the bound is at or near a pole."""
 
@@ -108,70 +97,6 @@ def _batch_spectral_norm(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 
-def _symmetrized_apa(A, P):
-    """The symmetrized (A'P)A of every matrix in the stack P, as ``eigvalsh`` sees it."""
-    APA = A.T @ P @ A
-    return 0.5 * (APA + np.swapaxes(APA, -1, -2))
-
-
-def alpha_top(A, P_all) -> np.ndarray:
-    """Per freeze index s, the top eigenvalue of A' P_all[s, i] A over the interior.
-
-    ``P_all`` is the (T, T, n, n) stack of frozen passes indexed by freeze
-    index, ``FrozenPlanner.P``. Entry s is the largest eigenvalue of the
-    symmetrized A' P_all[s, i] A over i = 1..T-2 (i = 1 when T = 2), so
-    alpha at preview W is the maximum of entries min(W, T-1)..T-1. Built
-    ``ALPHA_BLOCK`` freeze indices per batch.
-
-    A screen forms A'PA and runs ``eigvalsh`` only where a pass's
-    maximum can be, and the result is bit for bit that of ``eigvalsh``
-    on every matrix. One flattened gemm gives q = vec(P)' (S kron S)
-    vec(P) = ||A'PA||_F^2, S = AA'. By Higham's dot-product bounds
-    (*Accuracy and Stability of Numerical Algorithms*, ch. 3), rounding
-    moves q by at most e1 ||P||_F^2, e1 = gamma_(2n^2+2n+2) || |A||A|'
-    ||_2^2, and the formed (A'P)A, C, lies within e2 ||P||_F of A'PA,
-    e2 = gamma_2n || |A| ||_2^2. So ub = sqrt(max(q, 0) + e1 ||P||_F^2)
-    + e2 ||P||_F >= ||C||_F, and C symmetrized, the M that ``eigvalsh``
-    sees, has lambda_max(M) <= ||M||_F <= ||C||_F (1 + u). Per pass the
-    matrix of largest ub (NaN counting as largest) gives a candidate
-    low_s = lambda_max, and a matrix is skipped only when
-    ub (1 + ALPHA_SCREEN_MARGIN) < low_s, which covers ``eigvalsh``'s
-    backward error, so the maximizer is never skipped. Formed matrices
-    are formed as without the screen and ``eigvalsh`` treats each one
-    alone, so they give the same values. A NaN or infinite ub, or a NaN
-    candidate, keeps the matrix; a pass whose candidate is below
-    ``ALPHA_SCREEN_FLOOR``, where q could underflow, is kept whole. An
-    infinite candidate is its pass's maximum, and the matrices it skips
-    have finite ub, so none could have made that maximum NaN.
-    """
-    T, n = P_all.shape[0], A.shape[0]
-    hi = T - 1 if T <= 2 else T - 2
-    # gamma_k = k u / (1 - k u) <= 1.01 k u for the k here.
-    u, absA = 1.01 * np.finfo(float).epsneg, np.abs(A)
-    e1 = (2 * n * n + 2 * n + 2) * u * np.linalg.norm(absA @ absA.T, 2) ** 2
-    e2 = 2 * n * u * np.linalg.norm(absA, 2) ** 2
-    G = np.kron(A @ A.T, A @ A.T)
-    top = np.empty(T)
-    for s in range(0, T, ALPHA_BLOCK):
-        P = P_all[s : s + ALPHA_BLOCK, 1 : hi + 1]
-        rows = np.arange(len(P))[:, None]
-        flat = P.reshape(P.shape[:2] + (n * n,))
-        with np.errstate(over="ignore", invalid="ignore"):
-            sq = np.einsum("...k,...k->...", flat, flat)
-            q = np.einsum("...k,...k->...", flat @ G, flat)
-            ub = np.sqrt(np.maximum(q, 0.0) + e1 * sq) + e2 * np.sqrt(sq)
-            cand = ub.argmax(axis=-1)[:, None]
-            low = np.linalg.eigvalsh(_symmetrized_apa(A, P[rows, cand]))[..., -1]
-            keep = ~(ub * (1.0 + ALPHA_SCREEN_MARGIN) < low)
-        keep |= low < ALPHA_SCREEN_FLOOR
-        keep[rows, cand] = False
-        eig = np.full(keep.shape, -np.inf)
-        eig[rows, cand] = low
-        eig[keep] = np.linalg.eigvalsh(_symmetrized_apa(A, P[keep]))[:, -1]
-        top[s : s + ALPHA_BLOCK] = eig.max(axis=-1)
-    return top
-
-
 def compute_bound_constants(
     planner: FrozenPlanner, K_track, Ws, cost_bounds: CostBounds | None = None
 ) -> list:
@@ -181,10 +106,11 @@ def compute_bound_constants(
     the schedule has none (its matrices are not ordered), the a priori
     ``cost_bounds`` stand in. The contraction constant alpha at preview W
     is maximized over the value matrices of the true pass and of every
-    frozen pass the policy reads, a suffix maximum of ``alpha_top``.
+    frozen pass the policy reads, a suffix maximum of the planner's
+    per-pass maxima ``apa_max``, which its sweep screened.
 
-    Only alpha, gamma and alpha1 depend on W. Everything else, ``alpha_top``
-    included, is computed once, and a failure there raises. Per Ws[j] the
+    Only alpha, gamma and alpha1 depend on W. Everything else is computed
+    once, and a failure there raises. Per Ws[j] the
     list holds that W's BoundConstants, or the DegenerateConstantsError or
     LinAlgError met in its own part. Every W's constants share one
     read-only ``Pbar_max``.
@@ -220,13 +146,13 @@ def compute_bound_constants(
     # matrices of the true pass and of every frozen pass used at preview W,
     # the passes s = min(W, T-1)..T-1.
     planner.prepare()
-    top = alpha_top(A, planner.P)
+    top = planner.apa_max
     beta = float(np.linalg.eigvalsh(schedule.Q[: T - 1])[:, 0].min())
     alpha2 = float(2.0 * (_batch_spectral_norm(planner.K[T - 1] - K_track).max() ** 2))
 
     rho = spectral_radius(A + B @ K_track)
     if not rho < 1.0:
-        raise ValueError(f"tracking gain must stabilize the loop, rho = {rho}")
+        raise UnstableTrackingError(f"tracking gain must stabilize the loop, rho = {rho}")
     epsilon = 0.5 * (1.0 - rho)
     q = rho + epsilon
     closed = A + B @ K_track
@@ -410,7 +336,7 @@ def scaling_certificate(
         else:
             rng = generator(master_seed, "scaling", "schedule", T)
             schedule = random_uniform_schedule(schedule_spec, T, rng)
-        planner = FrozenPlanner(sys, schedule)
+        planner = FrozenPlanner(sys, schedule, keep_P=True)
         constants = _only(compute_bound_constants(planner, K_track, [W]))
         report = expected_regret_mc(planner, cfg, dist, trials, generator_seed(master_seed, T))
         means.append(report.regret)

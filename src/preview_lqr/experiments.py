@@ -24,7 +24,7 @@ from .bounds import (
 )
 from .costs import CostBounds, random_uniform_schedule
 from .policies import DEFAULT_POLES, FrozenPlanner
-from .regret import PAIR_ERRORS, paired_regrets, standard_error
+from .regret import NUMERICAL_ERRORS, paired_regrets, standard_error
 from .riccati import DareConvergenceError, solve_dare
 from .seeding import generator
 from .systems import (
@@ -140,9 +140,9 @@ _COLUMNS = tuple((f.name, f.type) for f in fields(GridRow))
 
 CSV_HEADER = ",".join(name for name, _ in _COLUMNS)
 
-# A trial's failures: those of its regrets, plus those met only in its setup
-# and its bound.
-_TRIAL_ERRORS = PAIR_ERRORS + (GenerationBudgetError, DegenerateConstantsError, DareConvergenceError)
+# The numerical failures that exclude a trial: those of its runs, plus those
+# met only in its setup and its bound. Any other error raises.
+_TRIAL_ERRORS = NUMERICAL_ERRORS + (GenerationBudgetError, DegenerateConstantsError, DareConvergenceError)
 
 
 def _trial_system(config: ExperimentConfig, T: int, trial: int):
@@ -173,7 +173,8 @@ def _evaluate_trial(config: ExperimentConfig, T: int, trial: int):
             T,
             generator(config.master_seed, config.scenario, T, trial, "schedule"),
         )
-        planner = FrozenPlanner(sys_, schedule)
+        # A noisy trial's plans read every pass's value matrices.
+        planner = FrozenPlanner(sys_, schedule, keep_P=config.noisy)
         w = None
         if config.noisy:
             dist = DisturbanceModel(config.disturbance_cov_scale * np.eye(sys_.n))

@@ -36,6 +36,14 @@ from .systems import LinearSystem, _freeze, spectral_radius
 DEFAULT_POLES = (1e-3, 6e-3, 4e-3, 3e-3)
 
 
+class PreviewLengthError(ValueError):
+    """A preview length W that is not an integer in 0..T-2."""
+
+
+class UnstableTrackingError(ValueError):
+    """The tracking gain does not stabilize the system: rho(A + B K_track) >= 1."""
+
+
 @dataclass(frozen=True)
 class PolicyConfig:
     """Preview length W and the fixed tracking gain K_track."""
@@ -45,7 +53,7 @@ class PolicyConfig:
 
     def __post_init__(self):
         if int(self.W) != self.W or self.W < 0:
-            raise ValueError("W must be a nonnegative integer")
+            raise PreviewLengthError("W must be a nonnegative integer")
         object.__setattr__(self, "W", int(self.W))
         K = np.atleast_2d(np.asarray(self.K_track, dtype=float))
         object.__setattr__(self, "K_track", _freeze(K))
@@ -61,14 +69,14 @@ def default_tracking_poles(n: int):
 def validate_policy_config(cfg: PolicyConfig, sys: LinearSystem, T: int):
     """Check W against the horizon and that the tracking loop is stable."""
     if not 0 <= cfg.W <= T - 2:
-        raise ValueError(f"W must satisfy 0 <= W <= T - 2 = {T - 2}, got {cfg.W}")
+        raise PreviewLengthError(f"W must satisfy 0 <= W <= T - 2 = {T - 2}, got {cfg.W}")
     if cfg.K_track.shape != (sys.m, sys.n):
         raise ValueError(
             f"K_track must have shape {(sys.m, sys.n)}, got {cfg.K_track.shape}"
         )
     rho = spectral_radius(sys.A + sys.B @ cfg.K_track)
     if not rho < 1.0:
-        raise ValueError(
+        raise UnstableTrackingError(
             f"tracking gain does not stabilize the system: rho(A + B K) = {rho}"
         )
 
@@ -78,13 +86,20 @@ class FrozenPlanner:
 
     The plan under a schedule frozen at index s depends on s alone in the
     disturbance-free case, so all time steps and preview lengths share the
-    T passes. ``prepare()`` solves them once, as read-only stacks indexed
-    by freeze index: value matrices ``P`` (T, T, n, n), gains ``K``
-    (T, T-1, m, n), and the nominal plans' states ``X`` (T, T, n) and
-    controls ``U`` (T, T-1, m), each plan only to its freeze index s, the
-    last entry the tracker reads (zero above it; ``nominal_plan(s)``
-    continues the later rows). Known disturbances only add affine terms
-    on top of these passes.
+    T passes. ``prepare()`` runs ``frozen_backward_sweep`` once and keeps
+    read-only stacks indexed by freeze index: gains ``K`` (T, T-1, m, n),
+    the alpha screen's per-pass maxima ``apa_max`` (T,), and the nominal
+    plans' states ``X`` (T, T, n) and controls ``U`` (T, T-1, m), each
+    plan only to its freeze index s, the last entry the tracker reads
+    (zero above it; ``nominal_plan(s)`` continues the later rows). Of the
+    value matrices it keeps the true pass, ``P_true`` (T, n, n).
+
+    Every pass's value matrices ``P`` (T, T, n, n), which known
+    disturbances add their affine terms on, are read only by disturbance
+    plans, ``solution(s)`` for s < T-1 and the verify suites. A planner
+    keeps them only when built with ``keep_P``, which callers that will
+    read them ask for, so that it sweeps once; reading ``P`` otherwise
+    sweeps again, with the same bits.
 
     ``plan(t, W, known_w)`` is the single-time API: the full-horizon plan
     made at time t. ``plan_points(W, w)`` returns only the entries the
@@ -93,17 +108,18 @@ class FrozenPlanner:
     batched over t, O(T) array steps instead of a replan per step.
     """
 
-    def __init__(self, sys: LinearSystem, schedule: CostSchedule):
+    def __init__(self, sys: LinearSystem, schedule: CostSchedule, keep_P: bool = False):
         self.sys = sys
         self.schedule = schedule
         self.T = schedule.horizon
-        self.P = self.K = self.X = self.U = None
+        self.keep_P = keep_P
+        self.K = self.apa_max = self.P_true = self.X = self.U = self._P = None
 
     def prepare(self):
         """Solve every frozen pass and roll out each nominal plan to its freeze index, once."""
-        if self.P is not None:
+        if self.K is not None:
             return
-        P, K = frozen_backward_sweep(self.sys, self.schedule)
+        K, apa_max, P_true, P = frozen_backward_sweep(self.sys, self.schedule, self.keep_P)
         T, n, m = self.T, self.sys.n, self.sys.m
         AT, BT = self.sys.A.T.copy(), self.sys.B.T.copy()
         X, U = np.zeros((T, T, n)), np.zeros((T, T - 1, m))
@@ -117,15 +133,28 @@ class FrozenPlanner:
                 X[i + 1 :, i + 1] = (X[i:, i] @ AT + U[i:, i] @ BT)[1:]
                 if not np.isfinite(X[i + 1 :, i + 1]).all():
                     raise TrajectoryOverflowError(i + 1, "non-finite planned state")
-        for stack in (P, K, X, U):
+        for stack in (K, apa_max, P_true, X, U) + (() if P is None else (P,)):
             stack.setflags(write=False)
-        self.P, self.K, self.X, self.U = P, K, X, U
+        self.K, self.apa_max, self.P_true, self.X, self.U, self._P = K, apa_max, P_true, X, U, P
+
+    @property
+    def P(self) -> np.ndarray:
+        """Every pass's value matrices (T, T, n, n), read-only."""
+        if self._P is None:
+            self.keep_P = True
+            if self.K is None:
+                self.prepare()
+            else:
+                self._P = frozen_backward_sweep(self.sys, self.schedule, True)[3]
+                self._P.setflags(write=False)
+        return self._P
 
     def solution(self, s: int) -> RiccatiSolution:
         """Backward pass for the schedule frozen at index s."""
         self.prepare()
         s = min(int(s), self.T - 1)
-        return RiccatiSolution(self.P[s], self.K[s], frozen_schedule(self.schedule, s, 0))
+        P = self.P_true if s == self.T - 1 else self.P[s]
+        return RiccatiSolution(P, self.K[s], frozen_schedule(self.schedule, s, 0))
 
     def nominal_plan(self, s: int):
         """Disturbance-free plan (states, controls) from the initial state.
@@ -276,7 +305,7 @@ def prediction_tracking_policy(
     without disturbances.
     """
     if planner is None:
-        planner = FrozenPlanner(sys, schedule)
+        planner = FrozenPlanner(sys, schedule, keep_P=w is not None)
     L, r, l = tracking_law(planner, cfg, w)
     return _only(simulate(sys, schedule, L, sys.x0, w, r, l))
 
@@ -290,7 +319,7 @@ def baseline_law(sys: LinearSystem, schedule: CostSchedule, W: int, P_max):
     """
     T = schedule.horizon
     if not 0 <= W <= T - 2:
-        raise ValueError(f"W must satisfy 0 <= W <= T - 2 = {T - 2}, got {W}")
+        raise PreviewLengthError(f"W must satisfy 0 <= W <= T - 2 = {T - 2}, got {W}")
     full = T - 1 - W
     P = np.asarray(P_max, dtype=float)
     for j in range(W, -1, -1):

@@ -20,6 +20,8 @@ from .costs import CostBounds, CostSchedule, random_uniform_schedule, sequence_e
 from .policies import (
     FrozenPlanner,
     PolicyConfig,
+    PreviewLengthError,
+    UnstableTrackingError,
     baseline_law,
     clairvoyant_law,
     default_tracking_poles,
@@ -137,8 +139,10 @@ def expected_regret_mc(
     )
 
 
-# The failures paired_regrets returns per preview length.
-PAIR_ERRORS = (ValueError, TrajectoryOverflowError, np.linalg.LinAlgError)
+# The numerical failures of a policy's runs.
+NUMERICAL_ERRORS = (UnstableTrackingError, TrajectoryOverflowError, np.linalg.LinAlgError)
+# The failures paired_regrets returns per preview length; any other raises.
+PAIR_ERRORS = (PreviewLengthError,) + NUMERICAL_ERRORS
 
 
 def paired_regrets(planner: FrozenPlanner, K_track, Ws, P_max, w=None) -> list:
@@ -230,7 +234,8 @@ def phi_metric(
         if dist is not None:
             rng_w = generator(master_seed, "phi", "disturbance", T, W, trial)
             w = dist.sample(rng_w, T - 1)
-        (pair,) = paired_regrets(FrozenPlanner(sys, schedule), K_track, [W], P_max, w)
+        planner = FrozenPlanner(sys, schedule, keep_P=w is not None)
+        (pair,) = paired_regrets(planner, K_track, [W], P_max, w)
         if isinstance(pair, TrajectoryOverflowError):
             continue
         if isinstance(pair, Exception):

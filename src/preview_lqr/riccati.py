@@ -5,6 +5,8 @@ a time-varying schedule. ``riccati_step`` is the one backward step: the
 backward pass, the frozen sweep over every freeze index, the fixed-point
 iteration and the receding-horizon baseline all run it, so the sweep's
 pass s is the backward pass on the schedule frozen at s, bit for bit.
+The sweep also streams the regret bound's alpha screen through its steps,
+so it need not keep every pass's value matrices.
 ``affine_terms`` is the one affine recursion for known additive
 disturbances: it gives the exact feedforward of a batch of plans, each on
 its own pass and knowing its own prefix of disturbances.
@@ -125,28 +127,218 @@ def backward_riccati(sys: LinearSystem, schedule: CostSchedule) -> RiccatiSoluti
     return RiccatiSolution(P, K, schedule)
 
 
-def frozen_backward_sweep(sys: LinearSystem, schedule: CostSchedule):
+# Steps per block of the alpha screen that ``frozen_backward_sweep`` streams:
+# at T = 1000 and n = 4 its ring of value matrices is about 4 MB.
+ALPHA_BLOCK = 32
+# Relative slack of the screen's Frobenius bound: a computed top eigenvalue
+# exceeds the bound on ||M||_F by O(n^2 eps) at most.
+ALPHA_SCREEN_MARGIN = 1e-8
+# Relative slack of the screen's second-order bound, in units of n^2 u:
+# it covers the O(n u) rounding of the quantities the bound is built from
+# and the O(n^2 u) error of ``eigvalsh``, 1.1e-13 for n = 4.
+ALPHA_SCREEN_SLACK = 64
+# Below this running maximum the squares in the screen's bounds can
+# underflow, so the screen keeps every matrix of the pass's block.
+ALPHA_SCREEN_FLOOR = 1e-140
+
+
+def _symmetrized_apa(A, P):
+    """The symmetrized (A'P)A of every matrix in the stack P, as ``eigvalsh`` sees it."""
+    APA = A.T @ P @ A
+    return 0.5 * (APA + np.swapaxes(APA, -1, -2))
+
+
+class _AlphaScreen:
+    """Per pass, the top eigenvalue of the symmetrized A'PA over the matrices screened.
+
+    ``screen(P, start)`` screens a block P (S', k, n, n): k matrices of
+    each of the passes start..start+S'-1. ``push`` takes one step of every
+    pass, an (S, n, n) stack, into a ring of ``ALPHA_BLOCK`` steps and
+    screens each full one; ``flush`` screens the rest and returns the S
+    maxima. The result is bit for bit the maximum of ``eigvalsh`` over
+    every matrix screened, NaN when one of them gives NaN, while
+    ``eigvalsh`` sees few of them.
+
+    Let M be the matrix ``eigvalsh`` sees, ``_symmetrized_apa``. One gemm
+    per pass forms Ms, the symmetric part of A'PA, otherwise, with
+    Frobenius norm F. By Higham's dot-product bounds (*Accuracy and
+    Stability of Numerical Algorithms*, ch. 3), M and Ms lie within
+    d = e ||P||_F + 2u F of each other, e = gamma_(n^2+2n+2) || |A| ||_2^2,
+    so lambda_max(M) <= ||M||_F <= F + d, and ub = (F + d)(1 +
+    ALPHA_SCREEN_MARGIN) covers ``eigvalsh``'s backward error as well.
+
+    That bound is loose where a pass's tail settles to round-off, on
+    matrices that agree to 1e-11 or closer, and a backward sweep meets the
+    tails before the heads. There a second-order bound takes over. With x the
+    pass's eigenvector estimate, two power steps per block on its matrix of
+    largest ub, rho = x'Ms x / x'x and r = Ms x - rho x: lambda_2(Ms) <= mu
+    = sqrt(F^2 - rho^2), since lambda_1^2 + lambda_2^2 <= F^2, and where
+    rho > mu Kato and Temple give lambda_max(Ms) <= rho + ||r||^2 /
+    (x'x (rho - mu)) (Parlett, *The Symmetric Eigenvalue Problem*,
+    ch. 10). ||r||^2 x'x is taken as y'y - rho^2 x'x, y = Ms x, plus
+    (4n+8) u y'y for that cancellation. Widened by s = ALPHA_SCREEN_SLACK
+    n^2 u (F + d) in rho, ||r|| and mu and once more for ``eigvalsh``'s
+    error, and by d from Ms to M, it too bounds what ``eigvalsh`` returns.
+
+    Per pass and block, the matrix of largest ub (NaN counting as largest)
+    goes to ``eigvalsh`` unless its ub is below the pass's running
+    maximum; that maximum is raised, and every other matrix of the block
+    whose ub is not below it goes too, unless that is more than one batch
+    of S' matrices and its second-order bound is below it. Any
+    value ``eigvalsh`` gave for a pass is at most its maximum, so the
+    maximizer is never skipped. Formed matrices are formed as without the
+    screen and ``eigvalsh`` treats each one alone, so they give the same
+    values. A NaN or infinite bound, or a NaN running maximum, keeps the
+    matrix; a running maximum below ``ALPHA_SCREEN_FLOOR``, where squares
+    could underflow, keeps the block whole. An infinite maximum is its
+    pass's maximum, and the matrices it skips have finite bounds, so none
+    could have made that maximum NaN.
+
+    Ties closer than the slack cannot be screened: on a system whose tails
+    settle to within about 1e-13, ``eigvalsh`` sees most tail matrices.
+    """
+
+    def __init__(self, A, S: int):
+        n = A.shape[0]
+        # gamma_k = k u / (1 - k u) <= 1.01 k u for the k here.
+        self.u = 1.01 * np.finfo(float).epsneg
+        self.e = (n * n + 2 * n + 2) * self.u * np.linalg.norm(np.abs(A), 2) ** 2
+        self.c2 = (4 * n + 8) * self.u
+        self.slack = ALPHA_SCREEN_SLACK * n * n * self.u
+        # vec(P) @ Ksym is vec of the symmetric part of A'PA, row-major.
+        AkA = np.kron(A, A)
+        self.A, self.Ksym = A, 0.5 * (AkA + AkA[:, np.arange(n * n).reshape(n, n).T.ravel()])
+        self.top = np.full(S, -np.inf)
+        self.x0 = np.linspace(1.0, 2.0, n)
+        self.x0 /= np.linalg.norm(self.x0)
+        self.x = np.tile(self.x0, (S, 1))
+        self.ring, self.filled = None, 0
+
+    def push(self, P):
+        if self.ring is None:
+            self.ring = np.empty((ALPHA_BLOCK,) + P.shape)
+        self.ring[self.filled] = P
+        self.filled += 1
+        if self.filled == len(self.ring):
+            self.flush()
+
+    def _kato_temple(self, Ms, F, d, cand, x):
+        """Second-order bounds of the flattened symmetric matrices Ms (S', k, n^2).
+
+        F and d are their Frobenius norms and formation bounds. Row s's
+        vector x[s] takes two power steps on its matrix ``cand[s]`` first.
+        """
+        S, k = F.shape
+        n = x.shape[-1]
+        Mc, v = Ms[np.arange(S), cand].reshape(S, n, n), x
+        for _ in range(2):
+            v = np.einsum("sij,sj->si", Mc, v)
+            v = v / np.linalg.norm(v, axis=-1, keepdims=True)
+        x[:] = v = np.where(np.isfinite(v).all(axis=-1, keepdims=True), v, self.x0)
+        y = (Ms.reshape(S, k * n, n) @ v[:, :, None]).reshape(S, k, n)
+        vv = np.einsum("si,si->s", v, v)[:, None]
+        yy = np.einsum("ski,ski->sk", y, y)
+        rho = np.einsum("ski,si->sk", y, v) / vv
+        # ||r||^2 x'x = y'y - rho^2 x'x, up to c2 y'y for its cancellation.
+        res = np.sqrt((np.maximum(yy - rho * rho * vv, 0.0) + self.c2 * yy) / vv)
+        slack = self.slack * (F + d)
+        lo = rho - slack
+        # mu^2 <= (F + slack)^2 - lo^2, factored so that its rounding, like
+        # that of mu, stays within one more slack.
+        gap = lo - np.sqrt(np.maximum((F + 2 * slack - lo) * (F + slack + lo), 0.0)) - slack
+        kt = rho + (res + slack) ** 2 / gap + d + 2 * slack
+        return np.where((lo >= 0.0) & (gap > 0.0), kt, np.inf)
+
+    def flush(self) -> np.ndarray:
+        """Screen the steps in the ring, then return the running maxima."""
+        if self.filled:
+            self.screen(self.ring[: self.filled].swapaxes(0, 1))
+            self.filled = 0
+        return self.top
+
+    def screen(self, P, start: int = 0):
+        """Screen P (S', k, n, n), k steps of each of the passes start..start+S'-1."""
+        S, k, n = P.shape[:3]
+        top, x = self.top[start : start + S], self.x[start : start + S]
+        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+            flat = P.reshape(S, k, n * n)
+            Ms = flat @ self.Ksym
+            F = np.sqrt(np.einsum("...q,...q->...", Ms, Ms))
+            d = self.e * np.sqrt(np.einsum("...q,...q->...", flat, flat)) + 2 * self.u * F
+            bound = (F + d) * (1.0 + ALPHA_SCREEN_MARGIN)
+            passes, cand = np.arange(S), bound.argmax(axis=1)
+            at = passes, cand
+            run = ~((bound[at] < top) & (top >= ALPHA_SCREEN_FLOOR))
+            self._raise(top, P, passes[run], cand[run])
+            whole = ~(top >= ALPHA_SCREEN_FLOOR)[:, None]
+            keep = ~(bound < top[:, None]) | whole
+            keep[at] = False
+            # Beyond one eigvalsh batch, the second-order bound screens the
+            # passes up to the last one that keeps a matrix, as those whose
+            # tails settle lead.
+            if np.count_nonzero(keep) > S:
+                m = np.flatnonzero(keep.any(axis=1))[-1] + 1
+                kt = self._kato_temple(Ms[:m], F[:m], d[:m], cand[:m], x[:m])
+                keep[:m] &= ~(kt < top[:m, None]) | whole[:m]
+            self._raise(top, P, *np.nonzero(keep))
+
+    def _raise(self, top, P, s, j):
+        """Raise top[s] by ``eigvalsh`` of P[s, j], up to len(top) matrices per call."""
+        S = len(top)
+        for c in range(0, len(s), S):
+            M = _symmetrized_apa(self.A, P[s[c : c + S], j[c : c + S]])
+            np.maximum.at(top, s[c : c + S], np.linalg.eigvalsh(M)[:, -1])
+
+
+def frozen_backward_sweep(sys: LinearSystem, schedule: CostSchedule, keep_P: bool = False):
     """Backward passes for every frozen schedule in one batched recursion.
 
     The pass for freeze index s in 0..T-1 uses entry i of the schedule when
     i <= s and repeats entry s afterwards, so pass T-1 is the true pass.
     Each step is one ``riccati_step`` batched over s, so pass s equals
     ``backward_riccati`` on ``frozen_schedule(schedule, s, 0)`` bit for bit.
-    Returns (P_all, K_all) with shapes (T, T, n, n) and (T, T-1, m, n),
-    indexed by freeze index first.
+
+    Returns (K_all, apa_max, P_true, P_all). ``K_all`` (T, T-1, m, n) holds
+    every pass's gains, indexed by freeze index first. ``apa_max`` (T,)
+    holds per pass s the top eigenvalue of the symmetrized A' P_s[i] A over
+    the interior i = 1..T-2 (i = 1 when T = 2), so alpha at preview W is
+    the maximum of entries min(W, T-1)..T-1. ``P_true`` (T, n, n) is the
+    true pass's value matrices. Only with ``keep_P`` is every pass's value
+    matrices stored, as ``P_all`` (T, T, n, n), and screened after the
+    sweep. Otherwise ``P_all`` is None, and an ``_AlphaScreen`` streams
+    through the sweep, which holds only ``ALPHA_BLOCK`` steps of them at a
+    time.
     """
-    T = schedule.horizon
+    T, n = schedule.horizon, sys.n
     Qs, Rs = schedule.Q, schedule.R
     s_all = np.arange(T)
-    P_all = np.empty((T, T, sys.n, sys.n))
-    K_all = np.empty((T, T - 1, sys.m, sys.n))
-    P = P_all[:, T - 1] = Qs
+    K_all = np.empty((T, T - 1, sys.m, n))
+    P_all = np.empty((T, T, n, n)) if keep_P else None
+    P_true = P_all[T - 1] if keep_P else np.empty((T, n, n))
+    screen = _AlphaScreen(sys.A, T)
+    P = Qs
+    if keep_P:
+        P_all[:, T - 1] = Qs
+    else:
+        P_true[T - 1] = Qs[T - 1]
+        if T == 2:
+            screen.push(P)
     for i in range(T - 2, -1, -1):
         # At step i pass s reads entry min(i, s).
         clamp = np.minimum(s_all, i)
         P, K_all[:, i] = riccati_step(P, sys.A, sys.B, Qs[clamp], Rs[clamp])
-        P_all[:, i] = P
-    return P_all, K_all
+        if keep_P:
+            P_all[:, i] = P
+        else:
+            P_true[i] = P[T - 1]
+            if i >= 1:
+                screen.push(P)
+    if keep_P:
+        # Blocks of passes see all their steps at once, so a pass's first
+        # candidate is its largest matrix, which screens its settled tail.
+        for s in range(0, T, ALPHA_BLOCK):
+            screen.screen(P_all[s : s + ALPHA_BLOCK, 1 : max(T - 2, 1) + 1], s)
+    return K_all, screen.flush(), P_true, P_all
 
 
 def affine_terms(sys: LinearSystem, P, K, R, w, s, last):

@@ -130,10 +130,10 @@ def _random_bounded_instance(rng: np.random.Generator) -> _Instance:
     schedule = random_uniform_schedule(bounds, T, rng)
     poles = np.linspace(0.02, 0.3, n) * (0.5 + 0.5 * float(rng.random()))
     K_track = place_poles_single_input(sys_, poles)
-    planner = FrozenPlanner(sys_, schedule)
+    # The suites read every pass's value matrices.
+    planner = FrozenPlanner(sys_, schedule, keep_P=True)
     # Zero preview takes alpha over every frozen pass, so one constants
-    # object serves all the property checks on this instance. Computing it
-    # also prepares the planner, whose pass stacks the suites read.
+    # object serves all the property checks on this instance.
     constants = _only(compute_bound_constants(planner, K_track, [0]))
     # The tracker and the comparator on the planner's true pass, run once
     # for the state-deviation and regret-identity suites.

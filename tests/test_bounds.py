@@ -7,13 +7,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from preview_lqr import bounds as bounds_module
+from preview_lqr import riccati as riccati_module
 from preview_lqr.bounds import (
-    ALPHA_BLOCK,
     BoundConstants,
     DegenerateConstantsError,
     _sufficient_condition_rhs,
-    alpha_top,
     compute_bound_constants,
     geometric_sum,
     make_bound_report,
@@ -25,15 +23,28 @@ from preview_lqr.costs import (
     CostBounds,
     CostSchedule,
     IncomparableScheduleError,
+    frozen_schedule,
     max_eigenvalue,
     min_eigenvalue,
     random_uniform_schedule,
     sequence_extrema,
 )
 from preview_lqr.experiments import pendulum_cost_bounds
-from preview_lqr.policies import FrozenPlanner, PolicyConfig, prediction_tracking_policy
+from preview_lqr.policies import (
+    FrozenPlanner,
+    PolicyConfig,
+    UnstableTrackingError,
+    prediction_tracking_policy,
+)
 from preview_lqr.regret import regret_via_control_deviation
-from preview_lqr.riccati import _only, solve_dare
+from preview_lqr.riccati import (
+    ALPHA_BLOCK,
+    _AlphaScreen,
+    _only,
+    backward_riccati,
+    frozen_backward_sweep,
+    solve_dare,
+)
 from preview_lqr.systems import (
     DisturbanceModel,
     LinearSystem,
@@ -172,7 +183,7 @@ def reference_bound_constants(sys, schedule, K_track, W=0, cost_bounds=None):
     C = lam_P / lam_Qmin
     eta = float(np.sqrt(max(0.0, 1.0 - lam_Qmin / lam_P)))
 
-    planner = FrozenPlanner(sys, schedule)
+    planner = FrozenPlanner(sys, schedule, keep_P=True)
     planner.prepare()
     hi = T - 1 if T <= 2 else T - 2
     stacked = planner.P[min(W, T - 1) :, 1 : hi + 1]
@@ -192,7 +203,7 @@ def reference_bound_constants(sys, schedule, K_track, W=0, cost_bounds=None):
 
     rho = spectral_radius(A + B @ K_track)
     if not rho < 1.0:
-        raise ValueError(f"tracking gain must stabilize the loop, rho = {rho}")
+        raise UnstableTrackingError(f"tracking gain must stabilize the loop, rho = {rho}")
     epsilon = 0.5 * (1.0 - rho)
     q = rho + epsilon
     closed = A + B @ K_track
@@ -308,18 +319,29 @@ class TestBoundConstantsCache:
             first.Pbar_max[0, 0] = 0.0
 
     def test_memory_stays_bounded_at_long_horizon(self):
-        # One stack of the interior A'PA matrices over every pass would
-        # take about 60 MB at T = 400; blocks of passes keep it to a few.
+        # One (T, T, n, n) stack of value matrices is 20.5 MB at T = 400; a
+        # noise-free planner keeps none, only the sweep's ring of steps.
         sys_, bounds, sched, K = pendulum_setup(400, seed=2)
         planner = FrozenPlanner(sys_, sched)
-        planner.prepare()
         tracemalloc.start()
         try:
+            planner.prepare()
             compute_bound_constants(planner, K, [3])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+        # A planner built to keep them gets every pass bit for bit, and the
+        # same gains, true pass and per-pass maxima.
+        kept = FrozenPlanner(sys_, sched, keep_P=True)
+        kept.prepare()
+        for name in ("K", "P_true", "apa_max"):
+            np.testing.assert_array_equal(getattr(kept, name), getattr(planner, name))
+        np.testing.assert_array_equal(kept.P[399], planner.P_true)
+        for s in (0, 1, 2, 57, 200, 331, 397, 398, 399):
+            ref = backward_riccati(sys_, frozen_schedule(sched, s, 0))
+            np.testing.assert_array_equal(kept.P[s], ref.P)
+            np.testing.assert_array_equal(kept.K[s], ref.K)
 
 
 def unscreened_alpha_top(A, P):
@@ -334,14 +356,29 @@ def unscreened_alpha_top(A, P):
     return top
 
 
+def streamed_alpha_top(A, P):
+    """The sweep's screen fed the interior steps of the stack P, in the sweep's order."""
+    T = P.shape[0]
+    hi = T - 1 if T <= 2 else T - 2
+    screen = _AlphaScreen(A, T)
+    for i in range(hi, 0, -1):
+        screen.push(P[:, i])
+    return screen.flush()
+
+
 def assert_screen_exact(A, P):
-    np.testing.assert_array_equal(alpha_top(A, P), unscreened_alpha_top(A, P))
+    np.testing.assert_array_equal(streamed_alpha_top(A, P), unscreened_alpha_top(A, P))
 
 
 def frozen_passes(sys_, sched):
-    """The system matrix and the planner's stack of frozen passes."""
-    planner = FrozenPlanner(sys_, sched)
+    """The system matrix and the planner's stack of frozen passes.
+
+    The per-pass maxima that the planner's own sweep screened are checked
+    against the unscreened loop on the way.
+    """
+    planner = FrozenPlanner(sys_, sched, keep_P=True)
     planner.prepare()
+    np.testing.assert_array_equal(planner.apa_max, unscreened_alpha_top(sys_.A, planner.P))
     return sys_.A, planner.P
 
 
@@ -363,7 +400,7 @@ def cancelling_passes(seed, n, T):
 
 
 class TestAlphaScreen:
-    """The Frobenius screen of ``bounds.alpha_top`` changes no bit."""
+    """The alpha screen that ``frozen_backward_sweep`` streams changes no bit."""
 
     @settings(max_examples=15, deadline=None)
     @given(
@@ -391,7 +428,7 @@ class TestAlphaScreen:
         sched = CostSchedule((bounds.Q_max,) * 50, (bounds.R_min,) * 49)
         A, P = frozen_passes(sys_, sched)
         assert_screen_exact(A, P)
-        top = alpha_top(A, P)
+        top = streamed_alpha_top(A, P)
         assert np.all(top == top[0])
 
     def test_singular_products(self):
@@ -411,7 +448,7 @@ class TestAlphaScreen:
         scaled = CostSchedule(scale * sched.Q, scale * sched.R, validate=False)
         A, P = frozen_passes(sys_, scaled)
         assert_screen_exact(A, P)
-        assert np.all(np.isfinite(alpha_top(A, P)))
+        assert np.all(np.isfinite(streamed_alpha_top(A, P)))
 
     def test_non_finite_passes_are_kept(self):
         # A NaN matrix must reach eigvalsh even beside a larger finite one.
@@ -423,7 +460,7 @@ class TestAlphaScreen:
         P[7, 9] = np.inf
         P[11, 2], P[11, 4] = np.inf, np.nan
         A = np.array([[0.9]])
-        top = alpha_top(A, P)
+        top = streamed_alpha_top(A, P)
         np.testing.assert_array_equal(top, unscreened_alpha_top(A, P))
         assert np.isnan(top[3]) and top[7] == np.inf and np.isnan(top[11])
 
@@ -432,39 +469,44 @@ class TestAlphaScreen:
         P[5, 8, 0, 1] = np.nan
         P[5, 9] *= 1e6
         A = rng.standard_normal((2, 2))
-        top = alpha_top(A, P)
+        top = streamed_alpha_top(A, P)
         np.testing.assert_array_equal(top, unscreened_alpha_top(A, P))
         assert np.isnan(top[5])
 
     def test_eigvalsh_sees_few_matrices(self, monkeypatch):
+        # Both screens of the sweep: streamed, and over the kept passes.
         T = 400
         sys_, _, sched, _ = pendulum_setup(T, seed=2)
-        A, P = frozen_passes(sys_, sched)
-        seen = []
         eigvalsh = np.linalg.eigvalsh
+        for keep_P in (False, True):
+            seen = []
 
-        def counting(a, *args, **kwargs):
-            seen.append(int(np.prod(np.shape(a)[:-2])))
-            return eigvalsh(a, *args, **kwargs)
+            def counting(a, *args, **kwargs):
+                seen.append(int(np.prod(np.shape(a)[:-2])))
+                return eigvalsh(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-        alpha_top(A, P)
-        assert sum(seen) <= 0.10 * T * (T - 2)
+            monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+            frozen_backward_sweep(sys_, sched, keep_P)
+            monkeypatch.undo()
+            assert sum(seen) <= 0.10 * T * (T - 2)
 
     def test_few_products_are_formed(self, monkeypatch):
         T = 400
         sys_, _, sched, _ = pendulum_setup(T, seed=2)
-        A, P = frozen_passes(sys_, sched)
-        formed = []
-        symmetrized_apa = bounds_module._symmetrized_apa
+        symmetrized_apa = riccati_module._symmetrized_apa
+        P = frozen_backward_sweep(sys_, sched, keep_P=True)[3]
+        for keep_P in (False, True):
+            formed = []
 
-        def counting(A, P):
-            formed.append(int(np.prod(np.shape(P)[:-2])))
-            return symmetrized_apa(A, P)
+            def counting(A, P):
+                formed.append(int(np.prod(np.shape(P)[:-2])))
+                return symmetrized_apa(A, P)
 
-        monkeypatch.setattr(bounds_module, "_symmetrized_apa", counting)
-        np.testing.assert_array_equal(alpha_top(A, P), unscreened_alpha_top(A, P))
-        assert sum(formed) <= 0.10 * T * (T - 2)
+            monkeypatch.setattr(riccati_module, "_symmetrized_apa", counting)
+            top = frozen_backward_sweep(sys_, sched, keep_P)[1]
+            monkeypatch.undo()
+            np.testing.assert_array_equal(top, unscreened_alpha_top(sys_.A, P))
+            assert sum(formed) <= 0.10 * T * (T - 2)
 
 
 def high_precision_bound(c, T, W, x0):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from preview_lqr import bounds, cli, experiments, policies, regret
+from preview_lqr import bounds, cli, experiments, policies, regret, verification
 from preview_lqr.bounds import compute_bound_constants, regret_upper_bound, sufficient_condition_check
 from preview_lqr.cli import cli_main
 from preview_lqr.costs import CostBounds, random_uniform_schedule
@@ -21,12 +21,13 @@ from preview_lqr.experiments import (
     emit_csv,
     emit_heatmap_svg,
     parse_csv,
+    pendulum_cost_bounds,
     run_grid,
 )
 from preview_lqr.regret import paired_regrets, regret_via_control_deviation
 from preview_lqr.riccati import DareConvergenceError, _only, backward_riccati, solve_dare
 from preview_lqr.seeding import generator
-from preview_lqr.systems import DisturbanceModel
+from preview_lqr.systems import DisturbanceModel, inverted_pendulum
 
 
 def small_config(**overrides):
@@ -215,6 +216,32 @@ class TestRunGrid:
         assert outcome == {W: "DareConvergenceError: no fixed point" for W in range(3)}
         assert outcome == per_w_evaluate_trial(cfg, 12, 0)
 
+    def test_shape_bug_propagates(self, monkeypatch):
+        # Only numerical failures exclude a trial; a tracking gain of the
+        # wrong shape is a programming error and must surface.
+        trial_system = experiments._trial_system
+
+        def transposed_gain(config, T, trial):
+            sys_, K_track = trial_system(config, T, trial)
+            return sys_, K_track.T
+
+        monkeypatch.setattr(experiments, "_trial_system", transposed_gain)
+        with pytest.raises(ValueError, match="K_track must have shape"):
+            run_grid(small_config(t_min=12, t_max=12, w_max=1, trials=1))
+
+    def test_unstable_tracking_gain_excludes_the_trial(self, monkeypatch):
+        # The inverted pendulum is open-loop unstable, so a zero gain leaves
+        # rho(A + B K) >= 1: a numerical failure of the trial, not an error.
+        def zero_gain(config, T, trial):
+            sys_ = inverted_pendulum(np.asarray(config.x0))
+            return sys_, np.zeros((1, 4))
+
+        monkeypatch.setattr(experiments, "_trial_system", zero_gain)
+        res = run_grid(small_config(t_min=12, t_max=12, w_max=1, trials=1))
+        assert res.rows == ()
+        assert [f[:2] for f in res.failures] == [(12, 0), (12, 1)]
+        assert all(f[2].startswith("UnstableTrackingError: tracking gain") for f in res.failures)
+
     def test_huge_regrets_give_a_finite_stderr(self):
         # The regrets reach about 1e160, where the squares in the standard
         # deviation overflow unless the regrets are scaled first.
@@ -360,6 +387,52 @@ def per_w_evaluate_trial(config, T, trial):
                 computed[W_eff] = f"{type(err).__name__}: {err}"
         out[W] = computed[W_eff]
     return out
+
+
+class TestOneSweepPerPlanner:
+    """Callers that read every pass's value matrices ask the planner to keep
+    them before its first sweep, so no planner sweeps twice."""
+
+    @pytest.fixture
+    def sweeps_per_planner(self, monkeypatch):
+        planners, swept = [], []
+        init, sweep = policies.FrozenPlanner.__init__, policies.frozen_backward_sweep
+
+        def recording_init(planner, *args, **kwargs):
+            init(planner, *args, **kwargs)
+            planners.append(planner)
+
+        def counting_sweep(sys_, schedule, keep_P=False):
+            swept.append(schedule)
+            return sweep(sys_, schedule, keep_P)
+
+        monkeypatch.setattr(policies.FrozenPlanner, "__init__", recording_init)
+        monkeypatch.setattr(policies, "frozen_backward_sweep", counting_sweep)
+
+        def counts():
+            assert planners and len(swept) == len(planners)
+            return [sum(schedule is p.schedule for schedule in swept) for p in planners]
+
+        return counts
+
+    @pytest.mark.parametrize("scenario", ["pendulum", "pendulum-disturbance"])
+    def test_grid(self, sweeps_per_planner, scenario):
+        run_grid(small_config(scenario=scenario, t_min=10, t_max=20, t_step=10, w_max=3))
+        assert set(sweeps_per_planner()) == {1}
+
+    def test_scaling_certificate(self, sweeps_per_planner):
+        dist = DisturbanceModel(25.0 * np.eye(4))
+        bounds.scaling_certificate(inverted_pendulum(), pendulum_cost_bounds(), dist, (12, 20), 3, 3, 0)
+        assert sweeps_per_planner() == [1, 1]
+
+    def test_phi_metric_with_disturbances(self, sweeps_per_planner):
+        dist = DisturbanceModel(25.0 * np.eye(4))
+        regret.phi_metric(inverted_pendulum(), pendulum_cost_bounds(), 16, 3, 3, 0, dist=dist)
+        assert sweeps_per_planner() == [1, 1, 1]
+
+    def test_verify_suites(self, sweeps_per_planner):
+        assert all(check.passed for check in verification.run_all(0, instances=4, oracle_instances=2))
+        assert sweeps_per_planner() == [1, 1, 1, 1]
 
 
 class TestTrialsBatchedOverW:
