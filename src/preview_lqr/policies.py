@@ -139,7 +139,12 @@ class FrozenPlanner:
 
     @property
     def P(self) -> np.ndarray:
-        """Every pass's value matrices (T, T, n, n), read-only."""
+        """Every pass's value matrices (T, T, n, n), read-only.
+
+        On a planner prepared without ``keep_P`` this reruns the whole
+        sweep, gains and alpha screen included, and keeps only P: a slow
+        path for callers that did not ask for P before the first sweep.
+        """
         if self._P is None:
             self.keep_P = True
             if self.K is None:

@@ -128,7 +128,7 @@ def backward_riccati(sys: LinearSystem, schedule: CostSchedule) -> RiccatiSoluti
 
 
 # Steps per block of the alpha screen that ``frozen_backward_sweep`` streams:
-# at T = 1000 and n = 4 its ring of value matrices is about 4 MB.
+# at T = 1000 and n = 4 a ring of one block of value matrices is about 4 MB.
 ALPHA_BLOCK = 32
 # Relative slack of the screen's Frobenius bound: a computed top eigenvalue
 # exceeds the bound on ||M||_F by O(n^2 eps) at most.
@@ -151,13 +151,10 @@ def _symmetrized_apa(A, P):
 class _AlphaScreen:
     """Per pass, the top eigenvalue of the symmetrized A'PA over the matrices screened.
 
-    ``screen(P, start)`` screens a block P (S', k, n, n): k matrices of
-    each of the passes start..start+S'-1. ``push`` takes one step of every
-    pass, an (S, n, n) stack, into a ring of ``ALPHA_BLOCK`` steps and
-    screens each full one; ``flush`` screens the rest and returns the S
-    maxima. The result is bit for bit the maximum of ``eigvalsh`` over
-    every matrix screened, NaN when one of them gives NaN, while
-    ``eigvalsh`` sees few of them.
+    ``screen`` takes a block of steps of every pass, an (S, k, n, n)
+    stack, and raises ``top``, the S running maxima. The result is bit for
+    bit the maximum of ``eigvalsh`` over every matrix screened, NaN when
+    one of them gives NaN, while ``eigvalsh`` sees few of them.
 
     Let M be the matrix ``eigvalsh`` sees, ``_symmetrized_apa``. One gemm
     per pass forms Ms, the symmetric part of A'PA, otherwise, with
@@ -184,7 +181,7 @@ class _AlphaScreen:
     goes to ``eigvalsh`` unless its ub is below the pass's running
     maximum; that maximum is raised, and every other matrix of the block
     whose ub is not below it goes too, unless that is more than one batch
-    of S' matrices and its second-order bound is below it. Any
+    of S matrices and its second-order bound is below it. Any
     value ``eigvalsh`` gave for a pass is at most its maximum, so the
     maximizer is never skipped. Formed matrices are formed as without the
     screen and ``eigvalsh`` treats each one alone, so they give the same
@@ -212,15 +209,6 @@ class _AlphaScreen:
         self.x0 = np.linspace(1.0, 2.0, n)
         self.x0 /= np.linalg.norm(self.x0)
         self.x = np.tile(self.x0, (S, 1))
-        self.ring, self.filled = None, 0
-
-    def push(self, P):
-        if self.ring is None:
-            self.ring = np.empty((ALPHA_BLOCK,) + P.shape)
-        self.ring[self.filled] = P
-        self.filled += 1
-        if self.filled == len(self.ring):
-            self.flush()
 
     def _kato_temple(self, Ms, F, d, cand, x):
         """Second-order bounds of the flattened symmetric matrices Ms (S', k, n^2).
@@ -249,17 +237,10 @@ class _AlphaScreen:
         kt = rho + (res + slack) ** 2 / gap + d + 2 * slack
         return np.where((lo >= 0.0) & (gap > 0.0), kt, np.inf)
 
-    def flush(self) -> np.ndarray:
-        """Screen the steps in the ring, then return the running maxima."""
-        if self.filled:
-            self.screen(self.ring[: self.filled].swapaxes(0, 1))
-            self.filled = 0
-        return self.top
-
-    def screen(self, P, start: int = 0):
-        """Screen P (S', k, n, n), k steps of each of the passes start..start+S'-1."""
+    def screen(self, P):
+        """Raise the running maxima by P (S, k, n, n), k steps of every pass."""
         S, k, n = P.shape[:3]
-        top, x = self.top[start : start + S], self.x[start : start + S]
+        top, x = self.top, self.x
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
             flat = P.reshape(S, k, n * n)
             Ms = flat @ self.Ksym
@@ -302,43 +283,41 @@ def frozen_backward_sweep(sys: LinearSystem, schedule: CostSchedule, keep_P: boo
     every pass's gains, indexed by freeze index first. ``apa_max`` (T,)
     holds per pass s the top eigenvalue of the symmetrized A' P_s[i] A over
     the interior i = 1..T-2 (i = 1 when T = 2), so alpha at preview W is
-    the maximum of entries min(W, T-1)..T-1. ``P_true`` (T, n, n) is the
-    true pass's value matrices. Only with ``keep_P`` is every pass's value
-    matrices stored, as ``P_all`` (T, T, n, n), and screened after the
-    sweep. Otherwise ``P_all`` is None, and an ``_AlphaScreen`` streams
-    through the sweep, which holds only ``ALPHA_BLOCK`` steps of them at a
-    time.
+    the maximum of entries min(W, T-1)..T-1; an ``_AlphaScreen`` streams
+    through the sweep for it, one block of ``ALPHA_BLOCK`` steps at a time.
+    ``P_true`` (T, n, n) is the true pass's value matrices. Only with
+    ``keep_P`` is every pass's value matrices stored, as ``P_all``
+    (T, T, n, n), and the screen reads its blocks there; otherwise
+    ``P_all`` is None, and a ring holds one block.
     """
     T, n = schedule.horizon, sys.n
     Qs, Rs = schedule.Q, schedule.R
-    s_all = np.arange(T)
+    # Pass s's stage costs at the current step; at step i pass s reads
+    # entry min(i, s), so each step sets the entries of passes i..T-1.
+    Qc, Rc = Qs.copy(), np.concatenate([Rs, Rs[-1:]])
     K_all = np.empty((T, T - 1, sys.m, n))
+    P_true = np.empty((T, n, n))
     P_all = np.empty((T, T, n, n)) if keep_P else None
-    P_true = P_all[T - 1] if keep_P else np.empty((T, n, n))
+    ring = None if keep_P else np.empty((T, ALPHA_BLOCK, n, n))
     screen = _AlphaScreen(sys.A, T)
+    hi = max(T - 2, 1)
     P = Qs
-    if keep_P:
-        P_all[:, T - 1] = Qs
-    else:
-        P_true[T - 1] = Qs[T - 1]
-        if T == 2:
-            screen.push(P)
-    for i in range(T - 2, -1, -1):
-        # At step i pass s reads entry min(i, s).
-        clamp = np.minimum(s_all, i)
-        P, K_all[:, i] = riccati_step(P, sys.A, sys.B, Qs[clamp], Rs[clamp])
+    for i in range(T - 1, -1, -1):
+        if i < T - 1:
+            Qc[i:], Rc[i:] = Qs[i], Rs[i]
+            P, K_all[:, i] = riccati_step(P, sys.A, sys.B, Qc, Rc)
+        P_true[i] = P[T - 1]
         if keep_P:
             P_all[:, i] = P
-        else:
-            P_true[i] = P[T - 1]
-            if i >= 1:
-                screen.push(P)
-    if keep_P:
-        # Blocks of passes see all their steps at once, so a pass's first
-        # candidate is its largest matrix, which screens its settled tail.
-        for s in range(0, T, ALPHA_BLOCK):
-            screen.screen(P_all[s : s + ALPHA_BLOCK, 1 : max(T - 2, 1) + 1], s)
-    return K_all, screen.flush(), P_true, P_all
+        if 1 <= i <= hi:
+            # The interior steps hi..1 go in blocks of ALPHA_BLOCK, screened
+            # in ascending order from P_all or the ring, where step i is k.
+            k = ALPHA_BLOCK - 1 - (hi - i) % ALPHA_BLOCK
+            if not keep_P:
+                ring[:, k] = P
+            if k == 0 or i == 1:
+                screen.screen(P_all[:, i : i + ALPHA_BLOCK - k] if keep_P else ring[:, k:])
+    return K_all, screen.top, P_true, P_all
 
 
 def affine_terms(sys: LinearSystem, P, K, R, w, s, last):

@@ -357,13 +357,13 @@ def unscreened_alpha_top(A, P):
 
 
 def streamed_alpha_top(A, P):
-    """The sweep's screen fed the interior steps of the stack P, in the sweep's order."""
+    """The sweep's screen fed the interior steps of the stack P, in the sweep's blocks."""
     T = P.shape[0]
     hi = T - 1 if T <= 2 else T - 2
     screen = _AlphaScreen(A, T)
-    for i in range(hi, 0, -1):
-        screen.push(P[:, i])
-    return screen.flush()
+    for i in range(hi, 0, -ALPHA_BLOCK):
+        screen.screen(P[:, max(i - ALPHA_BLOCK + 1, 1) : i + 1])
+    return screen.top
 
 
 def assert_screen_exact(A, P):
@@ -474,7 +474,7 @@ class TestAlphaScreen:
         assert np.isnan(top[5])
 
     def test_eigvalsh_sees_few_matrices(self, monkeypatch):
-        # Both screens of the sweep: streamed, and over the kept passes.
+        # The sweep streams the same screen whether or not it keeps P.
         T = 400
         sys_, _, sched, _ = pendulum_setup(T, seed=2)
         eigvalsh = np.linalg.eigvalsh

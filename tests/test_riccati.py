@@ -664,8 +664,8 @@ class TestSweepAccuracy:
             sys_ = random_controllable_system(n, m, -1.2, 1.2, rng)
             assert max(sweep_error(sys_, random_schedule(rng, n, m, T))) <= 1e-12
 
-    @pytest.mark.parametrize("T", [60, 100])
-    def test_random_grid_passes_at_measured_accuracy(self, T):
+    @pytest.mark.parametrize("T, tol_P", [(60, 1e-8), (100, 1e-7)])
+    def test_random_grid_passes_at_measured_accuracy(self, T, tol_P):
         # The random grid's trial 0 for seeds 1-7: systems with a top |eig A|
         # of 16 to 26 lose more digits than the pendulum. Measured at most
         # 3.3e-9 in P and 5e-10 in K at T = 60, and 4.6e-8 in P and 2.1e-9
@@ -675,7 +675,7 @@ class TestSweepAccuracy:
             sys_, _ = _trial_system(cfg, T, 0)
             rng = generator(seed, "random", T, 0, "schedule")
             err_P, err_K = sweep_error(sys_, random_uniform_schedule(cfg.bounds, T, rng))
-            assert err_P <= 1e-7 and err_K <= 1e-8
+            assert err_P <= tol_P and err_K <= 1e-8
 
 
 class TestScheduleCost:
