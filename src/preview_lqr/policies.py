@@ -327,10 +327,11 @@ def baseline_law(sys: LinearSystem, schedule: CostSchedule, W: int, P_max):
         raise PreviewLengthError(f"W must satisfy 0 <= W <= T - 2 = {T - 2}, got {W}")
     full = T - 1 - W
     P = np.asarray(P_max, dtype=float)
+    Q, R = (np.moveaxis(M, 0, -1) for M in (schedule.Q, schedule.R))
     for j in range(W, -1, -1):
-        P, K = riccati_step(P, sys.A, sys.B, schedule.Q[j : j + full], schedule.R[j : j + full])
+        P, K = riccati_step(P, sys.A, sys.B, Q[..., j : j + full], R[..., j : j + full])
     gains = np.empty((T - 1, sys.m, sys.n))
-    gains[:full] = K
+    gains[:full] = K.transpose(2, 0, 1)
     if W > 0:
         tail = CostSchedule(schedule.Q[full:], schedule.R[full:], validate=False)
         gains[full:] = backward_riccati(sys, tail).K

@@ -94,27 +94,40 @@ def riccati_step(P, A, B, Q, R):
 
     Returns (P_prev, K) with K = -(R + B' P B)^-1 B' P A and
     P_prev = A' P A + Q + A' P B K, re-symmetrized to suppress drift.
-    P, Q and R may carry any matching leading batch axes.
+    The batch axis is last: P, Q (n, n, S) and R (m, m, S) give (n, n, S)
+    and (m, n, S); 2-D operands broadcast, and all 2-D give 2-D results.
+    With W = [A | B], W'P is one gemm over the batch and (W'P) W one stacked
+    matmul over its n+m rows; the rest is elementwise along the batch, with
+    a solve per entry when m >= 2. A batch of one runs as two equal columns,
+    as gemv rounds unlike gemm, so no entry's bits depend on its batch.
     """
     n, m = B.shape
-    AT, BT = A.T.copy(), B.T.copy()
-    # The right products run flattened over the batch, one BLAS call each.
-    PA = (P.reshape(-1, n) @ A).reshape(P.shape)
-    PB = (P.reshape(-1, n) @ B).reshape(P.shape[:-1] + (m,))
-    G = R + BT @ PB
+    widths = P.shape[2:] + Q.shape[2:] + R.shape[2:]
+    S = max(widths + (2,))
+    WT = np.concatenate([A, B], axis=1).T
+    if P.shape[2:] != (S,):
+        P = np.repeat(P.reshape(n, n, -1), S, axis=2)
+    M = WT @ (WT @ P.reshape(n, n * S)).reshape(n + m, n, S)
+    APA, APB, BPA, BPB = M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:]
+    G = R.reshape(m, m, -1) + BPB
     if m == 1:
-        K = (BT @ PA) / -G
+        K = BPA / -G
+        APBK = APB * K
     else:
-        K = -np.linalg.solve(G, BT @ PA)
-    P_prev = AT @ PA + Q + (AT @ PB) @ K
-    return 0.5 * (P_prev + P_prev.swapaxes(-1, -2)), K
+        K = -np.linalg.solve(G.transpose(2, 0, 1), BPA.transpose(2, 0, 1)).transpose(1, 2, 0)
+        APBK = (APB[:, :, None] * K).sum(axis=1)
+    P_prev = APA + Q.reshape(n, n, -1) + APBK
+    P_prev = 0.5 * (P_prev + P_prev.swapaxes(0, 1))
+    # Contiguous results: matmul rounds a strided operand outside BLAS.
+    keep = np.s_[..., : max(widths)] if widths else np.s_[..., 0]
+    return np.ascontiguousarray(P_prev[keep]), np.ascontiguousarray(K[keep])
 
 
 def backward_riccati(sys: LinearSystem, schedule: CostSchedule) -> RiccatiSolution:
     """Backward pass for the finite-horizon time-varying problem.
 
-    P[T-1] is the terminal state cost; each earlier step is one
-    ``riccati_step`` with the stage costs Q[i] and R[i].
+    P[T-1] is the terminal state cost; each earlier step is one 2-D
+    ``riccati_step`` with the stage costs Q[i] and R[i], run as two columns.
     """
     if schedule.n != sys.n or schedule.m != sys.m:
         raise ValueError("schedule dimensions do not match the system")
@@ -276,8 +289,9 @@ def frozen_backward_sweep(sys: LinearSystem, schedule: CostSchedule, keep_P: boo
 
     The pass for freeze index s in 0..T-1 uses entry i of the schedule when
     i <= s and repeats entry s afterwards, so pass T-1 is the true pass.
-    Each step is one ``riccati_step`` batched over s, so pass s equals
-    ``backward_riccati`` on ``frozen_schedule(schedule, s, 0)`` bit for bit.
+    Each step is one ``riccati_step`` on batch-last stacks, pass s in column
+    s, so pass s equals ``backward_riccati`` on ``frozen_schedule(schedule,
+    s, 0)`` bit for bit; only what is stored below is transposed pass-major.
 
     Returns (K_all, apa_max, P_true, P_all). ``K_all`` (T, T-1, m, n) holds
     every pass's gains, indexed by freeze index first. ``apa_max`` (T,)
@@ -292,29 +306,30 @@ def frozen_backward_sweep(sys: LinearSystem, schedule: CostSchedule, keep_P: boo
     """
     T, n = schedule.horizon, sys.n
     Qs, Rs = schedule.Q, schedule.R
-    # Pass s's stage costs at the current step; at step i pass s reads
-    # entry min(i, s), so each step sets the entries of passes i..T-1.
-    Qc, Rc = Qs.copy(), np.concatenate([Rs, Rs[-1:]])
+    # Pass s's stage costs, batch-last; at step i pass s reads entry
+    # min(i, s), so each step sets the columns of passes i..T-1.
+    Qc, Rc = (np.moveaxis(M, 0, -1).copy() for M in (Qs, np.concatenate([Rs, Rs[-1:]])))
     K_all = np.empty((T, T - 1, sys.m, n))
     P_true = np.empty((T, n, n))
     P_all = np.empty((T, T, n, n)) if keep_P else None
     ring = None if keep_P else np.empty((T, ALPHA_BLOCK, n, n))
     screen = _AlphaScreen(sys.A, T)
     hi = max(T - 2, 1)
-    P = Qs
+    P = np.moveaxis(Qs, 0, -1)
     for i in range(T - 1, -1, -1):
         if i < T - 1:
-            Qc[i:], Rc[i:] = Qs[i], Rs[i]
-            P, K_all[:, i] = riccati_step(P, sys.A, sys.B, Qc, Rc)
-        P_true[i] = P[T - 1]
+            Qc[..., i:], Rc[..., i:] = Qs[i, ..., None], Rs[i, ..., None]
+            P, K = riccati_step(P, sys.A, sys.B, Qc, Rc)
+            K_all[:, i] = K.transpose(2, 0, 1)
+        P_true[i] = P[..., T - 1]
         if keep_P:
-            P_all[:, i] = P
+            P_all[:, i] = P.transpose(2, 0, 1)
         if 1 <= i <= hi:
             # The interior steps hi..1 go in blocks of ALPHA_BLOCK, screened
             # in ascending order from P_all or the ring, where step i is k.
             k = ALPHA_BLOCK - 1 - (hi - i) % ALPHA_BLOCK
             if not keep_P:
-                ring[:, k] = P
+                ring[:, k] = P.transpose(2, 0, 1)
             if k == 0 or i == 1:
                 screen.screen(P_all[:, i : i + ALPHA_BLOCK - k] if keep_P else ring[:, k:])
     return K_all, screen.top, P_true, P_all
@@ -373,10 +388,12 @@ def solve_dare(
 ) -> np.ndarray:
     """Fixed point of the Riccati map P -> Q + A'PA - A'PB(R + B'PB)^-1 B'PA.
 
-    Iterates until the step size drops below tol * max(1, ||P||). Unless
-    ``init`` is given, scipy's direct solver seeds the iteration, which then
-    converges in a handful of steps; if that solver fails the iteration
-    starts at Q.
+    Iterates until the step size drops below tol * max(1, ||P||), or stops
+    shrinking once below sqrt(tol) * max(1, ||P||): there the step is the
+    map's own round-off, which on ill-conditioned systems exceeds tol, and
+    more steps only redraw it. Unless ``init`` is given, scipy's direct
+    solver seeds the iteration, which then converges in a handful of steps;
+    if that solver fails the iteration starts at Q.
     """
     A, Q, R = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (A, Q, R))
     B = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
@@ -389,12 +406,13 @@ def solve_dare(
             P = 0.5 * (P + P.T) if np.all(np.isfinite(P)) else Q
         except Exception:
             P = Q
+    last = np.inf
     for _ in range(max_iter):
         Pn, _ = riccati_step(P, A, B, Q, R)
-        step = np.linalg.norm(Pn - P, 2)
-        if step <= tol * max(1.0, np.linalg.norm(Pn, 2)):
+        step, scale = np.linalg.norm(Pn - P, 2), max(1.0, np.linalg.norm(Pn, 2))
+        if step <= tol * scale or (step >= last and step <= np.sqrt(tol) * scale):
             return Pn
-        P = Pn
+        P, last = Pn, step
     raise DareConvergenceError(
         f"no fixed point within {max_iter} iterations at tolerance {tol}"
     )

@@ -698,7 +698,8 @@ DEMOS = Path(__file__).resolve().parent.parent / "demos"
 
 
 def test_demo_grid_reproduces_committed_csv(tmp_path):
-    # Any change that moves a grid output has to regenerate this file.
+    # Any change that moves a grid output has to regenerate this file, and
+    # only once the round-off contract of tests/roundoff.py accepts it.
     spec = importlib.util.spec_from_file_location(
         "grid_heatmap", DEMOS / "grid_heatmap.py"
     )

@@ -315,8 +315,10 @@ def per_window_mpc(sys_, schedule, bounds, W, w):
     """The baseline as one backward solve per window, then the closed loop."""
     T = schedule.horizon
     A, B = sys_.A, sys_.B
+    n, m = sys_.n, sys_.m
     P_max = solve_dare(A, B, bounds.Q_max, bounds.R_max)
-    AT, BT = A.T.copy(), B.T.copy()
+    # Each step forms W'P, then (W'P) W, with W = [A | B].
+    Wab = np.hstack([A, B])
     gains = []
     for t in range(T - 1):
         if t + W + 1 > T - 1:
@@ -326,14 +328,18 @@ def per_window_mpc(sys_, schedule, bounds, W, w):
             last_stage = t + W
             P = P_max
         for k in range(last_stage, t - 1, -1):
-            PA = P @ A
-            PB = P @ B
-            G = schedule.R[k] + BT @ PB
-            if sys_.m == 1:
-                Kk = (BT @ PA) / (-G[0, 0])
+            M = (Wab.T @ P) @ Wab
+            APA, APB, BPA, BPB = M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:]
+            G = schedule.R[k] + BPB
+            if m == 1:
+                Kk = BPA / (-G[0, 0])
             else:
-                Kk = -np.linalg.solve(G, BT @ PA)
-            P = AT @ PA + schedule.Q[k] + (AT @ PB) @ Kk
+                Kk = -np.linalg.solve(G, BPA)
+            # A'PB K as a sum of unfused outer products.
+            APBK = np.outer(APB[:, 0], Kk[0])
+            for j in range(1, m):
+                APBK = APBK + np.outer(APB[:, j], Kk[j])
+            P = APA + schedule.Q[k] + APBK
             P = 0.5 * (P + P.T)
         gains.append(Kk)
     w = np.zeros((T - 1, sys_.n)) if w is None else w

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from preview_lqr.costs import CostSchedule, frozen_schedule, random_uniform_schedule, CostBounds
+from preview_lqr.costs import CostSchedule, frozen_schedule, random_uniform_schedule, CostBounds, sequence_extrema
 from preview_lqr.experiments import ExperimentConfig, _trial_system
 from preview_lqr.policies import clairvoyant_policy
 from preview_lqr.riccati import (
@@ -105,23 +105,27 @@ def random_schedule(rng, n, m, T):
 
 
 def looped_backward_riccati(sys_, schedule):
-    """The backward pass written out step by step."""
+    """The backward pass written out step by step, W'P first, then (W'P) W, W = [A | B]."""
     A, B = sys_.A, sys_.B
-    AT, BT = A.T.copy(), B.T.copy()
+    n, m = sys_.n, sys_.m
+    W = np.hstack([A, B])
     T = schedule.horizon
     P = [None] * T
     K = [None] * (T - 1)
     P[T - 1] = np.asarray(schedule.Q[T - 1], dtype=float)
     for i in range(T - 2, -1, -1):
-        Pn = P[i + 1]
-        PnA = Pn @ A
-        PnB = Pn @ B
-        G = schedule.R[i] + BT @ PnB
-        if sys_.m == 1:
-            Ki = (BT @ PnA) / (-G[0, 0])
+        M = (W.T @ P[i + 1]) @ W
+        APA, APB, BPA, BPB = M[:n, :n], M[:n, n:], M[n:, :n], M[n:, n:]
+        G = schedule.R[i] + BPB
+        if m == 1:
+            Ki = BPA / (-G[0, 0])
         else:
-            Ki = -np.linalg.solve(G, BT @ PnA)
-        Pi = AT @ PnA + schedule.Q[i] + (AT @ PnB) @ Ki
+            Ki = -np.linalg.solve(G, BPA)
+        # A'PB K as a sum of outer products, unfused, as the step forms it.
+        APBK = np.outer(APB[:, 0], Ki[0])
+        for j in range(1, m):
+            APBK = APBK + np.outer(APB[:, j], Ki[j])
+        Pi = APA + schedule.Q[i] + APBK
         P[i] = 0.5 * (Pi + Pi.T)
         K[i] = Ki
     return np.array(P), np.array(K)
@@ -138,16 +142,47 @@ class TestRiccatiStep:
         n, m, seed = nms
         rng = np.random.default_rng(seed)
         sys_ = random_controllable_system(n, m, -1.5, 1.5, rng)
-        P = random_pd(rng, n, (batch,))
-        Q = random_pd(rng, n, (batch,))
-        R = random_pd(rng, m, (batch,))
+        P, Q, R = (np.moveaxis(random_pd(rng, k, (batch,)), 0, -1) for k in (n, n, m))
         P_prev, K = riccati_step(P, sys_.A, sys_.B, Q, R)
-        assert P_prev.shape == (batch, n, n) and K.shape == (batch, m, n)
-        np.testing.assert_array_equal(P_prev, np.swapaxes(P_prev, -1, -2))
+        assert P_prev.shape == (n, n, batch) and K.shape == (m, n, batch)
+        np.testing.assert_array_equal(P_prev, np.swapaxes(P_prev, 0, 1))
         for b in range(batch):
-            P_b, K_b = riccati_step(P[b], sys_.A, sys_.B, Q[b], R[b])
-            np.testing.assert_array_equal(P_prev[b], P_b)
-            np.testing.assert_array_equal(K[b], K_b)
+            one = CostSchedule(np.stack([Q[..., b], P[..., b]]), R[None, ..., b], validate=False)
+            P_b, K_b = looped_backward_riccati(sys_, one)
+            np.testing.assert_array_equal(P_prev[..., b], P_b[0])
+            np.testing.assert_array_equal(K[..., b], K_b[0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 2),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 70).flatmap(lambda S: st.tuples(st.just(S), st.integers(0, S - 1))),
+        st.integers(1, 70).flatmap(lambda S: st.tuples(st.just(S), st.integers(0, S - 1))),
+    )
+    @example(4, 1, 0, (1, 0), (70, 69))
+    @example(1, 2, 1, (2, 1), (1, 0))
+    def test_entry_bits_do_not_depend_on_batch(self, n, m, seed, at, moved):
+        # An entry's (P, K) is the same alone, at its position in one batch
+        # and at another position in a batch of another width. The sweep's
+        # pass s equals backward_riccati only because of this.
+        (S, b), (S2, b2) = at, moved
+        rng = np.random.default_rng(seed)
+        sys_ = random_controllable_system(n, m, -1.5, 1.5, rng)
+        P, Q, R = (np.moveaxis(random_pd(rng, k, (S,)), 0, -1) for k in (n, n, m))
+        P2, Q2, R2 = (np.moveaxis(random_pd(rng, k, (S2,)), 0, -1) for k in (n, n, m))
+        for big, small in ((P2, P), (Q2, Q), (R2, R)):
+            big[..., b2] = small[..., b]
+        alone = riccati_step(P[..., b], sys_.A, sys_.B, Q[..., b], R[..., b])
+        for batched, col in ((riccati_step(P, sys_.A, sys_.B, Q, R), b), (riccati_step(P2, sys_.A, sys_.B, Q2, R2), b2)):
+            for got, want in zip(batched, alone):
+                np.testing.assert_array_equal(got[..., col], want)
+        # baseline_law's first step: one 2-D P against batched Q and R.
+        P_max = P[..., b]
+        shared = riccati_step(P_max, sys_.A, sys_.B, Q, R)
+        for c in range(S):
+            for got, want in zip(shared, riccati_step(P_max, sys_.A, sys_.B, Q[..., c], R[..., c])):
+                np.testing.assert_array_equal(got[..., c], want)
 
     def test_scalar_hand_step(self):
         # P = 1, a = b = q = r = 1: K = -1/2, P_prev = 1 + 1 - 1/2.
@@ -356,6 +391,19 @@ class TestSolveDare:
                 G, sys_.B.T @ PA
             ) - P
             assert np.linalg.norm(resid, 2) <= 10 * 1e-10 * np.linalg.norm(P, 2)
+
+    def test_stops_at_its_round_off_noise(self):
+        # Random-grid seed 3, T = 60, trial 1: from scipy's seed the steps
+        # hover near 1e-6 relative, far above tol, so a stop at tol alone
+        # is a lottery (68,468 iterations at one rounding, none within
+        # 100,000 at another).
+        cfg = ExperimentConfig(scenario="random", master_seed=3)
+        sys_, _ = _trial_system(cfg, 60, 1)
+        sched = random_uniform_schedule(cfg.bounds, 60, generator(3, "random", 60, 1, "schedule"))
+        ext = sequence_extrema(sched)
+        P = solve_dare(sys_.A, sys_.B, ext.Qbar_max, ext.Rbar_max, max_iter=50)
+        step = np.linalg.norm(riccati_step(P, sys_.A, sys_.B, ext.Qbar_max, ext.Rbar_max)[0] - P, 2)
+        assert step <= 1e-5 * np.linalg.norm(P, 2)
 
     def test_nonconvergence_raises(self):
         with pytest.raises(DareConvergenceError):
