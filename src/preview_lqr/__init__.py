@@ -53,7 +53,6 @@ from .regret import (
     RegretReport,
     expected_regret_mc,
     paired_regrets,
-    phi_metric,
     regret_via_control_deviation,
 )
 from .riccati import (

@@ -18,14 +18,14 @@ import numpy as np
 
 from .costs import (
     CostBounds,
-    CostSchedule,
     IncomparableScheduleError,
     max_eigenvalue,
     min_eigenvalue,
     random_uniform_schedule,
     sequence_extrema,
 )
-from .policies import FrozenPlanner, PolicyConfig, UnstableTrackingError, default_tracking_poles
+from .policies import FrozenPlanner, PolicyConfig, PreviewLengthError, UnstableTrackingError
+from .policies import check_preview_length, default_tracking_poles
 from .regret import expected_regret_mc
 from .riccati import _only, solve_dare
 from .seeding import generator, substream_entropy
@@ -110,10 +110,10 @@ def compute_bound_constants(
     per-pass maxima ``apa_max``, which its sweep screened.
 
     Only alpha, gamma and alpha1 depend on W. Everything else is computed
-    once, and a failure there raises. Per Ws[j] the
-    list holds that W's BoundConstants, or the DegenerateConstantsError or
-    LinAlgError met in its own part. Every W's constants share one
-    read-only ``Pbar_max``.
+    once, and a failure there raises. Per Ws[j] the list holds that W's
+    BoundConstants, or the PreviewLengthError, DegenerateConstantsError or
+    LinAlgError met in its own part. A W above T-2 keeps the planner's
+    clamped meaning. Every W's constants share one read-only ``Pbar_max``.
     """
     sys, schedule, T = planner.sys, planner.schedule, planner.T
     A, B = sys.A, sys.B
@@ -170,6 +170,7 @@ def compute_bound_constants(
     out = []
     for W in Ws:
         try:
+            W = check_preview_length(W)
             alpha = float(top[min(W, T - 1) :].max())
             gamma = alpha / (alpha + beta)
             realized = planner.K[np.minimum(t_all + W, T - 1), t_all]
@@ -178,7 +179,7 @@ def compute_bound_constants(
                 raise DegenerateConstantsError(
                     f"constants out of range: eta={eta}, gamma={gamma}, q={q}"
                 )
-        except (DegenerateConstantsError, np.linalg.LinAlgError) as err:
+        except (PreviewLengthError, DegenerateConstantsError, np.linalg.LinAlgError) as err:
             out.append(err)
             continue
         out.append(
@@ -198,7 +199,7 @@ def regret_upper_bound(constants: BoundConstants, T: int, W: int, x0) -> float:
     Grouping: the (alpha1 + alpha2) factor and the squared prefactor
     multiply both the tracking-error series and the transient block driven
     by C_f; the final gain-deviation series is additive. The only W
-    dependence is the leading gamma^(2W) factor.
+    dependence is the leading gamma^(2W) factor. W must be an integer >= 0.
 
     gamma sits within about 1e-6 of 1 on the benchmark instances, so the
     evaluation avoids every difference of nearly equal terms: 1 - gamma
@@ -209,7 +210,7 @@ def regret_upper_bound(constants: BoundConstants, T: int, W: int, x0) -> float:
     eta gamma / (q (q - eta gamma)) - eta / (q (q - eta)) is
     -eta (1 - gamma) / ((q - eta gamma) (q - eta)).
     """
-    c = constants
+    c, W = constants, check_preview_length(W)
     g, e, q = c.gamma, c.eta, c.q
     if abs(q - e * g) < 1e-12 or abs(q - e) < 1e-12:
         raise DegenerateConstantsError(
@@ -302,7 +303,7 @@ class ScalingReport:
 
 def scaling_certificate(
     sys: LinearSystem,
-    schedule_spec,
+    schedule_spec: CostBounds,
     dist: DisturbanceModel,
     Ts,
     W: int,
@@ -312,12 +313,12 @@ def scaling_certificate(
 ) -> ScalingReport:
     """Empirical check that expected regret grows like T * gamma^(2W).
 
-    For each horizon a schedule is drawn from ``schedule_spec`` (a
-    CostBounds generator spec, or reused directly when it is a schedule),
-    the expected regret of the tracking policy is estimated by Monte Carlo,
-    and the normalized rate r(T) = regret / (T * gamma^(2W)) is formed with
-    that instance's own gamma. The certificate holds when max r / min r is
-    at most ``CERTIFICATE_RATIO``.
+    For each horizon T a schedule is drawn from the cost bounds
+    ``schedule_spec`` on its own substream of ``master_seed``, the expected
+    regret of the tracking policy is estimated by Monte Carlo, and the
+    normalized rate r(T) = regret / (T * gamma^(2W)) is formed with that
+    instance's own gamma. The certificate holds when max r / min r is at
+    most ``CERTIFICATE_RATIO``.
     """
     Ts = tuple(int(T) for T in Ts)
     for T in Ts:
@@ -329,13 +330,7 @@ def scaling_certificate(
     cfg = PolicyConfig(W, K_track)
     means, errs, gammas, rates, excluded = [], [], [], [], []
     for T in Ts:
-        if isinstance(schedule_spec, CostSchedule):
-            schedule = schedule_spec
-            if schedule.horizon != T:
-                raise ValueError("fixed schedule horizon does not match T")
-        else:
-            rng = generator(master_seed, "scaling", "schedule", T)
-            schedule = random_uniform_schedule(schedule_spec, T, rng)
+        schedule = random_uniform_schedule(schedule_spec, T, generator(master_seed, "scaling", "schedule", T))
         planner = FrozenPlanner(sys, schedule, keep_P=True)
         constants = _only(compute_bound_constants(planner, K_track, [W]))
         report = expected_regret_mc(planner, cfg, dist, trials, generator_seed(master_seed, T))

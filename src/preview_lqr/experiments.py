@@ -173,8 +173,9 @@ def _evaluate_trial(config: ExperimentConfig, T: int, trial: int):
             T,
             generator(config.master_seed, config.scenario, T, trial, "schedule"),
         )
-        # A noisy trial's plans read every pass's value matrices.
+        # Noisy plans read every pass's P; an overflowing sweep fails the trial once.
         planner = FrozenPlanner(sys_, schedule, keep_P=config.noisy)
+        planner.prepare()
         w = None
         if config.noisy:
             dist = DisturbanceModel(config.disturbance_cov_scale * np.eye(sys_.n))

@@ -37,7 +37,17 @@ DEFAULT_POLES = (1e-3, 6e-3, 4e-3, 3e-3)
 
 
 class PreviewLengthError(ValueError):
-    """A preview length W that is not an integer in 0..T-2."""
+    """A preview length W that is not an integer >= 0, or above T-2 where a policy runs."""
+
+
+def check_preview_length(W, T: int | None = None) -> int:
+    """W as an int, or a PreviewLengthError unless W is an integer >= 0 and,
+    given the horizon T of a policy run, at most T - 2."""
+    if not float(W).is_integer() or (T is None and W < 0):
+        raise PreviewLengthError("W must be a nonnegative integer")
+    if T is not None and not 0 <= W <= T - 2:
+        raise PreviewLengthError(f"W must satisfy 0 <= W <= T - 2 = {T - 2}, got {W}")
+    return int(W)
 
 
 class UnstableTrackingError(ValueError):
@@ -52,9 +62,7 @@ class PolicyConfig:
     K_track: np.ndarray
 
     def __post_init__(self):
-        if int(self.W) != self.W or self.W < 0:
-            raise PreviewLengthError("W must be a nonnegative integer")
-        object.__setattr__(self, "W", int(self.W))
+        object.__setattr__(self, "W", check_preview_length(self.W))
         K = np.atleast_2d(np.asarray(self.K_track, dtype=float))
         object.__setattr__(self, "K_track", _freeze(K))
 
@@ -68,8 +76,7 @@ def default_tracking_poles(n: int):
 
 def validate_policy_config(cfg: PolicyConfig, sys: LinearSystem, T: int):
     """Check W against the horizon and that the tracking loop is stable."""
-    if not 0 <= cfg.W <= T - 2:
-        raise PreviewLengthError(f"W must satisfy 0 <= W <= T - 2 = {T - 2}, got {cfg.W}")
+    check_preview_length(cfg.W, T)
     if cfg.K_track.shape != (sys.m, sys.n):
         raise ValueError(
             f"K_track must have shape {(sys.m, sys.n)}, got {cfg.K_track.shape}"
@@ -97,9 +104,12 @@ class FrozenPlanner:
     Every pass's value matrices ``P`` (T, T, n, n), which known
     disturbances add their affine terms on, are read only by disturbance
     plans, ``solution(s)`` for s < T-1 and the verify suites. A planner
-    keeps them only when built with ``keep_P``, which callers that will
-    read them ask for, so that it sweeps once; reading ``P`` otherwise
-    sweeps again, with the same bits.
+    keeps them only when built with ``keep_P``, so that it sweeps once:
+    the noisy grid trials, ``scaling_certificate``, a noisy
+    ``prediction_tracking_policy`` run without a planner and the verify
+    suites ask for it. Reading ``P`` otherwise sweeps again, with the
+    same bits. A freeze index s above T-1 reads pass T-1; a negative one
+    raises.
 
     ``plan(t, W, known_w)`` is the single-time API: the full-horizon plan
     made at time t. ``plan_points(W, w)`` returns only the entries the
@@ -154,10 +164,16 @@ class FrozenPlanner:
                 self._P.setflags(write=False)
         return self._P
 
+    def _freeze_index(self, s: int) -> int:
+        """s clamped to T - 1 after ``prepare``; a negative s raises."""
+        if s < 0:
+            raise ValueError(f"freeze index s must be nonnegative, got {s}")
+        self.prepare()
+        return min(int(s), self.T - 1)
+
     def solution(self, s: int) -> RiccatiSolution:
         """Backward pass for the schedule frozen at index s."""
-        self.prepare()
-        s = min(int(s), self.T - 1)
+        s = self._freeze_index(s)
         P = self.P_true if s == self.T - 1 else self.P[s]
         return RiccatiSolution(P, self.K[s], frozen_schedule(self.schedule, s, 0))
 
@@ -168,8 +184,7 @@ class FrozenPlanner:
         pass s, by ``prepare``'s expressions on two copies of the row, so
         they are the full-horizon rollout's, bit for bit.
         """
-        self.prepare()
-        T, s = self.T, min(int(s), self.T - 1)
+        T, s = self.T, self._freeze_index(s)
         X, U, K = self.X[s].copy(), self.U[s].copy(), self.K[s]
         AT, BT = self.sys.A.T.copy(), self.sys.B.T.copy()
         x = np.stack([X[s], X[s]])
@@ -193,9 +208,7 @@ class FrozenPlanner:
         """
         if not 0 <= t <= self.T - 2:
             raise ValueError(f"t must satisfy 0 <= t <= T - 2 = {self.T - 2}, got {t}")
-        if W < 0:
-            raise ValueError("W must be nonnegative")
-        s = min(t + W, self.T - 1)
+        s = min(t + check_preview_length(W), self.T - 1)
         if known_w is None:
             return self.nominal_plan(s)
         w = np.atleast_2d(np.asarray(known_w, dtype=float))
@@ -226,7 +239,7 @@ class FrozenPlanner:
         """
         T, n, m = self.T, self.sys.n, self.sys.m
         t_all = np.arange(T - 1)
-        s_of = np.minimum(t_all + W, T - 1)
+        s_of = np.minimum(t_all + check_preview_length(W), T - 1)
         self.prepare()
         X, U = self.X[s_of, t_all], self.U[s_of, t_all]
         if w is None:
@@ -323,8 +336,7 @@ def baseline_law(sys: LinearSystem, schedule: CostSchedule, W: int, P_max):
     r = +0.0 and l = -0.0 change no bits of the loop.
     """
     T = schedule.horizon
-    if not 0 <= W <= T - 2:
-        raise PreviewLengthError(f"W must satisfy 0 <= W <= T - 2 = {T - 2}, got {W}")
+    W = check_preview_length(W, T)
     full = T - 1 - W
     P = np.asarray(P_max, dtype=float)
     Q, R = (np.moveaxis(M, 0, -1) for M in (schedule.Q, schedule.R))

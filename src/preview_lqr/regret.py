@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import CostBounds, CostSchedule, random_uniform_schedule, sequence_extrema
+from .costs import CostSchedule
 from .policies import (
     FrozenPlanner,
     PolicyConfig,
@@ -24,12 +24,11 @@ from .policies import (
     UnstableTrackingError,
     baseline_law,
     clairvoyant_law,
-    default_tracking_poles,
     tracking_law,
 )
-from .riccati import Trajectory, TrajectoryOverflowError, backward_riccati, simulate, solve_dare
+from .riccati import Trajectory, TrajectoryOverflowError, backward_riccati, simulate
 from .seeding import generator
-from .systems import DisturbanceModel, LinearSystem, place_poles_single_input
+from .systems import DisturbanceModel, LinearSystem
 
 
 # Bytes of plan feedforward, (T-1, trials, T-1, m) floats, that
@@ -191,56 +190,3 @@ def paired_regrets(planner: FrozenPlanner, K_track, Ws, P_max, w=None) -> list:
         else:
             out.append((pair[0].cost - opt.cost, pair[1].cost - opt.cost))
     return out
-
-
-def phi_metric(
-    sys: LinearSystem,
-    schedule_spec,
-    T: int,
-    W: int,
-    trials: int,
-    master_seed: int,
-    dist: DisturbanceModel | None = None,
-    poles=None,
-) -> float:
-    """Mean paired regret gap: baseline regret minus tracking-policy regret.
-
-    ``schedule_spec`` is either a fixed CostSchedule reused across trials or
-    a CostBounds object from which a fresh schedule is drawn per trial. Both
-    policies run on identical schedule and disturbance realizations, and
-    ``paired_regrets`` measures them; trials where either one overflows are
-    dropped for both.
-    """
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    K_track = place_poles_single_input(
-        sys, poles if poles is not None else default_tracking_poles(sys.n)
-    )
-    fixed_schedule = isinstance(schedule_spec, CostSchedule)
-    if fixed_schedule:
-        ext = sequence_extrema(schedule_spec)
-        bounds = CostBounds(ext.Qbar_min, ext.Qbar_max, ext.Rbar_min, ext.Rbar_max)
-    else:
-        bounds = schedule_spec
-    P_max = solve_dare(sys.A, sys.B, bounds.Q_max, bounds.R_max)
-    gaps = []
-    for trial in range(trials):
-        if fixed_schedule:
-            schedule = schedule_spec
-        else:
-            rng = generator(master_seed, "phi", "schedule", T, W, trial)
-            schedule = random_uniform_schedule(schedule_spec, T, rng)
-        w = None
-        if dist is not None:
-            rng_w = generator(master_seed, "phi", "disturbance", T, W, trial)
-            w = dist.sample(rng_w, T - 1)
-        planner = FrozenPlanner(sys, schedule, keep_P=w is not None)
-        (pair,) = paired_regrets(planner, K_track, [W], P_max, w)
-        if isinstance(pair, TrajectoryOverflowError):
-            continue
-        if isinstance(pair, Exception):
-            raise pair
-        gaps.append(pair[1] - pair[0])
-    if not gaps:
-        raise AllTrialsFailedError(f"all {trials} trials overflowed")
-    return float(np.mean(gaps))

@@ -47,7 +47,7 @@ import numpy as np
 
 from preview_lqr import cli
 from preview_lqr.bounds import compute_bound_constants, generator_seed, regret_upper_bound
-from preview_lqr.costs import CostSchedule, random_uniform_schedule
+from preview_lqr.costs import random_uniform_schedule
 from preview_lqr.experiments import GridRow, _evaluate_trial, _trial_system, parse_csv
 from preview_lqr.policies import (
     FrozenPlanner,
@@ -277,10 +277,7 @@ def certificate_floors(sys_, schedule_spec, dist, Ts, W, trials, master_seed, po
     cfg = PolicyConfig(W, K_track)
     floors, rates, rel_rates = {}, [], []
     for k, T in enumerate(Ts):
-        if isinstance(schedule_spec, CostSchedule):
-            schedule = schedule_spec
-        else:
-            schedule = random_uniform_schedule(schedule_spec, T, generator(master_seed, "scaling", "schedule", T))
+        schedule = random_uniform_schedule(schedule_spec, T, generator(master_seed, "scaling", "schedule", T))
         planner = FrozenPlanner(sys_, schedule, keep_P=True)
         sol = planner.solution(T - 1)
         (c,) = compute_bound_constants(planner, K_track, [W])

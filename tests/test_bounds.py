@@ -33,6 +33,7 @@ from preview_lqr.experiments import pendulum_cost_bounds
 from preview_lqr.policies import (
     FrozenPlanner,
     PolicyConfig,
+    PreviewLengthError,
     UnstableTrackingError,
     prediction_tracking_policy,
 )
@@ -311,6 +312,15 @@ class TestBoundConstantsCache:
         for W, c in zip(Ws, batch):
             assert_constants_equal(c, constants_at(sys_, sched, K, W))
 
+    def test_preview_lengths_outside_the_rule_are_returned(self):
+        # W = -1 gave the constants of pass T-1 alone: on this instance an
+        # alpha of 8.66e9 against 9.26e9 at W = 0.
+        sys_, bounds, sched, K = pendulum_setup(30)
+        got = compute_bound_constants(FrozenPlanner(sys_, sched), K, [-1, 2.5, 3])
+        for err in got[:2]:
+            assert isinstance(err, PreviewLengthError) and str(err) == "W must be a nonnegative integer"
+        assert_constants_equal(got[2], constants_at(sys_, sched, K, 3))
+
     def test_shared_pbar_max_is_read_only(self):
         sys_, bounds, sched, K = pendulum_setup(20)
         first, second = compute_bound_constants(FrozenPlanner(sys_, sched), K, [2, 3])
@@ -549,6 +559,14 @@ class TestRegretUpperBound:
         exact = high_precision_bound(c, T, W, sys_.x0)
         got = regret_upper_bound(c, T, W, sys_.x0)
         assert abs(mpmath.mpf(got) - exact) <= 1e-12 * exact
+
+    @pytest.mark.parametrize("W", [-1, 2.5])
+    def test_rejects_preview_lengths_outside_the_rule(self, W):
+        # W = -1 evaluated gamma^(-2).
+        sys_, bounds, sched, K = pendulum_setup(20)
+        c = constants_at(sys_, sched, K, 2)
+        with pytest.raises(PreviewLengthError, match="W must be a nonnegative integer"):
+            regret_upper_bound(c, 20, W, sys_.x0)
 
     def test_zero_initial_state(self):
         sys_, bounds, sched, K = pendulum_setup(20)

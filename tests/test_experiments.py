@@ -28,6 +28,7 @@ from preview_lqr.regret import paired_regrets, regret_via_control_deviation
 from preview_lqr.riccati import DareConvergenceError, _only, backward_riccati, solve_dare
 from preview_lqr.seeding import generator
 from preview_lqr.systems import DisturbanceModel, inverted_pendulum
+from test_policies import stalled_plans_instance
 
 
 def small_config(**overrides):
@@ -425,11 +426,6 @@ class TestOneSweepPerPlanner:
         bounds.scaling_certificate(inverted_pendulum(), pendulum_cost_bounds(), dist, (12, 20), 3, 3, 0)
         assert sweeps_per_planner() == [1, 1]
 
-    def test_phi_metric_with_disturbances(self, sweeps_per_planner):
-        dist = DisturbanceModel(25.0 * np.eye(4))
-        regret.phi_metric(inverted_pendulum(), pendulum_cost_bounds(), 16, 3, 3, 0, dist=dist)
-        assert sweeps_per_planner() == [1, 1, 1]
-
     def test_verify_suites(self, sweeps_per_planner):
         assert all(check.passed for check in verification.run_all(0, instances=4, oracle_instances=2))
         assert sweeps_per_planner() == [1, 1, 1, 1]
@@ -466,6 +462,25 @@ class TestTrialsBatchedOverW:
         planners.clear()
         row = next(row for row in run_grid(cfg).rows if row.W == 2)
         assert row.excluded_trials == 1
+
+    def test_overflowing_sweep_fails_the_trial_once(self, monkeypatch):
+        # The stalled plans overflow in the planner's sweep. Every W of the
+        # trial reads that error, from one sweep rather than one per W.
+        sys_, sched = stalled_plans_instance()
+        cfg = small_config(t_min=60, t_max=60, w_max=10, trials=1)
+        sweep, swept = policies.frozen_backward_sweep, []
+
+        def counting_sweep(sys_, schedule, keep_P=False):
+            swept.append(schedule)
+            return sweep(sys_, schedule, keep_P)
+
+        monkeypatch.setattr(policies, "frozen_backward_sweep", counting_sweep)
+        monkeypatch.setattr(experiments, "_trial_system", lambda config, T, trial: (sys_, [[-1.9]]))
+        monkeypatch.setattr(experiments, "random_uniform_schedule", lambda bounds, T, rng: sched)
+        monkeypatch.setattr(experiments, "solve_dare", lambda A, B, Q, R: np.eye(1))
+        outcome = experiments._evaluate_trial(cfg, 60, 0)
+        assert swept == [sched]
+        assert outcome == dict.fromkeys(range(11), "TrajectoryOverflowError: non-finite planned state")
 
     def test_misshapen_disturbance_raises_out_of_the_grid(self, monkeypatch):
         cfg = small_config(scenario="pendulum-disturbance", t_min=12, t_max=12, w_max=2, trials=1)

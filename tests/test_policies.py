@@ -15,6 +15,9 @@ from preview_lqr.costs import (
 from preview_lqr.policies import (
     FrozenPlanner,
     PolicyConfig,
+    PreviewLengthError,
+    baseline_law,
+    check_preview_length,
     clairvoyant_policy,
     mpc_baseline_policy,
     prediction_tracking_policy,
@@ -173,7 +176,7 @@ class TestPredictTrajectory:
         for t in (-1, 3):
             with pytest.raises(ValueError, match="t must satisfy"):
                 planner.plan(t, 0)
-        with pytest.raises(ValueError, match="W must be nonnegative"):
+        with pytest.raises(PreviewLengthError, match="W must be a nonnegative integer"):
             planner.plan(0, -1)
 
     def test_zero_preview_reads_only_revealed_entries(self):
@@ -587,6 +590,65 @@ class TestFrozenPlanner:
         with pytest.raises(ValueError):
             us[3] = 0.0
         np.testing.assert_array_equal(planner.plan_points(2)[0], rows)
+
+
+class TestPreviewLengthCheck:
+    """One rule for W: an integer >= 0, and at most T-2 where a policy runs."""
+
+    def test_rule(self):
+        assert check_preview_length(3.0) == 3 and type(check_preview_length(np.int64(3))) is int
+        assert check_preview_length(40) == 40 and check_preview_length(18, 20) == 18
+        for W, T, message in [
+            (-1, None, "W must be a nonnegative integer"),
+            (2.5, None, "W must be a nonnegative integer"),
+            (2.5, 20, "W must be a nonnegative integer"),
+            (19, 20, "W must satisfy 0 <= W <= T - 2 = 18, got 19"),
+            (-1, 20, "W must satisfy 0 <= W <= T - 2 = 18, got -1"),
+        ]:
+            with pytest.raises(PreviewLengthError) as info:
+                check_preview_length(W, T)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("W", [-1, 2.5])
+    def test_planner_and_baseline_reject_what_they_cannot_read(self, W):
+        # plan_points(-1) read above the stored diagonal and plan_points(2.5)
+        # indexed with a float.
+        sys_, sched, _ = random_instance(3, 2, 1, 12)
+        planner = FrozenPlanner(sys_, sched)
+        for call in (lambda: planner.plan_points(W), lambda: planner.plan(1, W)):
+            with pytest.raises(PreviewLengthError, match="W must be a nonnegative integer"):
+                call()
+        P_max = solve_dare(sys_.A, sys_.B, np.eye(2), np.eye(1))
+        message = "W must be a nonnegative integer" if W == 2.5 else "W must satisfy 0 <= W <= T - 2"
+        with pytest.raises(PreviewLengthError, match=message):
+            baseline_law(sys_, sched, W, P_max)
+
+    def test_planner_clamps_a_preview_beyond_the_horizon(self):
+        sys_, sched, _ = random_instance(3, 2, 1, 12)
+        planner = FrozenPlanner(sys_, sched)
+        for got, ref in zip(planner.plan_points(15), planner.plan_points(11)):
+            np.testing.assert_array_equal(got, ref)
+        for got, ref in zip(planner.plan(2, 15), planner.nominal_plan(11)):
+            np.testing.assert_array_equal(got, ref)
+
+
+class TestFreezeIndex:
+    @pytest.mark.parametrize("s", [-1, -3])
+    def test_negative_index_raises(self, s):
+        # nominal_plan(-3) returned plan T-3 re-rolled from index -3, and
+        # solution(-1) failed inside frozen_schedule.
+        planner = FrozenPlanner(*random_instance(3, 2, 1, 12)[:2])
+        for call in (planner.nominal_plan, planner.solution):
+            with pytest.raises(ValueError, match=f"freeze index s must be nonnegative, got {s}"):
+                call(s)
+
+    def test_index_beyond_the_horizon_reads_the_true_pass(self):
+        planner = FrozenPlanner(*random_instance(3, 2, 1, 12)[:2], keep_P=True)
+        for got, ref in zip(planner.nominal_plan(20), planner.nominal_plan(11)):
+            np.testing.assert_array_equal(got, ref)
+        got, ref = planner.solution(20), planner.solution(11)
+        np.testing.assert_array_equal(got.P, ref.P)
+        np.testing.assert_array_equal(got.K, ref.K)
 
 
 def full_rollout_plans(sys_, sched):

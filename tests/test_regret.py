@@ -9,7 +9,6 @@ from preview_lqr.costs import (
     CostBounds,
     CostSchedule,
     random_uniform_schedule,
-    sequence_extrema,
 )
 from preview_lqr.experiments import pendulum_cost_bounds
 from preview_lqr.policies import (
@@ -25,7 +24,6 @@ from preview_lqr.regret import (
     RegretReport,
     expected_regret_mc,
     paired_regrets,
-    phi_metric,
     regret_via_control_deviation,
     standard_error,
 )
@@ -433,11 +431,17 @@ class TestExpectedRegretMc:
 class TestPairedRegrets:
     """Each W of one batched call is what its own tracker and baseline runs give."""
 
-    def instance(self, T=20):
-        sys_ = inverted_pendulum()
-        bounds = pendulum_cost_bounds()
+    def instance(self, system="pendulum"):
+        # The pendulum at T = 20, or a 3-state random system at T = 25 with
+        # its own tracking poles.
+        if system == "pendulum":
+            sys_, bounds, T, poles = inverted_pendulum(), pendulum_cost_bounds(), 20, default_tracking_poles(4)
+        else:
+            sys_ = random_controllable_system(3, 1, 0.0, 2.0, np.random.default_rng(1))
+            bounds = CostBounds(0.5 * np.eye(3), 3.0 * np.eye(3), [[0.4]], [[1.8]])
+            T, poles = 25, (0.1, 0.2, 0.3)
         sched = random_uniform_schedule(bounds, T, np.random.default_rng(2))
-        K = place_poles_single_input(sys_, default_tracking_poles(4))
+        K = place_poles_single_input(sys_, poles)
         P_max = solve_dare(sys_.A, sys_.B, bounds.Q_max, bounds.R_max)
         return sys_, bounds, sched, K, P_max
 
@@ -465,14 +469,17 @@ class TestPairedRegrets:
 
     @pytest.mark.parametrize("noisy", [False, True])
     def test_each_w_matches_its_own_runs(self, noisy):
-        sys_, bounds, sched, K, P_max = self.instance()
-        w = DisturbanceModel(25.0 * np.eye(4)).sample(np.random.default_rng(3), 19) if noisy else None
-        Ws = [0, 3, 18, 19, -1]
-        got = paired_regrets(FrozenPlanner(sys_, sched), K, Ws, P_max, w)
-        assert len(got) == len(Ws)
-        for W, pair in zip(Ws, got):
-            self.assert_same(pair, self.per_w(sys_, bounds, sched, K, P_max, W, w))
-        assert isinstance(got[3], ValueError) and isinstance(got[4], ValueError)
+        for system, cov in (("pendulum", 25.0 * np.eye(4)), ("random", np.eye(3))):
+            sys_, bounds, sched, K, P_max = self.instance(system)
+            T = sched.horizon
+            w = DisturbanceModel(cov).sample(np.random.default_rng(3), T - 1) if noisy else None
+            Ws = [0, 3, 4, T - 2, T - 1, -1]
+            got = paired_regrets(FrozenPlanner(sys_, sched), K, Ws, P_max, w)
+            assert len(got) == len(Ws)
+            for W, pair in zip(Ws, got):
+                self.assert_same(pair, self.per_w(sys_, bounds, sched, K, P_max, W, w))
+            assert all(isinstance(pair, tuple) for pair in got[:4])
+            assert isinstance(got[4], ValueError) and isinstance(got[5], ValueError)
 
     def test_first_error_wins(self, monkeypatch):
         # W = 2: the tracker's cost and the baseline's state overflow, and the
@@ -499,96 +506,6 @@ class TestPairedRegrets:
             "non-finite state at time index 2",
         ]
         assert isinstance(got[2], tuple)
-
-
-class TestPhiMetric:
-    def test_full_preview_collapses(self):
-        sys_ = scalar_system(0.9, 1.0, 2.0)
-        bounds = CostBounds(0.5 * np.eye(1), 3.0 * np.eye(1), [[0.4]], [[1.8]])
-        T = 20
-        phi = phi_metric(sys_, bounds, T, T - 2, trials=4, master_seed=0, poles=[0.1])
-        assert abs(phi) <= 1e-8
-
-    def test_paired_determinism(self):
-        sys_ = scalar_system(0.9, 1.0, 2.0)
-        bounds = CostBounds(0.5 * np.eye(1), 3.0 * np.eye(1), [[0.4]], [[1.8]])
-        a = phi_metric(sys_, bounds, 15, 2, trials=5, master_seed=3, poles=[0.1])
-        b = phi_metric(sys_, bounds, 15, 2, trials=5, master_seed=3, poles=[0.1])
-        assert a == b
-
-    def test_fixed_schedule_accepted(self):
-        sys_ = scalar_system(0.9, 1.0, 2.0)
-        sched = scalar_schedule(1.0, 1.0, 12)
-        phi = phi_metric(sys_, sched, 12, 2, trials=2, master_seed=0, poles=[0.1])
-        assert abs(phi) <= 1e-8
-
-
-def reference_phi_metric(sys, schedule_spec, T, W, trials, master_seed, dist=None, poles=None):
-    # phi_metric as written before paired_regrets: both policies run inline,
-    # and a noisy trial solves its comparator's backward pass itself.
-    K_track = place_poles_single_input(
-        sys, poles if poles is not None else default_tracking_poles(sys.n)
-    )
-    cfg = PolicyConfig(W, K_track)
-    fixed_schedule = isinstance(schedule_spec, CostSchedule)
-    if fixed_schedule:
-        ext = sequence_extrema(schedule_spec)
-        bounds = CostBounds(ext.Qbar_min, ext.Qbar_max, ext.Rbar_min, ext.Rbar_max)
-    else:
-        bounds = schedule_spec
-    P_max = solve_dare(sys.A, sys.B, bounds.Q_max, bounds.R_max)
-    gaps = []
-    for trial in range(trials):
-        if fixed_schedule:
-            schedule = schedule_spec
-        else:
-            rng = generator(master_seed, "phi", "schedule", T, W, trial)
-            schedule = random_uniform_schedule(schedule_spec, T, rng)
-        w = None
-        if dist is not None:
-            rng_w = generator(master_seed, "phi", "disturbance", T, W, trial)
-            w = dist.sample(rng_w, T - 1)
-        planner = FrozenPlanner(sys, schedule)
-        try:
-            ours = prediction_tracking_policy(sys, schedule, cfg, w, planner=planner)
-            base = mpc_baseline_policy(sys, schedule, bounds, W, w, P_max=P_max)
-        except TrajectoryOverflowError:
-            continue
-        if w is None:
-            true_sol = planner.solution(T - 1)
-            gaps.append(
-                regret_via_control_deviation(base, sys, schedule, solution=true_sol)
-                - regret_via_control_deviation(ours, sys, schedule, solution=true_sol)
-            )
-        else:
-            opt = clairvoyant_policy(sys, schedule, w)
-            gaps.append((base.cost - opt.cost) - (ours.cost - opt.cost))
-    return float(np.mean(gaps))
-
-
-class TestPhiMetricMatchesReference:
-    """``phi_metric`` through ``paired_regrets`` equals the inline loop bit for bit."""
-
-    @pytest.mark.parametrize("noisy", [False, True])
-    def test_pendulum(self, noisy):
-        dist = DisturbanceModel(25.0 * np.eye(4)) if noisy else None
-        args = (inverted_pendulum(), pendulum_cost_bounds(), 30, 3, 3, 1, dist)
-        assert phi_metric(*args) == reference_phi_metric(*args)
-
-    @pytest.mark.parametrize("noisy", [False, True])
-    def test_fixed_schedule(self, noisy):
-        dist = DisturbanceModel(25.0 * np.eye(4)) if noisy else None
-        sched = random_uniform_schedule(pendulum_cost_bounds(), 25, np.random.default_rng(4))
-        args = (inverted_pendulum(), sched, 25, 5, 2, 2, dist)
-        assert phi_metric(*args) == reference_phi_metric(*args)
-
-    @pytest.mark.parametrize("noisy", [False, True])
-    def test_random_system(self, noisy):
-        sys_ = random_controllable_system(3, 1, 0.0, 2.0, np.random.default_rng(1))
-        bounds = CostBounds(0.5 * np.eye(3), 3.0 * np.eye(3), [[0.4]], [[1.8]])
-        dist = DisturbanceModel(np.eye(3)) if noisy else None
-        args = (sys_, bounds, 25, 4, 3, 0, dist, (0.1, 0.2, 0.3))
-        assert phi_metric(*args) == reference_phi_metric(*args)
 
 
 class TestStandardError:
@@ -618,4 +535,4 @@ class TestRegretReport:
 
 def test_package_attribute_is_the_regret_module():
     # The package exports no function under the module's name.
-    assert preview_lqr.regret.phi_metric is phi_metric
+    assert preview_lqr.regret.paired_regrets is paired_regrets
