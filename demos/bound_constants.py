@@ -40,7 +40,7 @@ def pendulum_section():
 
     traj = prediction_tracking_policy(sys_, schedule, PolicyConfig(W, K), planner=planner)
     realized = regret_via_control_deviation(
-        traj, sys_, schedule, solution=planner.solution(T - 1)
+        traj, sys_, schedule, solution=planner.solution()
     )
     bound = regret_upper_bound(constants, T, W, sys_.x0)
     print(f"\n  realized regret = {realized:.6e}")

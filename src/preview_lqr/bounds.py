@@ -331,9 +331,8 @@ def scaling_certificate(
     means, errs, gammas, rates, excluded = [], [], [], [], []
     for T in Ts:
         schedule = random_uniform_schedule(schedule_spec, T, generator(master_seed, "scaling", "schedule", T))
-        planner = FrozenPlanner(sys, schedule, keep_P=True)
+        report, planner = expected_regret_mc(sys, schedule, cfg, dist, trials, generator_seed(master_seed, T))
         constants = _only(compute_bound_constants(planner, K_track, [W]))
-        report = expected_regret_mc(planner, cfg, dist, trials, generator_seed(master_seed, T))
         means.append(report.regret)
         errs.append(report.stderr or 0.0)
         gammas.append(constants.gamma)

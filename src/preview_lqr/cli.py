@@ -174,7 +174,7 @@ def _run_bound_check(settings: dict) -> int:
         sys_, schedule, PolicyConfig(W, K_track), planner=planner
     )
     realized = regret_via_control_deviation(
-        traj, sys_, schedule, solution=planner.solution(T - 1)
+        traj, sys_, schedule, solution=planner.solution()
     )
     report = make_bound_report(planner, K_track, W, realized, bounds)
     c = report.constants

@@ -165,6 +165,7 @@ def _evaluate_trial(config: ExperimentConfig, T: int, trial: int):
     Returns {W: outcome} where an outcome is (regret_ours, regret_baseline,
     bound, sufficient_condition) or an error string.
     """
+    Ws = list(dict.fromkeys(min(W, T - 2) for W in config.w_values))
     try:
         sys_, K_track = _trial_system(config, T, trial)
         P_max = solve_dare(sys_.A, sys_.B, config.bounds.Q_max, config.bounds.R_max)
@@ -173,9 +174,6 @@ def _evaluate_trial(config: ExperimentConfig, T: int, trial: int):
             T,
             generator(config.master_seed, config.scenario, T, trial, "schedule"),
         )
-        # Noisy plans read every pass's P; an overflowing sweep fails the trial once.
-        planner = FrozenPlanner(sys_, schedule, keep_P=config.noisy)
-        planner.prepare()
         w = None
         if config.noisy:
             dist = DisturbanceModel(config.disturbance_cov_scale * np.eye(sys_.n))
@@ -183,11 +181,14 @@ def _evaluate_trial(config: ExperimentConfig, T: int, trial: int):
                 generator(config.master_seed, config.scenario, T, trial, "disturbance"),
                 T - 1,
             )
+        # The sweep streams the noisy plans of every W; an overflowing sweep
+        # fails the trial once.
+        planner = FrozenPlanner(sys_, schedule, w, Ws)
+        planner.prepare()
     except _TRIAL_ERRORS as err:
         reason = f"{type(err).__name__}: {err}"
         return {W: reason for W in config.w_values}
-    Ws = list(dict.fromkeys(min(W, T - 2) for W in config.w_values))
-    pairs = paired_regrets(planner, K_track, Ws, P_max, w)
+    pairs = paired_regrets(planner, K_track, Ws, P_max)
     # The bound constants of every W whose pair succeeded, in one call.
     ok = [W for W, pair in zip(Ws, pairs) if not isinstance(pair, Exception)]
     try:

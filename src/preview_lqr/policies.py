@@ -25,6 +25,7 @@ from .riccati import (
     _only,
     affine_terms,
     backward_riccati,
+    check_disturbances,
     frozen_backward_sweep,
     riccati_step,
     simulate,
@@ -89,47 +90,41 @@ def validate_policy_config(cfg: PolicyConfig, sys: LinearSystem, T: int):
 
 
 class FrozenPlanner:
-    """Every frozen backward pass and nominal plan of one instance.
+    """Every frozen backward pass and nominal plan of one instance, and the
+    plans its tracker makes with known disturbances.
 
     The plan under a schedule frozen at index s depends on s alone in the
     disturbance-free case, so all time steps and preview lengths share the
     T passes. ``prepare()`` runs ``frozen_backward_sweep`` once and keeps
     read-only stacks indexed by freeze index: gains ``K`` (T, T-1, m, n),
-    the alpha screen's per-pass maxima ``apa_max`` (T,), and the nominal
-    plans' states ``X`` (T, T, n) and controls ``U`` (T, T-1, m), each
-    plan only to its freeze index s, the last entry the tracker reads
-    (zero above it; ``nominal_plan(s)`` continues the later rows). Of the
-    value matrices it keeps the true pass, ``P_true`` (T, n, n).
-
-    Every pass's value matrices ``P`` (T, T, n, n), which known
-    disturbances add their affine terms on, are read only by disturbance
-    plans, ``solution(s)`` for s < T-1 and the verify suites. A planner
-    keeps them only when built with ``keep_P``, so that it sweeps once:
-    the noisy grid trials, ``scaling_certificate``, a noisy
-    ``prediction_tracking_policy`` run without a planner and the verify
-    suites ask for it. Reading ``P`` otherwise sweeps again, with the
-    same bits. A freeze index s above T-1 reads pass T-1; a negative one
-    raises.
-
-    ``plan(t, W, known_w)`` is the single-time API: the full-horizon plan
-    made at time t. ``plan_points(W, w)`` returns only the entries the
-    tracking policy reads, entry t of the plan made at time t, for every t
-    at once; with disturbances it runs one backward and one forward sweep
-    batched over t, O(T) array steps instead of a replan per step.
+    the alpha screen's per-pass maxima ``apa_max`` (T,), the true pass's
+    value matrices ``P_true`` (T, n, n), which ``solution()`` wraps, and the
+    nominal plans' states ``X`` (T, T, n) and controls ``U`` (T, T-1, m),
+    each plan to its freeze index s, the last entry the tracker reads (zero
+    above it; ``nominal_plan(s)`` continues the later rows). A freeze index
+    above T-1 reads pass T-1; a negative or non-integer one raises. With
+    disturbances ``w``, (T-1, n) or a stack (N, T-1, n) of N trials, the
+    sweep also streams the feedforward ``k`` of the plans at each preview
+    length of ``Ws``, so the planner keeps no other pass's value matrices.
+    ``plan_points(W)`` gives, for every t at once, the entry of the plan made
+    at t that the tracker reads; ``plan(t, W, known_w)`` is its reference.
     """
 
-    def __init__(self, sys: LinearSystem, schedule: CostSchedule, keep_P: bool = False):
+    def __init__(self, sys: LinearSystem, schedule: CostSchedule, w=None, Ws=()):
         self.sys = sys
         self.schedule = schedule
         self.T = schedule.horizon
-        self.keep_P = keep_P
-        self.K = self.apa_max = self.P_true = self.X = self.U = self._P = None
+        self.w = None if w is None else _freeze(check_disturbances(w, self.T, sys.n))
+        self.Ws = tuple(check_preview_length(W) for W in Ws)
+        self.K = self.apa_max = self.P_true = self.X = self.U = self.k = None
 
     def prepare(self):
-        """Solve every frozen pass and roll out each nominal plan to its freeze index, once."""
+        """Sweep every frozen pass with the plans asked for, and roll out each nominal plan, once."""
         if self.K is not None:
             return
-        K, apa_max, P_true, P = frozen_backward_sweep(self.sys, self.schedule, self.keep_P)
+        # A trial whose w is all zero reads the nominal plans.
+        Ws = self.Ws if self.w is not None and self.w.any() else ()
+        K, apa_max, P_true, k = frozen_backward_sweep(self.sys, self.schedule, self.w, Ws)
         T, n, m = self.T, self.sys.n, self.sys.m
         AT, BT = self.sys.A.T.copy(), self.sys.B.T.copy()
         X, U = np.zeros((T, T, n)), np.zeros((T, T - 1, m))
@@ -143,39 +138,22 @@ class FrozenPlanner:
                 X[i + 1 :, i + 1] = (X[i:, i] @ AT + U[i:, i] @ BT)[1:]
                 if not np.isfinite(X[i + 1 :, i + 1]).all():
                     raise TrajectoryOverflowError(i + 1, "non-finite planned state")
-        for stack in (K, apa_max, P_true, X, U) + (() if P is None else (P,)):
+        for stack in (K, apa_max, P_true, X, U, *k):
             stack.setflags(write=False)
-        self.K, self.apa_max, self.P_true, self.X, self.U, self._P = K, apa_max, P_true, X, U, P
-
-    @property
-    def P(self) -> np.ndarray:
-        """Every pass's value matrices (T, T, n, n), read-only.
-
-        On a planner prepared without ``keep_P`` this reruns the whole
-        sweep, gains and alpha screen included, and keeps only P: a slow
-        path for callers that did not ask for P before the first sweep.
-        """
-        if self._P is None:
-            self.keep_P = True
-            if self.K is None:
-                self.prepare()
-            else:
-                self._P = frozen_backward_sweep(self.sys, self.schedule, True)[3]
-                self._P.setflags(write=False)
-        return self._P
+        self.K, self.apa_max, self.P_true, self.X, self.U = K, apa_max, P_true, X, U
+        self.k = dict(zip(Ws, k))
 
     def _freeze_index(self, s: int) -> int:
-        """s clamped to T - 1 after ``prepare``; a negative s raises."""
-        if s < 0:
-            raise ValueError(f"freeze index s must be nonnegative, got {s}")
+        """s clamped to T - 1 after ``prepare``; a negative or non-integer s raises."""
+        if s < 0 or not float(s).is_integer():
+            raise ValueError(f"freeze index s must be a nonnegative integer, got {s}")
         self.prepare()
         return min(int(s), self.T - 1)
 
-    def solution(self, s: int) -> RiccatiSolution:
-        """Backward pass for the schedule frozen at index s."""
-        s = self._freeze_index(s)
-        P = self.P_true if s == self.T - 1 else self.P[s]
-        return RiccatiSolution(P, self.K[s], frozen_schedule(self.schedule, s, 0))
+    def solution(self) -> RiccatiSolution:
+        """The true pass, pass T-1: the backward pass on the whole schedule."""
+        self.prepare()
+        return RiccatiSolution(self.P_true, self.K[self.T - 1], self.schedule)
 
     def nominal_plan(self, s: int):
         """Disturbance-free plan (states, controls) from the initial state.
@@ -204,10 +182,12 @@ class FrozenPlanner:
 
         ``known_w`` may be the full disturbance array or any prefix of it;
         entries at indices 0..t enter the planning dynamics and later ones
-        are treated as zero.
+        are treated as zero. With disturbances it solves its frozen pass
+        again, by ``backward_riccati``, which is the sweep's pass bit for bit.
         """
-        if not 0 <= t <= self.T - 2:
-            raise ValueError(f"t must satisfy 0 <= t <= T - 2 = {self.T - 2}, got {t}")
+        if not (0 <= t <= self.T - 2 and float(t).is_integer()):
+            raise ValueError(f"t must be an integer with 0 <= t <= T - 2 = {self.T - 2}, got {t}")
+        t = int(t)
         s = min(t + check_preview_length(W), self.T - 1)
         if known_w is None:
             return self.nominal_plan(s)
@@ -217,43 +197,40 @@ class FrozenPlanner:
         upto = min(t + 1, self.T - 1, w.shape[0])
         if not np.any(w[:upto]):
             return self.nominal_plan(s)
-        sol = self.solution(s)
+        sol = backward_riccati(self.sys, frozen_schedule(self.schedule, s, 0))
         w_plan = np.zeros((self.T - 1, self.sys.n))
         w_plan[:upto] = w[:upto]
-        k = affine_terms(self.sys, self.P, self.K, self.schedule.R, w_plan, [s], [t])[:, 0]
+        k = affine_terms(self.sys, sol, w_plan, t)
         traj = _only(simulate(self.sys, sol.schedule, sol.K, self.sys.x0, w_plan, l=k))
         return traj.x, traj.u
 
-    def plan_points(self, W: int, w=None):
+    def plan_points(self, W: int):
         """Entry t of the plan made at time t, for every t in 0..T-2.
 
         Returns (states, controls) of shapes (T-1, n) and (T-1, m); row t
-        equals ``plan(t, W, w)[0][t]`` and ``plan(t, W, w)[1][t]``. Without
-        disturbances (``w`` None or all zero) the rows are the cached
-        nominal plans, bit for bit. Otherwise they come from one
-        ``affine_terms`` recursion batched over every t, then one forward
-        rollout in which plan t stops at index t.
-        Plan t reads only its own frozen pass and w[0..t], as ``plan`` does.
-        A ``w`` of shape (N, T-1, n) gives the rows of N disturbance trials,
-        (N, T-1, n) and (N, T-1, m), each as its own (T-1, n) call gives them.
+        equals ``plan(t, W, w)[0][t]`` and ``plan(t, W, w)[1][t]`` with the
+        planner's ``w``, whose trials give (N, T-1, n) and (N, T-1, m), each
+        as a planner of its own gives them. A trial with no disturbance gets
+        the cached nominal rows, bit for bit; the others roll out one forward
+        sweep on the streamed feedforward at W, one of ``Ws``, in which plan t
+        stops at index t and reads only its frozen pass and w[0..t].
         """
-        T, n, m = self.T, self.sys.n, self.sys.m
+        T, m = self.T, self.sys.m
+        W = check_preview_length(W)
         t_all = np.arange(T - 1)
-        s_of = np.minimum(t_all + check_preview_length(W), T - 1)
+        s_of = np.minimum(t_all + W, T - 1)
         self.prepare()
-        X, U = self.X[s_of, t_all], self.U[s_of, t_all]
+        X, U, w = self.X[s_of, t_all], self.U[s_of, t_all], self.w
         if w is None:
             return X, U
-        w = np.asarray(w, dtype=float)
-        if w.ndim not in (2, 3) or w.shape[-2:] != (T - 1, n):
-            raise ValueError(f"w must have shape {(T - 1, n)} or (N, {T - 1}, {n}), got {w.shape}")
         lead = w.shape[:-2]
         # A trial with an all-zero w keeps the cached rows.
         zero = ~np.any(w, axis=(-2, -1))
         if zero.all():
             return tuple(np.broadcast_to(a, lead + a.shape).copy() for a in (X, U))
-        # Plan t sits at position t of the batch and knows w[0..t].
-        k = affine_terms(self.sys, self.P, self.K, self.schedule.R, w, s_of, t_all)
+        if W not in self.k:
+            raise ValueError(f"the planner was built without W = {W} among its Ws")
+        k = self.k[W]
         Xw, Uw = np.empty(w.shape), np.empty(lead + (T - 1, m))
         AT, BT = self.sys.A.T.copy(), self.sys.B.T.copy()
         # Forward: plan t rolls out from x0 and stops at index t.
@@ -276,8 +253,7 @@ def clairvoyant_law(sys: LinearSystem, sol: RiccatiSolution, w):
     stacks of N disturbance trials, each as its own (T-1, n) call gives them.
     """
     w = np.asarray(w, dtype=float)
-    k = affine_terms(sys, sol.P[None], sol.K[None], sol.schedule.R, w, [0], [len(sol.P) - 2])
-    l = np.moveaxis(k[..., 0, :], 0, -2)
+    l = np.moveaxis(affine_terms(sys, sol, w), 0, -2)
     return np.broadcast_to(sol.K, l.shape[:-1] + sol.K.shape[-2:]), np.zeros(w.shape), l
 
 
@@ -288,7 +264,7 @@ def clairvoyant_policy(sys: LinearSystem, schedule: CostSchedule, w=None, soluti
     it runs the true pass's gains alone, which is the law on an all-zero w
     bit for bit, since that law's r = +0.0 and l = -0.0 are exact.
     ``solution``, when given, is the true pass (``backward_riccati`` on the
-    schedule, or ``FrozenPlanner.solution(T-1)``), so callers that hold it
+    schedule, or ``FrozenPlanner.solution()``), so callers that hold it
     do not solve it again.
     """
     sol = solution if solution is not None else backward_riccati(sys, schedule)
@@ -298,20 +274,16 @@ def clairvoyant_policy(sys: LinearSystem, schedule: CostSchedule, w=None, soluti
     return _only(simulate(sys, schedule, L, sys.x0, w, r, l))
 
 
-def tracking_law(planner: FrozenPlanner, cfg: PolicyConfig, w=None):
+def tracking_law(planner: FrozenPlanner, cfg: PolicyConfig):
     """The tracker's (L, r, l): u = K_track (x - X) + U, with (X, U) from
-    ``planner.plan_points``, so a ``w`` of shape (N, T-1, n) gives N trials' stacks."""
+    ``planner.plan_points``, so a planner of N trials gives N trials' stacks."""
     validate_policy_config(cfg, planner.sys, planner.T)
-    X, U = planner.plan_points(cfg.W, w)
+    X, U = planner.plan_points(cfg.W)
     return np.broadcast_to(cfg.K_track, U.shape[:-1] + cfg.K_track.shape), X, U
 
 
 def prediction_tracking_policy(
-    sys: LinearSystem,
-    schedule: CostSchedule,
-    cfg: PolicyConfig,
-    w=None,
-    planner: FrozenPlanner | None = None,
+    sys: LinearSystem, schedule: CostSchedule, cfg: PolicyConfig, w=None, planner: FrozenPlanner | None = None,
 ) -> Trajectory:
     """Run the prediction-tracking policy over the whole horizon.
 
@@ -320,12 +292,15 @@ def prediction_tracking_policy(
     realized state then advances with the true disturbance. Only entry t of
     the plan made at time t is applied, so all of them come from one
     ``FrozenPlanner.plan_points`` call: O(T) batched array steps, with or
-    without disturbances.
+    without disturbances. Without a ``planner`` it builds one for ``w`` and
+    ``cfg.W``; a planner carries its own disturbances, so ``w`` is then None.
     """
     if planner is None:
-        planner = FrozenPlanner(sys, schedule, keep_P=w is not None)
-    L, r, l = tracking_law(planner, cfg, w)
-    return _only(simulate(sys, schedule, L, sys.x0, w, r, l))
+        planner = FrozenPlanner(sys, schedule, w, [cfg.W])
+    elif w is not None:
+        raise ValueError("a planner carries its own disturbances; build it with w instead")
+    L, r, l = tracking_law(planner, cfg)
+    return _only(simulate(sys, schedule, L, sys.x0, planner.w, r, l))
 
 
 def baseline_law(sys: LinearSystem, schedule: CostSchedule, W: int, P_max):

@@ -91,27 +91,24 @@ def regret_via_control_deviation(
 
 
 def expected_regret_mc(
-    planner: FrozenPlanner,
-    cfg: PolicyConfig,
-    dist: DisturbanceModel,
-    trials: int,
+    sys: LinearSystem, schedule: CostSchedule, cfg: PolicyConfig, dist: DisturbanceModel, trials: int,
     master_seed: int,
-) -> RegretReport:
+):
     """Sample mean and standard error of the tracking policy's regret over disturbance draws.
 
-    The tracker runs with ``cfg`` on the planner's instance against the
-    clairvoyant comparator on the planner's true pass. Trial substreams derive
-    deterministically from the master seed, so the result does not depend on
-    evaluation order. Up to ``MC_BLOCK_BYTES`` of feedforward at a time, a
-    block of trials runs the stacked ``tracking_law`` and ``clairvoyant_law``
-    of its draws as one ``simulate`` batch, and each trial's costs are those
-    of its own tracker and ``clairvoyant_policy`` runs, bit for bit.
-    A trial whose tracker or comparator overflows is excluded from the
-    averages and counted in ``excluded_trials``.
+    The tracker runs with ``cfg`` against the clairvoyant comparator on the
+    true pass. Each trial draws w from its own substream of the master seed.
+    Up to ``MC_BLOCK_BYTES`` of feedforward at a time, a block of draws goes
+    into one ``FrozenPlanner``, whose sweep streams their plans at ``cfg.W``,
+    and the block's stacked ``tracking_law`` and ``clairvoyant_law`` run as
+    one ``simulate`` batch, each trial bit for bit as its own runs. A trial
+    whose tracker or comparator overflows is excluded and counted. Returns
+    the ``RegretReport`` and the last block's planner, whose gains, alpha
+    maxima and true pass give the bound constants without another sweep.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    sys, schedule, T = planner.sys, planner.schedule, planner.T
+    T = schedule.horizon
     block = max(1, MC_BLOCK_BYTES // (8 * (T - 1) ** 2 * sys.m))
     pairs = []
     for start in range(0, trials, block):
@@ -119,7 +116,8 @@ def expected_regret_mc(
             dist.sample(generator(master_seed, "mc", "disturbance", t), T - 1)
             for t in range(start, min(start + block, trials))
         ])
-        laws = tracking_law(planner, cfg, w), clairvoyant_law(sys, planner.solution(T - 1), w)
+        planner = FrozenPlanner(sys, schedule, w, [cfg.W])
+        laws = tracking_law(planner, cfg), clairvoyant_law(sys, planner.solution(), w)
         L, r, l = map(np.stack, zip(*laws))
         runs = simulate(sys, schedule, L, sys.x0, w, r, l)
         pairs += zip(runs[: len(w)], runs[len(w) :])
@@ -128,7 +126,7 @@ def expected_regret_mc(
         raise AllTrialsFailedError(f"all {trials} trials overflowed")
     costs_policy, costs_opt = (np.array([run.cost for run in runs]) for runs in zip(*done))
     arr = costs_policy - costs_opt
-    return RegretReport(
+    report = RegretReport(
         regret=float(arr.mean()),
         cost_policy=float(costs_policy.mean()),
         cost_optimal=float(costs_opt.mean()),
@@ -136,6 +134,7 @@ def expected_regret_mc(
         stderr=standard_error(arr),
         excluded_trials=trials - arr.size,
     )
+    return report, planner
 
 
 # The numerical failures of a policy's runs.
@@ -144,33 +143,34 @@ NUMERICAL_ERRORS = (UnstableTrackingError, TrajectoryOverflowError, np.linalg.Li
 PAIR_ERRORS = (PreviewLengthError,) + NUMERICAL_ERRORS
 
 
-def paired_regrets(planner: FrozenPlanner, K_track, Ws, P_max, w=None) -> list:
+def paired_regrets(planner: FrozenPlanner, K_track, Ws, P_max) -> list:
     """Per preview length Ws[j], (tracking regret, baseline regret) or the error met.
 
-    Both policies run on the planner's instance with disturbances ``w``, the
-    baseline with terminal value ``P_max``, all in one ``simulate`` batch.
+    Both policies run on the planner's instance with its disturbances, planned
+    at every W of ``Ws``, the baseline with terminal value ``P_max``, all in
+    one ``simulate`` batch.
     Without disturbances the regrets come from the control-deviation identity
     on the planner's true pass, exact there and a sum of nonnegative terms, so
     no cancellation drowns a tiny regret; with them, a regret is the cost above
     the comparator's, which joins the batch once for every W. A W's error is
     the first of ``PAIR_ERRORS`` met in its tracker, baseline, then regret. A
-    ``w`` of the wrong shape raises.
+    planner of several disturbance trials raises.
     """
-    sys, schedule, T = planner.sys, planner.schedule, planner.T
-    if w is not None and np.shape(w) != (T - 1, sys.n):
-        raise ValueError(f"w must have shape {(T - 1, sys.n)}, got {np.shape(w)}")
+    sys, schedule, T, w = planner.sys, planner.schedule, planner.T, planner.w
+    if w is not None and w.shape != (T - 1, sys.n):
+        raise ValueError(f"w must have shape {(T - 1, sys.n)}, got {w.shape}")
     # Per W the laws of its tracker and baseline or the first error met; the
     # comparator's law, when there are disturbances, comes last.
     runs = []
     for W in Ws:
         try:
             cfg = PolicyConfig(W, K_track)
-            runs.append([tracking_law(planner, cfg, w), baseline_law(sys, schedule, cfg.W, P_max)])
+            runs.append([tracking_law(planner, cfg), baseline_law(sys, schedule, cfg.W, P_max)])
         except PAIR_ERRORS as err:
             runs.append([err])
     if w is not None:
         try:
-            runs.append([clairvoyant_law(sys, planner.solution(T - 1), w)])
+            runs.append([clairvoyant_law(sys, planner.solution(), w)])
         except PAIR_ERRORS as err:
             runs.append([err])
     laws = [run for pair in runs for run in pair if isinstance(run, tuple)]
@@ -185,7 +185,7 @@ def paired_regrets(planner: FrozenPlanner, K_track, Ws, P_max, w=None) -> list:
         if errors:
             out.append(errors[0])
         elif w is None:
-            true_sol = planner.solution(T - 1)
+            true_sol = planner.solution()
             out.append(tuple(regret_via_control_deviation(run, sys, schedule, true_sol) for run in pair))
         else:
             out.append((pair[0].cost - opt.cost, pair[1].cost - opt.cost))

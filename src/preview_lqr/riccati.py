@@ -5,11 +5,11 @@ a time-varying schedule. ``riccati_step`` is the one backward step: the
 backward pass, the frozen sweep over every freeze index, the fixed-point
 iteration and the receding-horizon baseline all run it, so the sweep's
 pass s is the backward pass on the schedule frozen at s, bit for bit.
-The sweep also streams the regret bound's alpha screen through its steps,
-so it need not keep every pass's value matrices.
-``affine_terms`` is the one affine recursion for known additive
-disturbances: it gives the exact feedforward of a batch of plans, each on
-its own pass and knowing its own prefix of disturbances.
+The sweep also streams the regret bound's alpha screen and the
+disturbance plans' affine terms through its steps, so it keeps no pass's
+value matrices but the true pass's. ``_affine_step`` is the one step of
+the affine recursion for known additive disturbances: the sweep runs it
+on every pass, and ``affine_terms`` on given passes, such as the true one.
 A stacked quadratic-program oracle solves small instances by normal
 equations and is used only for cross-checking.
 """
@@ -126,18 +126,19 @@ def riccati_step(P, A, B, Q, R):
 def backward_riccati(sys: LinearSystem, schedule: CostSchedule) -> RiccatiSolution:
     """Backward pass for the finite-horizon time-varying problem.
 
-    P[T-1] is the terminal state cost; each earlier step is one 2-D
-    ``riccati_step`` with the stage costs Q[i] and R[i], run as two columns.
+    P[T-1] is the terminal state cost; each earlier step is one
+    ``riccati_step`` with the stage costs Q[i] and R[i], on the two equal
+    columns a 2-D call builds, kept across the pass and sliced once.
     """
     if schedule.n != sys.n or schedule.m != sys.m:
         raise ValueError("schedule dimensions do not match the system")
     T = schedule.horizon
-    P = np.empty((T, sys.n, sys.n))
-    K = np.empty((T - 1, sys.m, sys.n))
-    P[T - 1] = schedule.Q[T - 1]
+    P = np.empty((T, sys.n, sys.n, 2))
+    K = np.empty((T - 1, sys.m, sys.n, 2))
+    P[T - 1] = schedule.Q[T - 1, ..., None]
     for i in range(T - 2, -1, -1):
         P[i], K[i] = riccati_step(P[i + 1], sys.A, sys.B, schedule.Q[i], schedule.R[i])
-    return RiccatiSolution(P, K, schedule)
+    return RiccatiSolution(P[..., 0], K[..., 0], schedule)
 
 
 # Steps per block of the alpha screen that ``frozen_backward_sweep`` streams:
@@ -284,97 +285,109 @@ class _AlphaScreen:
             np.maximum.at(top, s[c : c + S], np.linalg.eigvalsh(M)[:, -1])
 
 
-def frozen_backward_sweep(sys: LinearSystem, schedule: CostSchedule, keep_P: bool = False):
-    """Backward passes for every frozen schedule in one batched recursion.
-
-    The pass for freeze index s in 0..T-1 uses entry i of the schedule when
-    i <= s and repeats entry s afterwards, so pass T-1 is the true pass.
-    Each step is one ``riccati_step`` on batch-last stacks, pass s in column
-    s, so pass s equals ``backward_riccati`` on ``frozen_schedule(schedule,
-    s, 0)`` bit for bit; only what is stored below is transposed pass-major.
-
-    Returns (K_all, apa_max, P_true, P_all). ``K_all`` (T, T-1, m, n) holds
-    every pass's gains, indexed by freeze index first. ``apa_max`` (T,)
-    holds per pass s the top eigenvalue of the symmetrized A' P_s[i] A over
-    the interior i = 1..T-2 (i = 1 when T = 2), so alpha at preview W is
-    the maximum of entries min(W, T-1)..T-1; an ``_AlphaScreen`` streams
-    through the sweep for it, one block of ``ALPHA_BLOCK`` steps at a time.
-    ``P_true`` (T, n, n) is the true pass's value matrices. Only with
-    ``keep_P`` is every pass's value matrices stored, as ``P_all``
-    (T, T, n, n), and the screen reads its blocks there; otherwise
-    ``P_all`` is None, and a ring holds one block.
-    """
-    T, n = schedule.horizon, sys.n
+def frozen_steps(sys: LinearSystem, schedule: CostSchedule):
+    """Every frozen pass's steps: pass s in 0..T-1 uses entry i of the
+    schedule when i <= s and entry s afterwards. Yields (i, P, K) for i =
+    T-1 down to 0, P_s[i] (n, n, T) and K_s[i] (m, n, T) of every pass s in
+    column s (K None at i = T-1), from one ``riccati_step`` per i, so pass s
+    is ``backward_riccati`` on ``frozen_schedule(schedule, s, 0)`` bit for bit."""
+    T = schedule.horizon
     Qs, Rs = schedule.Q, schedule.R
     # Pass s's stage costs, batch-last; at step i pass s reads entry
     # min(i, s), so each step sets the columns of passes i..T-1.
     Qc, Rc = (np.moveaxis(M, 0, -1).copy() for M in (Qs, np.concatenate([Rs, Rs[-1:]])))
+    P = np.moveaxis(Qs, 0, -1)
+    yield T - 1, P, None
+    for i in range(T - 2, -1, -1):
+        Qc[..., i:], Rc[..., i:] = Qs[i, ..., None], Rs[i, ..., None]
+        P, K = riccati_step(P, sys.A, sys.B, Qc, Rc)
+        yield i, P, K
+
+
+def check_disturbances(w, T: int, n: int) -> np.ndarray:
+    """w as floats, of shape (T-1, n) or a stack (N, T-1, n) of N trials; else a ValueError."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim not in (2, 3) or w.shape[-2:] != (T - 1, n):
+        raise ValueError(f"w must have shape {(T - 1, n)} or (N, {T - 1}, {n}), got {w.shape}")
+    return w
+
+
+def frozen_backward_sweep(sys: LinearSystem, schedule: CostSchedule, w=None, Ws=()):
+    """Backward passes for every frozen schedule, and the plans that know w.
+
+    Consumes ``frozen_steps`` and returns (K_all, apa_max, P_true, k): every
+    pass's gains (T, T-1, m, n), freeze index first; per pass s the top
+    eigenvalue of the symmetrized A' P_s[i] A over the interior i = 1..T-2
+    (i = 1 when T = 2), so alpha at preview W is the maximum of entries
+    min(W, T-1)..T-1, which an ``_AlphaScreen`` streams over a ring of
+    ``ALPHA_BLOCK`` steps; the true pass's value matrices (T, n, n); and per
+    W of ``Ws`` the feedforward (T-1, [N,] T-1, m) of the plans t that know
+    ``w`` (T-1, n) or (N, T-1, n) to w[t], on pass min(t + W, T-1). After
+    step i, ``_affine_step`` advances plans t >= i on the columns P_s[i+1]
+    and K_s[i] at hand; no other value matrices are kept.
+    """
+    T, n = schedule.horizon, sys.n
     K_all = np.empty((T, T - 1, sys.m, n))
     P_true = np.empty((T, n, n))
-    P_all = np.empty((T, T, n, n)) if keep_P else None
-    ring = None if keep_P else np.empty((T, ALPHA_BLOCK, n, n))
+    ring = np.empty((T, ALPHA_BLOCK, n, n))
     screen = _AlphaScreen(sys.A, T)
     hi = max(T - 2, 1)
-    P = np.moveaxis(Qs, 0, -1)
-    for i in range(T - 1, -1, -1):
-        if i < T - 1:
-            Qc[..., i:], Rc[..., i:] = Qs[i, ..., None], Rs[i, ..., None]
-            P, K = riccati_step(P, sys.A, sys.B, Qc, Rc)
+    # Plan t runs on pass min(t + W, T - 1) and joins the batch at step t.
+    s_of = [np.minimum(np.arange(T - 1) + W, T - 1) for W in Ws]
+    if Ws:
+        w = check_disturbances(w, T, n)
+    q = [np.zeros(w.shape[:-2] + (T - 1, n)) for _ in Ws]
+    k = [np.zeros((T - 1,) + w.shape[:-2] + (T - 1, sys.m)) for _ in Ws]
+    for i, P, K in frozen_steps(sys, schedule):
+        if K is not None:
             K_all[:, i] = K.transpose(2, 0, 1)
+            for s, q_W, k_W in zip(s_of, q, k):
+                Pn, Ks = P_next.transpose(2, 0, 1)[s[i:]], K_all[s[i:], i]
+                k_W[i, ..., i:, :], q_W[..., i:, :] = _affine_step(
+                    sys, Pn, Ks, schedule.R[i], w[..., i, :], q_W[..., i:, :]
+                )
+        P_next = P  # frees P_s[i+1] before the screen allocates
         P_true[i] = P[..., T - 1]
-        if keep_P:
-            P_all[:, i] = P.transpose(2, 0, 1)
         if 1 <= i <= hi:
             # The interior steps hi..1 go in blocks of ALPHA_BLOCK, screened
-            # in ascending order from P_all or the ring, where step i is k.
-            k = ALPHA_BLOCK - 1 - (hi - i) % ALPHA_BLOCK
-            if not keep_P:
-                ring[:, k] = P.transpose(2, 0, 1)
-            if k == 0 or i == 1:
-                screen.screen(P_all[:, i : i + ALPHA_BLOCK - k] if keep_P else ring[:, k:])
-    return K_all, screen.top, P_true, P_all
+            # in ascending order from the ring, where step i is slot j.
+            j = ALPHA_BLOCK - 1 - (hi - i) % ALPHA_BLOCK
+            ring[:, j] = P.transpose(2, 0, 1)
+            if j == 0 or i == 1:
+                screen.screen(ring[:, j:])
+    return K_all, screen.top, P_true, k
 
 
-def affine_terms(sys: LinearSystem, P, K, R, w, s, last):
-    """Feedforward controls of a batch of plans that know some disturbances.
-
-    Plan j runs on pass ``s[j]`` of the stacks ``P`` (S, T, n, n) and ``K``
-    (S, T-1, m, n) with control costs ``R`` (T-1, m, m), and knows w[i]
-    for i <= last[j]; ``last`` is ascending, and s[j] >= last[j] so that
-    every step run reads a true R[i]. Returns the feedforward k of shape
-    (T-1, len(s), m). Per plan the recursion is q = 0 above last,
-    k[i] = -(R[i] + B' P[i+1] B)^-1 B' (P[i+1] w[i] + q[i+1]),
-    q[i] = (A + B K[i])' (q[i+1] + P[i+1] w[i]).
-
-    A ``w`` of shape (N, T-1, n) runs N disturbance trials through the same
-    plans and returns k of shape (T-1, N, len(s), m). Each trial's products
-    are stacked matmuls with the operand shapes of a (T-1, n) call, so a
-    trial keeps the bits of its own call.
-    """
-    A, B = sys.A, sys.B
-    n, m = sys.n, sys.m
-    T = P.shape[1]
-    if w.shape[-2:] != (T - 1, n) or w.ndim not in (2, 3):
-        raise ValueError(f"w must have shape {(T - 1, n)} or (N, {T - 1}, {n}), got {w.shape}")
-    lead = w.shape[:-2]
-    # At step i the plans j >= first[i] are active; a plan joins the batch
-    # at its own last index with q = 0.
-    first = np.searchsorted(last, np.arange(T - 1))
-    q = np.zeros(lead + (len(s), n))
-    k = np.zeros((T - 1,) + lead + (len(s), m))
+def _affine_step(sys: LinearSystem, Pn, K, R, w, q):
+    """Step i of the affine recursion: (k[i], q[i]) of plans j with P[i+1] =
+    Pn[j] (J, n, n), K[i] = K[j], R[i] = R, w[i] = w, (n,) or (N, n), and
+    q[i+1] = q (..., J, n). k[i] = -(R + B' Pn B)^-1 B' (Pn w + q) and
+    q[i] = (A + B K)' (q + Pn w), each trial by the products of its own call."""
+    Pn, K = np.ascontiguousarray(Pn), np.ascontiguousarray(K)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(min(int(last[-1]), T - 2), -1, -1):
-            j = first[i]
-            Pn = P[s[j:], i + 1]
-            v = q[..., j:, :] + (Pn.reshape(-1, n) @ w[..., i, :, None]).reshape(lead + (-1, n))
-            Bv = v @ B
-            G = R[i] + np.einsum("ni,jnk,kl->jil", B, Pn, B)
-            if m == 1:
-                k[i, ..., j:, :] = -Bv / G[:, 0]
-            else:
-                k[i, ..., j:, :] = -np.linalg.solve(G, Bv[..., None])[..., 0]
-            q[..., j:, :] = v @ A + np.einsum("jmn,...jm->...jn", K[s[j:], i], Bv)
-    return k
+        v = q + (Pn.reshape(-1, sys.n) @ w[..., :, None]).reshape(q.shape)
+        Bv = v @ sys.B
+        G = R + np.einsum("ni,jnk,kl->jil", sys.B, Pn, sys.B)
+        k = -Bv / G[:, 0] if sys.m == 1 else -np.linalg.solve(G, Bv[..., None])[..., 0]
+        return k, v @ sys.A + np.einsum("jmn,...jm->...jn", K, Bv)
+
+
+def affine_terms(sys: LinearSystem, sol: RiccatiSolution, w, last=None):
+    """Feedforward controls of the plan on the pass ``sol`` that knows w[0..last].
+
+    ``last`` defaults to T-2, every w; q = 0 above it, and each step is the
+    frozen sweep's ``_affine_step``. Returns k (T-1, m), or (T-1, N, m) for
+    a ``w`` of shape (N, T-1, n), each trial with the bits of its own call.
+    The comparator runs it on the true pass, ``FrozenPlanner.plan`` on a
+    frozen one.
+    """
+    P, K, R = sol.P, sol.K, sol.schedule.R
+    w = check_disturbances(w, len(P), sys.n)
+    q = np.zeros(w.shape[:-2] + (1, sys.n))
+    k = np.zeros((len(P) - 1,) + w.shape[:-2] + (1, sys.m))
+    for i in range(len(P) - 2 if last is None else last, -1, -1):
+        k[i], q = _affine_step(sys, P[i + 1 : i + 2], K[i : i + 1], R[i], w[..., i, :], q)
+    return k[..., 0, :]
 
 
 def solve_dare(

@@ -22,7 +22,8 @@ from .policies import (
     prediction_tracking_policy,
 )
 from .regret import regret_via_control_deviation
-from .riccati import RiccatiSolution, Trajectory, _only, backward_riccati, brute_force_lqr_oracle, rollout
+from .riccati import RiccatiSolution, Trajectory, _only, backward_riccati, brute_force_lqr_oracle
+from .riccati import frozen_steps, rollout
 from .seeding import generator
 from .systems import LinearSystem, place_poles_single_input, random_controllable_system
 
@@ -108,6 +109,7 @@ class _Instance:
     K_track: np.ndarray
     W: int
     planner: FrozenPlanner
+    P: np.ndarray
     constants: BoundConstants
     true_sol: RiccatiSolution
     traj: Trajectory
@@ -130,17 +132,26 @@ def _random_bounded_instance(rng: np.random.Generator) -> _Instance:
     schedule = random_uniform_schedule(bounds, T, rng)
     poles = np.linspace(0.02, 0.3, n) * (0.5 + 0.5 * float(rng.random()))
     K_track = place_poles_single_input(sys_, poles)
-    # The suites read every pass's value matrices.
-    planner = FrozenPlanner(sys_, schedule, keep_P=True)
+    planner = FrozenPlanner(sys_, schedule)
     # Zero preview takes alpha over every frozen pass, so one constants
     # object serves all the property checks on this instance.
     constants = _only(compute_bound_constants(planner, K_track, [0]))
     # The tracker and the comparator on the planner's true pass, run once
     # for the state-deviation and regret-identity suites.
-    true_sol = planner.solution(T - 1)
+    true_sol = planner.solution()
     traj = prediction_tracking_policy(sys_, schedule, PolicyConfig(W, K_track), planner=planner)
     opt = clairvoyant_policy(sys_, schedule, solution=true_sol)
-    return _Instance(sys_, schedule, K_track, W, planner, constants, true_sol, traj, opt)
+    P = frozen_values(sys_, schedule)  # the suites read every pass's value matrices
+    return _Instance(sys_, schedule, K_track, W, planner, P, constants, true_sol, traj, opt)
+
+
+def frozen_values(sys_: LinearSystem, schedule: CostSchedule) -> np.ndarray:
+    """Every frozen pass's value matrices (T, T, n, n), from the sweep's own steps."""
+    T = schedule.horizon
+    P = np.empty((T, T, sys_.n, sys_.n))
+    for i, P_i, _ in frozen_steps(sys_, schedule):
+        P[:, i] = P_i.transpose(2, 0, 1)
+    return P
 
 
 def _instances(seed: int, count: int):
@@ -154,7 +165,7 @@ def value_sandwich_suite(instances, tol: float = 1e-9) -> CheckResult:
     worst = np.inf
     for inst in instances:
         c = inst.constants
-        P = inst.planner.P
+        P = inst.P
         for diffs in (P - c.Qbar_min, c.Pbar_max - P):
             diffs = 0.5 * (diffs + np.swapaxes(diffs, -1, -2))
             worst = min(worst, float(np.linalg.eigvalsh(diffs)[..., 0].min()))
@@ -174,7 +185,7 @@ def pass_perturbation_suite(instances, samples: int = 25, tol: float = 1e-9) -> 
         c = inst.constants
         lamP = float(np.linalg.eigvalsh(c.Pbar_max)[-1])
         lamQ = float(np.linalg.eigvalsh(c.Qbar_min)[0])
-        P, K = inst.planner.P, inst.planner.K
+        P, K = inst.P, inst.planner.K
         for _ in range(samples):
             t0 = int(rng.integers(0, T))
             t = int(rng.integers(0, t0 + 1))

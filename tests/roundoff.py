@@ -186,19 +186,19 @@ def trial_floors(config, T: int, trial: int) -> dict:
     schedule = random_uniform_schedule(
         config.bounds, T, generator(config.master_seed, config.scenario, T, trial, "schedule")
     )
-    planner = FrozenPlanner(sys_, schedule, keep_P=config.noisy)
     w = None
     if config.noisy:
         dist = DisturbanceModel(config.disturbance_cov_scale * np.eye(sys_.n))
         w = dist.sample(generator(config.master_seed, config.scenario, T, trial, "disturbance"), T - 1)
-    sol = planner.solution(T - 1)
+    done = {min(W, T - 2): cell for W, cell in outcome.items() if not isinstance(cell, str)}
+    if not done:
+        return {}
+    planner = FrozenPlanner(sys_, schedule, w, list(done))
+    sol = planner.solution()
     if w is None:
         J_opt = _only_run(sys_, schedule, (sol.K, None, None), None).cost
     else:
         J_opt = _only_run(sys_, schedule, clairvoyant_law(sys_, sol, w), w).cost
-    done = {min(W, T - 2): cell for W, cell in outcome.items() if not isinstance(cell, str)}
-    if not done:
-        return {}
     constants = dict(zip(done, compute_bound_constants(planner, K_track, list(done))))
     c = next(iter(constants.values()))
     tau = 16.0 * max(
@@ -210,7 +210,7 @@ def trial_floors(config, T: int, trial: int) -> dict:
     out = {}
     for W, cell in done.items():
         runs = [
-            _only_run(sys_, schedule, tracking_law(planner, PolicyConfig(W, K_track), w), w),
+            _only_run(sys_, schedule, tracking_law(planner, PolicyConfig(W, K_track)), w),
             _only_run(sys_, schedule, baseline_law(sys_, schedule, W, P_max), w),
         ]
         regrets = cell[:2]
@@ -278,17 +278,18 @@ def certificate_floors(sys_, schedule_spec, dist, Ts, W, trials, master_seed, po
     floors, rates, rel_rates = {}, [], []
     for k, T in enumerate(Ts):
         schedule = random_uniform_schedule(schedule_spec, T, generator(master_seed, "scaling", "schedule", T))
-        planner = FrozenPlanner(sys_, schedule, keep_P=True)
-        sol = planner.solution(T - 1)
+        seed, f, diffs = generator_seed(master_seed, T), [], []
+        w = np.stack([dist.sample(generator(seed, "mc", "disturbance", t), T - 1) for t in range(trials)])
+        # Each trial's law in the batch is that trial's own, bit for bit.
+        planner = FrozenPlanner(sys_, schedule, w, [W])
+        sol = planner.solution()
         (c,) = compute_bound_constants(planner, K_track, [W])
         tau = 16.0 * max(
             UNIT_ROUNDOFF, pass_eps(sys_, schedule, sol), dare_eps(sys_, c.Qbar_max, c.Rbar_max, c.Pbar_max)
         )
-        seed, f, diffs = generator_seed(master_seed, T), [], []
+        laws = tracking_law(planner, cfg), clairvoyant_law(sys_, sol, w)
         for t in range(trials):
-            w = dist.sample(generator(seed, "mc", "disturbance", t), T - 1)
-            ours = _only_run(sys_, schedule, tracking_law(planner, cfg, w), w)
-            opt = _only_run(sys_, schedule, clairvoyant_law(sys_, sol, w), w)
+            ours, opt = (_only_run(sys_, schedule, [a[t] for a in law], w[t]) for law in laws)
             if not isinstance(ours, Exception) and not isinstance(opt, Exception):
                 f.append(tau * (ours.cost + opt.cost))
                 diffs.append(ours.cost - opt.cost)

@@ -54,6 +54,7 @@ from preview_lqr.systems import (
     random_controllable_system,
     spectral_radius,
 )
+from preview_lqr.verification import frozen_values
 
 
 def scalar_system(a, b, x0=1.0):
@@ -184,10 +185,10 @@ def reference_bound_constants(sys, schedule, K_track, W=0, cost_bounds=None):
     C = lam_P / lam_Qmin
     eta = float(np.sqrt(max(0.0, 1.0 - lam_Qmin / lam_P)))
 
-    planner = FrozenPlanner(sys, schedule, keep_P=True)
+    planner = FrozenPlanner(sys, schedule)
     planner.prepare()
     hi = T - 1 if T <= 2 else T - 2
-    stacked = planner.P[min(W, T - 1) :, 1 : hi + 1]
+    stacked = frozen_values(sys, schedule)[min(W, T - 1) :, 1 : hi + 1]
     APA = A.T @ stacked @ A
     APA = 0.5 * (APA + np.swapaxes(APA, -1, -2))
     alpha = float(np.linalg.eigvalsh(APA)[..., -1].max())
@@ -341,17 +342,14 @@ class TestBoundConstantsCache:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
-        # A planner built to keep them gets every pass bit for bit, and the
-        # same gains, true pass and per-pass maxima.
-        kept = FrozenPlanner(sys_, sched, keep_P=True)
-        kept.prepare()
-        for name in ("K", "P_true", "apa_max"):
-            np.testing.assert_array_equal(getattr(kept, name), getattr(planner, name))
-        np.testing.assert_array_equal(kept.P[399], planner.P_true)
+        # The sweep's own steps give every pass bit for bit, with the
+        # planner's gains and true pass.
+        P = frozen_values(sys_, sched)
+        np.testing.assert_array_equal(P[399], planner.P_true)
         for s in (0, 1, 2, 57, 200, 331, 397, 398, 399):
             ref = backward_riccati(sys_, frozen_schedule(sched, s, 0))
-            np.testing.assert_array_equal(kept.P[s], ref.P)
-            np.testing.assert_array_equal(kept.K[s], ref.K)
+            np.testing.assert_array_equal(P[s], ref.P)
+            np.testing.assert_array_equal(planner.K[s], ref.K)
 
 
 def unscreened_alpha_top(A, P):
@@ -386,10 +384,11 @@ def frozen_passes(sys_, sched):
     The per-pass maxima that the planner's own sweep screened are checked
     against the unscreened loop on the way.
     """
-    planner = FrozenPlanner(sys_, sched, keep_P=True)
+    planner = FrozenPlanner(sys_, sched)
     planner.prepare()
-    np.testing.assert_array_equal(planner.apa_max, unscreened_alpha_top(sys_.A, planner.P))
-    return sys_.A, planner.P
+    P = frozen_values(sys_, sched)
+    np.testing.assert_array_equal(planner.apa_max, unscreened_alpha_top(sys_.A, P))
+    return sys_.A, P
 
 
 def cancelling_passes(seed, n, T):
@@ -484,11 +483,11 @@ class TestAlphaScreen:
         assert np.isnan(top[5])
 
     def test_eigvalsh_sees_few_matrices(self, monkeypatch):
-        # The sweep streams the same screen whether or not it keeps P.
+        # The sweep streams the same screen whether or not it streams plans.
         T = 400
         sys_, _, sched, _ = pendulum_setup(T, seed=2)
         eigvalsh = np.linalg.eigvalsh
-        for keep_P in (False, True):
+        for plans in ((), (np.ones((T - 1, 4)), [8])):
             seen = []
 
             def counting(a, *args, **kwargs):
@@ -496,7 +495,7 @@ class TestAlphaScreen:
                 return eigvalsh(a, *args, **kwargs)
 
             monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-            frozen_backward_sweep(sys_, sched, keep_P)
+            frozen_backward_sweep(sys_, sched, *plans)
             monkeypatch.undo()
             assert sum(seen) <= 0.10 * T * (T - 2)
 
@@ -504,8 +503,8 @@ class TestAlphaScreen:
         T = 400
         sys_, _, sched, _ = pendulum_setup(T, seed=2)
         symmetrized_apa = riccati_module._symmetrized_apa
-        P = frozen_backward_sweep(sys_, sched, keep_P=True)[3]
-        for keep_P in (False, True):
+        P = frozen_values(sys_, sched)
+        for plans in ((), (np.ones((T - 1, 4)), [8])):
             formed = []
 
             def counting(A, P):
@@ -513,7 +512,7 @@ class TestAlphaScreen:
                 return symmetrized_apa(A, P)
 
             monkeypatch.setattr(riccati_module, "_symmetrized_apa", counting)
-            top = frozen_backward_sweep(sys_, sched, keep_P)[1]
+            top = frozen_backward_sweep(sys_, sched, *plans)[1]
             monkeypatch.undo()
             np.testing.assert_array_equal(top, unscreened_alpha_top(sys_.A, P))
             assert sum(formed) <= 0.10 * T * (T - 2)
@@ -609,7 +608,7 @@ class TestRegretUpperBound:
             sys_, sched, PolicyConfig(5, K), planner=planner
         )
         realized = regret_via_control_deviation(
-            traj, sys_, sched, solution=planner.solution(49)
+            traj, sys_, sched, solution=planner.solution()
         )
         c = _only(compute_bound_constants(planner, K, [5]))
         bound = regret_upper_bound(c, 50, 5, sys_.x0)
@@ -780,7 +779,7 @@ class TestBoundReport:
             sys_, sched, PolicyConfig(4, K), planner=planner
         )
         realized = regret_via_control_deviation(
-            traj, sys_, sched, solution=planner.solution(29)
+            traj, sys_, sched, solution=planner.solution()
         )
         report = make_bound_report(planner, K, 4, realized, bounds)
         assert report.margin == pytest.approx(

@@ -358,7 +358,7 @@ def per_w_evaluate_trial(config, T, trial):
             w = dist.sample(
                 generator(config.master_seed, config.scenario, T, trial, "disturbance"), T - 1
             )
-            true_sol = planner.solution(T - 1)
+            true_sol = planner.solution()
             opt_cost = policies.clairvoyant_policy(sys_, schedule, w, solution=true_sol).cost
     except experiments._TRIAL_ERRORS as err:
         return {W: f"{type(err).__name__}: {err}" for W in config.w_values}
@@ -368,11 +368,13 @@ def per_w_evaluate_trial(config, T, trial):
         if W_eff not in computed:
             try:
                 cfg = policies.PolicyConfig(W_eff, K_track)
-                ours = policies.prediction_tracking_policy(sys_, schedule, cfg, w, planner=planner)
+                # A noisy tracker runs on a planner of its own w and W.
+                tracker = planner if w is None else policies.FrozenPlanner(sys_, schedule, w, [W_eff])
+                ours = policies.prediction_tracking_policy(sys_, schedule, cfg, planner=tracker)
                 base = policies.mpc_baseline_policy(
                     sys_, schedule, config.bounds, W_eff, w, P_max=P_max
                 )
-                true_sol = planner.solution(T - 1)
+                true_sol = planner.solution()
                 if w is None:
                     regrets = tuple(
                         regret_via_control_deviation(traj, sys_, schedule, solution=true_sol)
@@ -391,8 +393,9 @@ def per_w_evaluate_trial(config, T, trial):
 
 
 class TestOneSweepPerPlanner:
-    """Callers that read every pass's value matrices ask the planner to keep
-    them before its first sweep, so no planner sweeps twice."""
+    """No planner sweeps twice: noisy plans are requested before the sweep,
+    and the verify suites read every pass's value matrices from the sweep's
+    own steps, not from a planner."""
 
     @pytest.fixture
     def sweeps_per_planner(self, monkeypatch):
@@ -403,9 +406,9 @@ class TestOneSweepPerPlanner:
             init(planner, *args, **kwargs)
             planners.append(planner)
 
-        def counting_sweep(sys_, schedule, keep_P=False):
+        def counting_sweep(sys_, schedule, w=None, Ws=()):
             swept.append(schedule)
-            return sweep(sys_, schedule, keep_P)
+            return sweep(sys_, schedule, w, Ws)
 
         monkeypatch.setattr(policies.FrozenPlanner, "__init__", recording_init)
         monkeypatch.setattr(policies, "frozen_backward_sweep", counting_sweep)
@@ -447,8 +450,8 @@ class TestTrialsBatchedOverW:
         cfg = small_config(t_min=12, t_max=12, w_max=4, trials=2)
         plan_points, planners = policies.FrozenPlanner.plan_points, []
 
-        def blow_up_first_trial(planner, W, w=None):
-            xs, us = plan_points(planner, W, w)
+        def blow_up_first_trial(planner, W):
+            xs, us = plan_points(planner, W)
             planners.append(planner)
             return (xs, np.full_like(us, 1e307)) if W == 2 and planner is planners[0] else (xs, us)
 
@@ -470,9 +473,9 @@ class TestTrialsBatchedOverW:
         cfg = small_config(t_min=60, t_max=60, w_max=10, trials=1)
         sweep, swept = policies.frozen_backward_sweep, []
 
-        def counting_sweep(sys_, schedule, keep_P=False):
+        def counting_sweep(sys_, schedule, w=None, Ws=()):
             swept.append(schedule)
-            return sweep(sys_, schedule, keep_P)
+            return sweep(sys_, schedule, w, Ws)
 
         monkeypatch.setattr(policies, "frozen_backward_sweep", counting_sweep)
         monkeypatch.setattr(experiments, "_trial_system", lambda config, T, trial: (sys_, [[-1.9]]))
@@ -488,12 +491,14 @@ class TestTrialsBatchedOverW:
         schedule = random_uniform_schedule(cfg.bounds, 12, np.random.default_rng(0))
         P_max = solve_dare(sys_.A, sys_.B, cfg.bounds.Q_max, cfg.bounds.R_max)
         with pytest.raises(ValueError, match="w must have shape"):
-            paired_regrets(policies.FrozenPlanner(sys_, schedule), K_track, [0, 1], P_max, np.zeros((12, 4)))
+            policies.FrozenPlanner(sys_, schedule, np.zeros((12, 4)), [0, 1])
+        with pytest.raises(ValueError, match="w must have shape"):
+            paired_regrets(policies.FrozenPlanner(sys_, schedule, np.zeros((2, 11, 4)), [0, 1]), K_track, [0, 1], P_max)
 
-        def drop_last_disturbance(planner, K_track, Ws, P_max, w=None):
-            return paired_regrets(planner, K_track, Ws, P_max, w[:-1])
+        def drop_last_disturbance(sys_, schedule, w, Ws):
+            return policies.FrozenPlanner(sys_, schedule, w[:-1], Ws)
 
-        monkeypatch.setattr(experiments, "paired_regrets", drop_last_disturbance)
+        monkeypatch.setattr(experiments, "FrozenPlanner", drop_last_disturbance)
         with pytest.raises(ValueError, match="w must have shape"):
             run_grid(cfg)
 

@@ -25,7 +25,6 @@ from preview_lqr.policies import (
 )
 from preview_lqr.riccati import (
     TrajectoryOverflowError,
-    affine_terms,
     backward_riccati,
     brute_force_lqr_oracle,
     frozen_backward_sweep,
@@ -39,6 +38,7 @@ from preview_lqr.systems import (
     place_poles_single_input,
     random_controllable_system,
 )
+from preview_lqr.verification import frozen_values
 
 
 def scalar_system(a, b, x0=1.0):
@@ -174,7 +174,7 @@ class TestPredictTrajectory:
         sys_ = scalar_system(0.5, 1.0)
         planner = FrozenPlanner(sys_, scalar_schedule(1.0, 1.0, 4))
         for t in (-1, 3):
-            with pytest.raises(ValueError, match="t must satisfy"):
+            with pytest.raises(ValueError, match="t must be an integer with 0 <= t <= T - 2 = 2, got"):
                 planner.plan(t, 0)
         with pytest.raises(PreviewLengthError, match="W must be a nonnegative integer"):
             planner.plan(0, -1)
@@ -431,17 +431,17 @@ def assert_plan_row_close(actual, full_ref, t):
     assert np.abs(actual - full_ref[t]).max() <= PLAN_RTOL * scale
 
 
-def unbatched_plan_points(planner, W, w):
+def unbatched_plan_points(sys_, sched, W, w):
     """The noisy rows of ``plan_points`` as written before it took a trials axis."""
-    sys_, T = planner.sys, planner.T
+    T = sched.horizon
     t_all = np.arange(T - 1)
     s_of = np.minimum(t_all + W, T - 1)
-    k = affine_terms(sys_, planner.P, planner.K, planner.schedule.R, w, s_of, t_all)
+    K, _, _, (k,) = frozen_backward_sweep(sys_, sched, w, [W])
     X, U = np.empty((T - 1, sys_.n)), np.empty((T - 1, sys_.m))
     AT, BT = sys_.A.T.copy(), sys_.B.T.copy()
     x = np.tile(sys_.x0, (T - 1, 1))
     for i in range(T - 1):
-        u = np.einsum("jmn,jn->jm", planner.K[s_of[i:], i], x[i:]) + k[i, i:]
+        u = np.einsum("jmn,jn->jm", K[s_of[i:], i], x[i:]) + k[i, i:]
         X[i], U[i] = x[i], u[0]
         x[i:] = x[i:] @ AT + u @ BT + w[i]
     return X, U
@@ -459,8 +459,8 @@ class TestPlanPoints:
         # Plans whose disturbance prefix is zero are nominal plans.
         zero_rows = min(zero_rows, T - 1)
         w[:zero_rows] = 0.0
-        planner = FrozenPlanner(sys_, sched)
-        X, U = planner.plan_points(W, w)
+        planner = FrozenPlanner(sys_, sched, w, [W])
+        X, U = planner.plan_points(W)
         for t in range(T - 1):
             xs, us = planner.plan(t, W, w)
             assert_plan_row_close(X[t], xs, t)
@@ -496,7 +496,7 @@ class TestPlanPoints:
         t = data.draw(st.integers(0, T - 2), label="t")
         sys_, sched, rng = random_instance(seed, n, 1, T)
         w = rng.standard_normal((T - 1, n))
-        X, U = FrozenPlanner(sys_, sched).plan_points(W, w)
+        X, U = FrozenPlanner(sys_, sched, w, [W]).plan_points(W)
         w2 = w.copy()
         w2[t + 1 :] = 10.0 * rng.standard_normal((T - 2 - t, n))
         cut = t + W + 1
@@ -504,7 +504,7 @@ class TestPlanPoints:
             tuple(sched.Q[:cut]) + tuple(10.0 * random_pd(rng, n) for _ in sched.Q[cut:]),
             tuple(sched.R[:cut]) + tuple(10.0 * random_pd(rng, 1) for _ in sched.R[cut:]),
         )
-        X2, U2 = FrozenPlanner(sys_, sched2).plan_points(W, w2)
+        X2, U2 = FrozenPlanner(sys_, sched2, w2, [W]).plan_points(W)
         np.testing.assert_array_equal(X2[: t + 1], X[: t + 1])
         np.testing.assert_array_equal(U2[: t + 1], U[: t + 1])
 
@@ -515,7 +515,7 @@ class TestPlanPoints:
         sys_, sched, _ = random_instance(seed, n, m, T)
         planner = FrozenPlanner(sys_, sched)
         for w in (None, np.zeros((T - 1, n))):
-            X, U = planner.plan_points(W, w)
+            X, U = FrozenPlanner(sys_, sched, w, [W]).plan_points(W)
             for t in range(T - 1):
                 xs, us = planner.plan(t, W)
                 np.testing.assert_array_equal(X[t], xs[t])
@@ -534,27 +534,34 @@ class TestPlanPoints:
         trials = len(zero)
         w = rng.standard_normal((trials, T - 1, n))
         w[np.array(zero)] = np.where(rng.random((T - 1, n)) < 0.5, 0.0, -0.0)
-        planner = FrozenPlanner(sys_, sched)
-        X, U = planner.plan_points(W, w)
+        X, U = FrozenPlanner(sys_, sched, w, [W]).plan_points(W)
         assert (X.shape, U.shape) == ((trials, T - 1, n), (trials, T - 1, m))
-        nominal = [a.tobytes() for a in planner.plan_points(W)]
+        nominal = [a.tobytes() for a in FrozenPlanner(sys_, sched).plan_points(W)]
         for t in range(trials):
-            ref = [a.tobytes() for a in planner.plan_points(W, w[t])]
+            ref = [a.tobytes() for a in FrozenPlanner(sys_, sched, w[t], [W]).plan_points(W)]
             assert [X[t].tobytes(), U[t].tobytes()] == ref
             if zero[t]:
                 assert ref == nominal
             else:
-                planner.prepare()
-                assert ref == [a.tobytes() for a in unbatched_plan_points(planner, W, w[t])]
+                assert ref == [a.tobytes() for a in unbatched_plan_points(sys_, sched, W, w[t])]
 
     def test_rejects_bad_disturbance_shape(self):
         sys_ = scalar_system(0.9, 1.0)
-        planner = FrozenPlanner(sys_, scalar_schedule(1.0, 1.0, 5))
+        sched = scalar_schedule(1.0, 1.0, 5)
         with pytest.raises(ValueError, match="shape"):
-            planner.plan_points(1, np.ones((3, 1)))
+            FrozenPlanner(sys_, sched, np.ones((3, 1)), [1])
         for bad in (np.ones((2, 3, 1)), np.ones((4,)), np.ones((1, 2, 4, 1))):
             with pytest.raises(ValueError, match="shape"):
-                planner.plan_points(1, bad)
+                FrozenPlanner(sys_, sched, bad, [1])
+
+    def test_rejects_a_preview_it_was_not_asked_for(self):
+        sys_ = scalar_system(0.9, 1.0)
+        planner = FrozenPlanner(sys_, scalar_schedule(1.0, 1.0, 5), np.ones((4, 1)), [1])
+        planner.plan_points(1)
+        with pytest.raises(ValueError, match="without W = 2 among its Ws"):
+            planner.plan_points(2)
+        with pytest.raises(ValueError, match="build it with w"):
+            prediction_tracking_policy(sys_, planner.schedule, PolicyConfig(1, [[0.1]]), planner.w, planner)
 
 
 class TestFrozenPlanner:
@@ -568,17 +575,20 @@ class TestFrozenPlanner:
         def assert_rel_close(actual, ref):
             assert np.abs(actual - ref).max() <= 1e-9 * np.abs(ref).max()
 
+        planner.prepare()
+        P = frozen_values(sys_, sched)
         for s in range(T):
             ref = backward_riccati(sys_, frozen_schedule(sched, s, 0))
-            sol = planner.solution(s)
-            np.testing.assert_array_equal(sol.P, ref.P)
-            np.testing.assert_array_equal(sol.K, ref.K)
-            np.testing.assert_array_equal(sol.schedule.Q, ref.schedule.Q)
-            np.testing.assert_array_equal(sol.schedule.R, ref.schedule.R)
+            np.testing.assert_array_equal(P[s], ref.P)
+            np.testing.assert_array_equal(planner.K[s], ref.K)
             traj = rollout(sys_, ref, sys_.x0)
             xs, us = planner.nominal_plan(s)
             assert_rel_close(xs, traj.x)
             assert_rel_close(us, traj.u)
+        sol = planner.solution()
+        np.testing.assert_array_equal(sol.P, ref.P)
+        np.testing.assert_array_equal(sol.K, ref.K)
+        assert sol.schedule is sched
 
     def test_cached_plans_are_read_only(self):
         sys_, sched, _ = random_instance(3, 2, 1, 12)
@@ -635,20 +645,27 @@ class TestPreviewLengthCheck:
 class TestFreezeIndex:
     @pytest.mark.parametrize("s", [-1, -3])
     def test_negative_index_raises(self, s):
-        # nominal_plan(-3) returned plan T-3 re-rolled from index -3, and
-        # solution(-1) failed inside frozen_schedule.
+        # nominal_plan(-3) returned plan T-3 re-rolled from index -3.
         planner = FrozenPlanner(*random_instance(3, 2, 1, 12)[:2])
-        for call in (planner.nominal_plan, planner.solution):
-            with pytest.raises(ValueError, match=f"freeze index s must be nonnegative, got {s}"):
-                call(s)
+        with pytest.raises(ValueError, match=f"freeze index s must be a nonnegative integer, got {s}"):
+            planner.nominal_plan(s)
+
+    def test_non_integer_index_or_time_raises(self):
+        # nominal_plan(2.5) returned nominal_plan(2)'s rows and plan(1.5, 0)
+        # plan(1, 0)'s, through int().
+        planner = FrozenPlanner(*random_instance(3, 2, 1, 12)[:2])
+        with pytest.raises(ValueError, match="freeze index s must be a nonnegative integer, got 2.5"):
+            planner.nominal_plan(2.5)
+        for known_w in (None, np.ones((11, 2))):
+            with pytest.raises(ValueError, match="t must be an integer with .*, got 1.5"):
+                planner.plan(1.5, 0, known_w)
+        for got, ref in zip(planner.nominal_plan(np.int64(2)), planner.nominal_plan(2.0)):
+            np.testing.assert_array_equal(got, ref)
 
     def test_index_beyond_the_horizon_reads_the_true_pass(self):
-        planner = FrozenPlanner(*random_instance(3, 2, 1, 12)[:2], keep_P=True)
+        planner = FrozenPlanner(*random_instance(3, 2, 1, 12)[:2])
         for got, ref in zip(planner.nominal_plan(20), planner.nominal_plan(11)):
             np.testing.assert_array_equal(got, ref)
-        got, ref = planner.solution(20), planner.solution(11)
-        np.testing.assert_array_equal(got.P, ref.P)
-        np.testing.assert_array_equal(got.K, ref.K)
 
 
 def full_rollout_plans(sys_, sched):
@@ -767,3 +784,22 @@ class TestPlanStore:
             tracemalloc.stop()
         stacks = (planner.K, planner.X, planner.U, planner.P_true, planner.apa_max)
         assert peak <= 1.1 * sum(a.nbytes for a in stacks)
+
+    def test_noisy_prepare_keeps_no_value_stack(self):
+        # Streaming one W's plans for two trials adds their feedforward, 1.4
+        # MB here, not the (T, T, n, n) value stack of 11.5 MB the plans once
+        # read; the gains, nominal plans, true pass and maxima stay the same.
+        sys_, sched, rng = random_instance(5, 4, 1, 300)
+        w = rng.standard_normal((2, 299, 4))
+        planners = FrozenPlanner(sys_, sched), FrozenPlanner(sys_, sched, w, [8])
+        peaks = []
+        for planner in planners:
+            tracemalloc.start()
+            try:
+                planner.prepare()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 4 * 2**20
+        for name in ("K", "X", "U", "P_true", "apa_max"):
+            np.testing.assert_array_equal(getattr(planners[1], name), getattr(planners[0], name))

@@ -202,7 +202,7 @@ class TestControlDeviationIdentity:
             traj = prediction_tracking_policy(sys_, sched, PolicyConfig(W, K), planner=planner)
             default = regret_via_control_deviation(traj, sys_, sched)
             via_planner = regret_via_control_deviation(
-                traj, sys_, sched, solution=planner.solution(T - 1)
+                traj, sys_, sched, solution=planner.solution()
             )
             assert via_planner == default
 
@@ -222,7 +222,7 @@ def looped_expected_regret(planner, cfg, dist, trials, master_seed, drop=()):
     for trial in range(trials):
         w = dist.sample(generator(master_seed, "mc", "disturbance", trial), T - 1)
         try:
-            traj = prediction_tracking_policy(sys_, sched, cfg, w, planner=planner)
+            traj = prediction_tracking_policy(sys_, sched, cfg, w)
             opt = clairvoyant_policy(sys_, sched, w, solution=true_sol)
         except TrajectoryOverflowError:
             excluded += 1
@@ -282,6 +282,11 @@ def mc_instance(seed, n, m, T):
     return FrozenPlanner(sys_, sched), K, DisturbanceModel(0.5 * np.eye(n)), rng
 
 
+def mc_report(planner, cfg, dist, trials, master_seed):
+    """The report of ``expected_regret_mc`` on the planner's instance."""
+    return expected_regret_mc(planner.sys, planner.schedule, cfg, dist, trials, master_seed)[0]
+
+
 class TestExpectedRegretMc:
     def test_zero_covariance_collapses(self):
         rng = np.random.default_rng(5)
@@ -290,7 +295,7 @@ class TestExpectedRegretMc:
         K = place_poles_single_input(sys_, [0.1])
         dist = DisturbanceModel(np.zeros((1, 1)))
         planner = FrozenPlanner(sys_, sched)
-        report = expected_regret_mc(planner, PolicyConfig(1, K), dist, trials=5, master_seed=0)
+        report = mc_report(planner, PolicyConfig(1, K), dist, trials=5, master_seed=0)
         deterministic = direct_regret(prediction_tracking_policy(sys_, sched, PolicyConfig(1, K)), sys_, sched)
         assert report.stderr == 0.0
         assert report.regret == pytest.approx(deterministic.regret, rel=1e-9, abs=1e-9)
@@ -303,8 +308,8 @@ class TestExpectedRegretMc:
         K = place_poles_single_input(sys_, [0.1])
         dist = DisturbanceModel(0.5 * np.eye(1))
         cfg = PolicyConfig(1, K)
-        a = expected_regret_mc(FrozenPlanner(sys_, sched), cfg, dist, trials=6, master_seed=17)
-        b = expected_regret_mc(FrozenPlanner(sys_, sched), cfg, dist, trials=6, master_seed=17)
+        a = mc_report(FrozenPlanner(sys_, sched), cfg, dist, trials=6, master_seed=17)
+        b = mc_report(FrozenPlanner(sys_, sched), cfg, dist, trials=6, master_seed=17)
         assert a.regret == b.regret
         assert a.stderr == b.stderr
 
@@ -317,7 +322,7 @@ class TestExpectedRegretMc:
         K = place_poles_single_input(sys_, [0.1, 0.2, 0.3])
         planner = FrozenPlanner(sys_, sched)
         dist = DisturbanceModel(0.5 * np.eye(3))
-        report = expected_regret_mc(planner, PolicyConfig(2, K), dist, trials=5, master_seed=3)
+        report = mc_report(planner, PolicyConfig(2, K), dist, trials=5, master_seed=3)
         assert report == looped_expected_regret(planner, PolicyConfig(2, K), dist, 5, 3)
         assert report.trials == 5 and report.excluded_trials == 0
 
@@ -325,8 +330,8 @@ class TestExpectedRegretMc:
         # The tracker's planned controls of the given trials of a block are inf.
         plan_points = FrozenPlanner.plan_points
 
-        def blown_plan(planner, W, w=None):
-            xs, us = plan_points(planner, W, w)
+        def blown_plan(planner, W):
+            xs, us = plan_points(planner, W)
             us[list(trials)] = np.inf
             return xs, us
 
@@ -337,7 +342,7 @@ class TestExpectedRegretMc:
         cfg = PolicyConfig(1, K)
         reference = looped_expected_regret(planner, cfg, dist, 6, 0, drop={0, 2, 4})
         self.blow_up_plans(monkeypatch, [0, 2, 4])
-        report = expected_regret_mc(planner, cfg, dist, trials=6, master_seed=0)
+        report = mc_report(planner, cfg, dist, trials=6, master_seed=0)
         assert report.excluded_trials == 3
         assert report.trials == 3
         assert report == reference
@@ -346,7 +351,7 @@ class TestExpectedRegretMc:
         planner, K, dist, _ = mc_instance(2, 1, 1, 5)
         self.blow_up_plans(monkeypatch, range(4))
         with pytest.raises(AllTrialsFailedError):
-            expected_regret_mc(planner, PolicyConfig(1, K), dist, trials=4, master_seed=0)
+            mc_report(planner, PolicyConfig(1, K), dist, trials=4, master_seed=0)
 
     def test_comparator_overflow_excludes_its_trial(self, monkeypatch):
         # Only trial 1's comparator overflows: its feedforward is 1e200, so
@@ -362,7 +367,7 @@ class TestExpectedRegretMc:
             return L, r, l
 
         monkeypatch.setattr(preview_lqr.regret, "clairvoyant_law", blown_feedforward)
-        report = expected_regret_mc(planner, cfg, dist, trials=5, master_seed=4)
+        report = mc_report(planner, cfg, dist, trials=5, master_seed=4)
         assert (report.trials, report.excluded_trials) == (4, 1)
         assert report == reference
 
@@ -402,9 +407,9 @@ class TestExpectedRegretMc:
             patch.setattr(preview_lqr.regret, "MC_BLOCK_BYTES", block)
             if reference is AllTrialsFailedError:
                 with pytest.raises(AllTrialsFailedError):
-                    expected_regret_mc(planner, cfg, dist.rewind(), trials, seed)
+                    mc_report(planner, cfg, dist.rewind(), trials, seed)
             else:
-                assert expected_regret_mc(planner, cfg, dist.rewind(), trials, seed) == reference
+                assert mc_report(planner, cfg, dist.rewind(), trials, seed) == reference
 
     def test_block_size_does_not_matter(self, monkeypatch):
         # Blocks of one trial and one block of every trial give one report,
@@ -415,17 +420,30 @@ class TestExpectedRegretMc:
         reports = []
         for block in (1, 2**62, preview_lqr.regret.MC_BLOCK_BYTES):
             monkeypatch.setattr(preview_lqr.regret, "MC_BLOCK_BYTES", block)
-            reports.append(expected_regret_mc(planner, cfg, dist.rewind(), 9, 11))
+            reports.append(mc_report(planner, cfg, dist.rewind(), 9, 11))
         assert reports[0] == reports[1] == reports[2]
         assert reports[0].excluded_trials == 1
         assert reports[0] == looped_expected_regret(planner, cfg, dist.rewind(), 9, 11)
 
+    def test_returns_the_last_blocks_planner(self, monkeypatch):
+        # Blocks of one trial: the planner returned is the last block's, with
+        # that trial's draw, and the instance's gains, maxima and true pass.
+        planner, K, dist, _ = mc_instance(4, 2, 1, 12)
+        monkeypatch.setattr(preview_lqr.regret, "MC_BLOCK_BYTES", 1)
+        report, last = expected_regret_mc(planner.sys, planner.schedule, PolicyConfig(2, K), dist, 3, 5)
+        assert report == mc_report(planner, PolicyConfig(2, K), dist, 3, 5)
+        np.testing.assert_array_equal(last.w, [dist.sample(generator(5, "mc", "disturbance", 2), 11)])
+        assert last.Ws == (2,)
+        planner.prepare()
+        for name in ("K", "P_true", "apa_max"):
+            np.testing.assert_array_equal(getattr(last, name), getattr(planner, name))
+
     def test_rejects_bad_arguments(self):
         planner, K, dist, _ = mc_instance(5, 2, 1, 6)
         with pytest.raises(ValueError, match="trials"):
-            expected_regret_mc(planner, PolicyConfig(1, K), dist, trials=0, master_seed=0)
+            mc_report(planner, PolicyConfig(1, K), dist, trials=0, master_seed=0)
         with pytest.raises(ValueError, match="W must satisfy"):
-            expected_regret_mc(planner, PolicyConfig(5, K), dist, trials=2, master_seed=0)
+            mc_report(planner, PolicyConfig(5, K), dist, trials=2, master_seed=0)
 
 
 class TestPairedRegrets:
@@ -449,12 +467,15 @@ class TestPairedRegrets:
         # The first error of the tracker, the baseline, then the regret.
         planner = FrozenPlanner(sys_, sched)
         try:
-            ours = prediction_tracking_policy(sys_, sched, PolicyConfig(W, K), w, planner=planner)
+            # A noisy tracker runs on a planner of its own w and W.
+            ours = prediction_tracking_policy(
+                sys_, sched, PolicyConfig(W, K), planner=planner if w is None else FrozenPlanner(sys_, sched, w, [W])
+            )
             base = mpc_baseline_policy(sys_, sched, bounds, W, w, P_max=P_max)
         except (ValueError, TrajectoryOverflowError) as err:
             return err
         if w is None:
-            true_sol = planner.solution(sched.horizon - 1)
+            true_sol = planner.solution()
             return tuple(
                 regret_via_control_deviation(traj, sys_, sched, true_sol) for traj in (ours, base)
             )
@@ -474,7 +495,7 @@ class TestPairedRegrets:
             T = sched.horizon
             w = DisturbanceModel(cov).sample(np.random.default_rng(3), T - 1) if noisy else None
             Ws = [0, 3, 4, T - 2, T - 1, -1]
-            got = paired_regrets(FrozenPlanner(sys_, sched), K, Ws, P_max, w)
+            got = paired_regrets(FrozenPlanner(sys_, sched, w, Ws[:-1]), K, Ws, P_max)
             assert len(got) == len(Ws)
             for W, pair in zip(Ws, got):
                 self.assert_same(pair, self.per_w(sys_, bounds, sched, K, P_max, W, w))
@@ -487,8 +508,8 @@ class TestPairedRegrets:
         sys_, bounds, sched, K, P_max = self.instance()
         plan_points, baseline_law = FrozenPlanner.plan_points, preview_lqr.policies.baseline_law
 
-        def blown_plan(planner, W, w=None):
-            xs, us = plan_points(planner, W, w)
+        def blown_plan(planner, W):
+            xs, us = plan_points(planner, W)
             return (xs, np.full_like(us, 1e200)) if W == 2 else (xs, us)
 
         def blown_gains(sys_, sched, W, P_max):

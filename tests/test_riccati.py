@@ -26,6 +26,7 @@ from preview_lqr.riccati import (
     solve_dare,
 )
 from preview_lqr.seeding import generator
+from preview_lqr.verification import frozen_values
 from preview_lqr.systems import LinearSystem, inverted_pendulum, random_controllable_system
 
 
@@ -205,6 +206,11 @@ class TestBackwardRiccatiLoop:
         np.testing.assert_array_equal(sol.K, K)
 
 
+def every_pass(sys_, sched):
+    """Every frozen pass's value matrices and gains, (T, T, n, n) and (T, T-1, m, n)."""
+    return frozen_values(sys_, sched), frozen_backward_sweep(sys_, sched)[0]
+
+
 def looped_affine_terms(sys_, P, K, R, w, last):
     """The affine recursion for one plan on one pass, step by step.
 
@@ -225,7 +231,9 @@ def looped_affine_terms(sys_, P, K, R, w, last):
 
 
 def unbatched_affine_terms(sys_, P, K, R, w, s, last):
-    """``affine_terms`` as written before it took a trials axis: one w only."""
+    """The affine recursion of a batch of plans as written before it took a
+    trials axis, one w only: plan j on pass s[j] of the stacks P and K,
+    knowing w[0..last[j]], ``last`` ascending."""
     A, B = sys_.A, sys_.B
     n, m = sys_.n, sys_.m
     T = P.shape[1]
@@ -247,9 +255,7 @@ def unbatched_affine_terms(sys_, P, K, R, w, s, last):
 
 
 def clairvoyant_terms(sys_, sched, w):
-    sol = backward_riccati(sys_, sched)
-    T = sched.horizon
-    return affine_terms(sys_, sol.P[None], sol.K[None], sched.R, w, [0], [T - 2])[:, 0]
+    return affine_terms(sys_, backward_riccati(sys_, sched), w)
 
 
 class TestAffineTerms:
@@ -297,26 +303,30 @@ class TestAffineTerms:
     @example((1, 1, 1), (3, 0), 2)
     def test_batches_match_looped_recursion(self, nms, T_W, zero_rows):
         # Plan t runs on pass min(t + W, T - 1) and knows w[0..t], as in
-        # FrozenPlanner.plan_points (the whole batch) and plan (batch 1).
+        # the frozen sweep's streamed plans (the whole batch, for several W)
+        # and FrozenPlanner.plan (batch 1).
         n, m, seed = nms
         T, W = T_W
         rng = np.random.default_rng(seed)
         sys_ = random_controllable_system(n, m, -1.2, 1.2, rng)
         sched = random_schedule(rng, n, m, T)
-        K, _, _, P = frozen_backward_sweep(sys_, sched, keep_P=True)
+        P, K = every_pass(sys_, sched)
         w = rng.standard_normal((T - 1, n))
         w[: min(zero_rows, T - 1)] = 0.0
         t_all = np.arange(T - 1)
-        s_of = np.minimum(t_all + W, T - 1)
-        batch = affine_terms(sys_, P, K, sched.R, w, s_of, t_all)
-        assert batch.shape == (T - 1, T - 1, m)
-        for t in t_all:
-            ref = looped_affine_terms(sys_, P[s_of[t]], K[s_of[t]], sched.R, w, t)
-            single = affine_terms(sys_, P, K, sched.R, w, [s_of[t]], [t])
-            assert single.shape == (T - 1, 1, m)
-            tol = 1e-10 * np.abs(ref).max()
-            assert np.abs(batch[:, t] - ref).max() <= tol
-            assert np.abs(single[:, 0] - ref).max() <= tol
+        Ws = [W, 0, T - 2]
+        streamed = frozen_backward_sweep(sys_, sched, w, Ws)[3]
+        for W, batch in zip(Ws, streamed):
+            s_of = np.minimum(t_all + W, T - 1)
+            assert batch.shape == (T - 1, T - 1, m)
+            assert batch.tobytes() == unbatched_affine_terms(sys_, P, K, sched.R, w, s_of, t_all).tobytes()
+            for t in t_all:
+                ref = looped_affine_terms(sys_, P[s_of[t]], K[s_of[t]], sched.R, w, t)
+                single = affine_terms(sys_, backward_riccati(sys_, frozen_schedule(sched, s_of[t], 0)), w, t)
+                assert single.shape == (T - 1, m)
+                tol = 1e-10 * np.abs(ref).max()
+                assert np.abs(batch[:, t] - ref).max() <= tol
+                assert np.abs(single - ref).max() <= tol
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -328,34 +338,72 @@ class TestAffineTerms:
     @example((4, 2, 0), 40, 5, np.nan)
     @example((1, 1, 1), 2, 1, None)
     def test_trial_batches_match_per_trial_calls(self, nms, T, trials, blow):
-        # Ascending last with s >= last, as every caller passes them. Each
-        # trial's feedforward is its own (T-1, n) call's, and that call's is
-        # the unbatched recursion's, bit for bit; a trial blown up to 1e160,
-        # inf or NaN leaves every other trial alone.
+        # One plan on one pass, knowing w[0..last]. Each trial's feedforward
+        # is its own (T-1, n) call's, and that call's is the unbatched
+        # recursion's, bit for bit; a trial blown up to 1e160, inf or NaN
+        # leaves every other trial alone.
         n, m, seed = nms
         rng = np.random.default_rng(seed)
         sys_ = random_controllable_system(n, m, -1.2, 1.2, rng)
         sched = random_schedule(rng, n, m, T)
-        K, _, _, P = frozen_backward_sweep(sys_, sched, keep_P=True)
-        plans = 1 + int(rng.integers(5))
-        last = np.sort(rng.integers(0, T - 1, plans))
-        s = last + rng.integers(0, T - last)
+        last = int(rng.integers(0, T - 1))
+        sol = backward_riccati(sys_, frozen_schedule(sched, last + int(rng.integers(0, T - last)), 0))
         w = rng.standard_normal((trials, T - 1, n))
         blown = int(rng.integers(trials))
         if blow is not None:
             w[blown, rng.integers(T - 1), rng.integers(n)] = blow
         with np.errstate(over="ignore", invalid="ignore"):
-            batch = affine_terms(sys_, P, K, sched.R, w, s, last)
-            assert batch.shape == (T - 1, trials, plans, m)
+            batch = affine_terms(sys_, sol, w, last)
+            assert batch.shape == (T - 1, trials, m)
             for t in range(trials):
-                single = affine_terms(sys_, P, K, sched.R, w[t], s, last)
+                single = affine_terms(sys_, sol, w[t], last)
                 if blow is None or t != blown:
                     assert batch[:, t].tobytes() == single.tobytes()
-                    ref = unbatched_affine_terms(sys_, P, K, sched.R, w[t], s, last)
-                    assert single.tobytes() == ref.tobytes()
+                    ref = unbatched_affine_terms(sys_, sol.P[None], sol.K[None], sol.schedule.R, w[t], [0], [last])
+                    assert single.tobytes() == ref[:, 0].tobytes()
                 else:
                     # NumPy's SIMD loops may give a NaN either sign.
                     np.testing.assert_array_equal(batch[:, t], single)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dims,
+        st.integers(2, 30),
+        st.integers(1, 4),
+        st.sampled_from([None, 1e160, np.inf, np.nan]),
+    )
+    @example((4, 2, 0), 30, 4, np.nan)
+    @example((1, 1, 1), 2, 1, None)
+    def test_streamed_trial_batches_match_per_trial_sweeps(self, nms, T, trials, blow):
+        # The sweep streams the plans of several W for a batch of trials.
+        # Each trial's feedforward is that of a sweep of its own (T-1, n) w,
+        # which is the unbatched recursion on every pass, bit for bit; a
+        # blown-up trial leaves every other trial alone.
+        n, m, seed = nms
+        rng = np.random.default_rng(seed)
+        sys_ = random_controllable_system(n, m, -1.2, 1.2, rng)
+        sched = random_schedule(rng, n, m, T)
+        P, K = every_pass(sys_, sched)
+        Ws = [0, int(rng.integers(T - 1)), T + 3]
+        w = rng.standard_normal((trials, T - 1, n))
+        blown = int(rng.integers(trials))
+        if blow is not None:
+            w[blown, rng.integers(T - 1), rng.integers(n)] = blow
+        t_all = np.arange(T - 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = frozen_backward_sweep(sys_, sched, w, Ws)[3]
+            for t in range(trials):
+                single = frozen_backward_sweep(sys_, sched, w[t], Ws)[3]
+                for W, k_batch, k in zip(Ws, batch, single):
+                    assert k_batch.shape == (T - 1, trials, T - 1, m)
+                    if blow is None or t != blown:
+                        assert k_batch[:, t].tobytes() == k.tobytes()
+                        s_of = np.minimum(t_all + W, T - 1)
+                        ref = unbatched_affine_terms(sys_, P, K, sched.R, w[t], s_of, t_all)
+                        assert k.tobytes() == ref.tobytes()
+                    else:
+                        # NumPy's SIMD loops may give a NaN either sign.
+                        np.testing.assert_array_equal(k_batch[:, t], k)
 
     def test_rejects_bad_disturbance_shape(self):
         sys_ = scalar_system(0.9, 1.0)
@@ -643,19 +691,20 @@ class TestFrozenBackwardSweep:
         )
         sys_ = random_controllable_system(3, 1, -1.0, 1.0, rng)
         sched = random_uniform_schedule(bounds, 12, rng)
-        K_all, _, P_true, P_all = frozen_backward_sweep(sys_, sched, keep_P=True)
-        assert P_all.shape == (12, 12, 3, 3) and K_all.shape == (12, 11, 1, 3)
+        K_all, top, P_true, k = frozen_backward_sweep(sys_, sched)
+        assert k == [] and K_all.shape == (12, 11, 1, 3)
+        # The sweep's own steps give every pass's value matrices.
+        P_every = frozen_values(sys_, sched)
         for s in range(12):
             ref = backward_riccati(sys_, frozen_schedule(sched, s, 0))
-            np.testing.assert_array_equal(P_all[s], ref.P)
+            np.testing.assert_array_equal(P_every[s], ref.P)
             np.testing.assert_array_equal(K_all[s], ref.K)
-        np.testing.assert_array_equal(P_true, P_all[11])
-        # Without keep_P the sweep keeps only the true pass, with the same bits.
-        K_lean, top, P_lean, none = frozen_backward_sweep(sys_, sched)
-        assert none is None
-        np.testing.assert_array_equal(K_lean, K_all)
-        np.testing.assert_array_equal(P_lean, P_true)
-        np.testing.assert_array_equal(top, frozen_backward_sweep(sys_, sched, keep_P=True)[1])
+        np.testing.assert_array_equal(P_true, P_every[11])
+        # Streaming plans changes no gain, maximum or true pass.
+        K_w, top_w, P_w, k = frozen_backward_sweep(sys_, sched, rng.standard_normal((2, 11, 3)), [0, 4])
+        assert [a.shape for a in k] == [(11, 2, 11, 1)] * 2
+        for got, ref in ((K_w, K_all), (top_w, top), (P_w, P_true)):
+            np.testing.assert_array_equal(got, ref)
 
 
 def longdouble_sweep(sys_, schedule):
@@ -667,9 +716,9 @@ def longdouble_sweep(sys_, schedule):
     Q, R = schedule.Q.astype(ld), schedule.R.astype(ld)
     T = schedule.horizon
     P = Q.copy()
-    P_all = np.empty((T, T, sys_.n, sys_.n), dtype=ld)
+    P_every = np.empty((T, T, sys_.n, sys_.n), dtype=ld)
     K_all = np.empty((T, T - 1, sys_.m, sys_.n), dtype=ld)
-    P_all[:, T - 1] = P
+    P_every[:, T - 1] = P
     for i in range(T - 2, -1, -1):
         c = np.minimum(np.arange(T), i)
         PA, PB = P @ A, P @ B
@@ -682,16 +731,15 @@ def longdouble_sweep(sys_, schedule):
             K = -(adj / (a * d - b * g)[:, None, None]) @ (B.T @ PA)
         P = A.T @ PA + Q[c] + (A.T @ PB) @ K
         P = 0.5 * (P + np.swapaxes(P, -1, -2))
-        P_all[:, i], K_all[:, i] = P, K
-    return P_all, K_all
+        P_every[:, i], K_all[:, i] = P, K
+    return P_every, K_all
 
 
 def sweep_error(sys_, schedule):
     """Largest error of any frozen pass of the sweep, relative to the
     largest entry of that pass in the long-double reference; for P and K."""
     errors = []
-    K_all, _, _, P_all = frozen_backward_sweep(sys_, schedule, keep_P=True)
-    for got, ref in zip((P_all, K_all), longdouble_sweep(sys_, schedule)):
+    for got, ref in zip(every_pass(sys_, schedule), longdouble_sweep(sys_, schedule)):
         axes = tuple(range(1, ref.ndim))
         err = np.abs(got - ref).max(axis=axes) / np.abs(ref).max(axis=axes)
         errors.append(float(err.max()))
