@@ -106,8 +106,8 @@ def compute_bound_constants(
     the schedule has none (its matrices are not ordered), the a priori
     ``cost_bounds`` stand in. The contraction constant alpha at preview W
     is maximized over the value matrices of the true pass and of every
-    frozen pass the policy reads, a suffix maximum of the planner's
-    per-pass maxima ``apa_max``, which its sweep screened.
+    frozen pass the policy reads, the entry at min(W, T-1) of the
+    planner's suffix maxima ``apa_max``, which its sweep screened.
 
     Only alpha, gamma and alpha1 depend on W. Everything else is computed
     once, and a failure there raises. Per Ws[j] the list holds that W's
@@ -171,7 +171,7 @@ def compute_bound_constants(
     for W in Ws:
         try:
             W = check_preview_length(W)
-            alpha = float(top[min(W, T - 1) :].max())
+            alpha = float(top[min(W, T - 1)])
             gamma = alpha / (alpha + beta)
             realized = planner.K[np.minimum(t_all + W, T - 1), t_all]
             alpha1 = float(_batch_spectral_norm(realized - K_track).max() ** 2)

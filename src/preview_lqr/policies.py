@@ -89,6 +89,21 @@ def validate_policy_config(cfg: PolicyConfig, sys: LinearSystem, T: int):
         )
 
 
+def _nominal_step(sys: LinearSystem, K, x, i: int):
+    """(u, A x + B u) with u = K x for the plans along the last axis of x (n,
+    N >= 2), K (m, n, N) or (m, n, 1). The sums over K and B are elementwise,
+    as gemv would take B @ u at n = 1, and A @ x is a gemm, which rounds
+    every column alike, so a plan's bits do not depend on its batch. A
+    non-finite next state but the first raises, dated i + 1: the first
+    column only makes up two for gemm, or copies the second."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = (K * x).sum(axis=1)
+        x = sys.A @ x + (sys.B[..., None] * u).sum(axis=1)
+    if not np.isfinite(x[:, 1:]).all():
+        raise TrajectoryOverflowError(i + 1, "non-finite planned state")
+    return u, x
+
+
 class FrozenPlanner:
     """Every frozen backward pass and nominal plan of one instance, and the
     plans its tracker makes with known disturbances.
@@ -97,17 +112,20 @@ class FrozenPlanner:
     disturbance-free case, so all time steps and preview lengths share the
     T passes. ``prepare()`` runs ``frozen_backward_sweep`` once and keeps
     read-only stacks indexed by freeze index: gains ``K`` (T, T-1, m, n),
-    the alpha screen's per-pass maxima ``apa_max`` (T,), the true pass's
-    value matrices ``P_true`` (T, n, n), which ``solution()`` wraps, and the
-    nominal plans' states ``X`` (T, T, n) and controls ``U`` (T, T-1, m),
-    each plan to its freeze index s, the last entry the tracker reads (zero
-    above it; ``nominal_plan(s)`` continues the later rows). A freeze index
-    above T-1 reads pass T-1; a negative or non-integer one raises. With
-    disturbances ``w``, (T-1, n) or a stack (N, T-1, n) of N trials, the
-    sweep also streams the feedforward ``k`` of the plans at each preview
-    length of ``Ws``, so the planner keeps no other pass's value matrices.
-    ``plan_points(W)`` gives, for every t at once, the entry of the plan made
-    at t that the tracker reads; ``plan(t, W, known_w)`` is its reference.
+    the alpha screen's suffix maxima ``apa_max`` (T,), entry s over passes
+    s..T-1, the true pass's value matrices ``P_true`` (T, n, n), which
+    ``solution()`` wraps, and the nominal plans' states ``X`` (T, T, n) and
+    controls ``U`` (T, T-1, m), each plan to its freeze index s, the last
+    entry the tracker reads (zero above it; ``nominal_plan(s)`` continues
+    the later rows). ``K``, ``X`` and ``U`` are views of step-major stacks,
+    plans along the last axis, as the sweep and the rollout fill them. A
+    freeze index above T-1 reads pass T-1; a negative or non-integer one
+    raises. With disturbances ``w``, (T-1, n) or a stack (N, T-1, n) of N
+    trials, the sweep also streams the feedforward ``k`` of the plans at
+    each preview length of ``Ws``, so the planner keeps no other pass's
+    value matrices. ``plan_points(W)`` gives, for every t at once, the entry
+    of the plan made at t that the tracker reads; ``plan(t, W, known_w)``
+    is its reference.
     """
 
     def __init__(self, sys: LinearSystem, schedule: CostSchedule, w=None, Ws=()):
@@ -125,30 +143,20 @@ class FrozenPlanner:
         # A trial whose w is all zero reads the nominal plans.
         Ws = self.Ws if self.w is not None and self.w.any() else ()
         K, apa_max, P_true, k = frozen_backward_sweep(self.sys, self.schedule, self.w, Ws)
-        T, n, m = self.T, self.sys.n, self.sys.m
-        AT, BT = self.sys.A.T.copy(), self.sys.B.T.copy()
-        X, U = np.zeros((T, T, n)), np.zeros((T, T - 1, m))
-        X[:, 0] = self.sys.x0
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(T - 1):
-                # Plans i..T-1 advance. Plan i's next state is computed and
-                # dropped, so the product keeps two rows or more: one row
-                # goes to gemv, which rounds unlike gemm.
-                U[i:, i] = (K[i:, i] @ X[i:, i, :, None])[..., 0]
-                X[i + 1 :, i + 1] = (X[i:, i] @ AT + U[i:, i] @ BT)[1:]
-                if not np.isfinite(X[i + 1 :, i + 1]).all():
-                    raise TrajectoryOverflowError(i + 1, "non-finite planned state")
+        T, n, m, K_sm = self.T, self.sys.n, self.sys.m, np.moveaxis(K, 0, -1)
+        # Step-major, plans along the last axis: X[t, :, s] is state t of plan s.
+        X, U = np.zeros((T, n, T)), np.zeros((T - 1, m, T))
+        X[0] = self.sys.x0[:, None]
+        for i in range(T - 1):
+            # Plans i..T-1 advance; plan i's next state is computed and
+            # dropped, so A @ x keeps two columns or more.
+            U[i, :, i:], x = _nominal_step(self.sys, K_sm[i][..., i:], X[i, :, i:], i)
+            X[i + 1, :, i + 1 :] = x[:, 1:]
+        X, U = X.transpose(2, 0, 1), U.transpose(2, 0, 1)
         for stack in (K, apa_max, P_true, X, U, *k):
             stack.setflags(write=False)
         self.K, self.apa_max, self.P_true, self.X, self.U = K, apa_max, P_true, X, U
         self.k = dict(zip(Ws, k))
-
-    def _freeze_index(self, s: int) -> int:
-        """s clamped to T - 1 after ``prepare``; a negative or non-integer s raises."""
-        if s < 0 or not float(s).is_integer():
-            raise ValueError(f"freeze index s must be a nonnegative integer, got {s}")
-        self.prepare()
-        return min(int(s), self.T - 1)
 
     def solution(self) -> RiccatiSolution:
         """The true pass, pass T-1: the backward pass on the whole schedule."""
@@ -159,20 +167,18 @@ class FrozenPlanner:
         """Disturbance-free plan (states, controls) from the initial state.
 
         Rows 0..s are stored. Later rows continue row s with the gains of
-        pass s, by ``prepare``'s expressions on two copies of the row, so
-        they are the full-horizon rollout's, bit for bit.
+        pass s, by ``prepare``'s ``_nominal_step`` on two copies of the row,
+        so they are the full-horizon rollout's, bit for bit.
         """
-        T, s = self.T, self._freeze_index(s)
+        if s < 0 or not float(s).is_integer():
+            raise ValueError(f"freeze index s must be a nonnegative integer, got {s}")
+        self.prepare()
+        T, s = self.T, min(int(s), self.T - 1)
         X, U, K = self.X[s].copy(), self.U[s].copy(), self.K[s]
-        AT, BT = self.sys.A.T.copy(), self.sys.B.T.copy()
-        x = np.stack([X[s], X[s]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(s, T - 1):
-                u = (K[i] @ x[:, :, None])[..., 0]
-                x = x @ AT + u @ BT
-                U[i], X[i + 1] = u[0], x[0]
-                if not np.isfinite(x[0]).all():
-                    raise TrajectoryOverflowError(i + 1, "non-finite planned state")
+        x = np.stack([X[s], X[s]], axis=-1)
+        for i in range(s, T - 1):
+            u, x = _nominal_step(self.sys, K[i][..., None], x, i)
+            U[i], X[i + 1] = u[:, 0], x[:, 0]
         X.setflags(write=False)
         U.setflags(write=False)
         return X, U

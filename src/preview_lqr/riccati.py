@@ -163,50 +163,46 @@ def _symmetrized_apa(A, P):
 
 
 class _AlphaScreen:
-    """Per pass, the top eigenvalue of the symmetrized A'PA over the matrices screened.
+    """Suffix maxima over passes of the top eigenvalue of the symmetrized A'PA.
 
-    ``screen`` takes a block of steps of every pass, an (S, k, n, n)
-    stack, and raises ``top``, the S running maxima. The result is bit for
-    bit the maximum of ``eigvalsh`` over every matrix screened, NaN when
-    one of them gives NaN, while ``eigvalsh`` sees few of them.
+    ``screen`` takes a block of steps of every pass, step-major as the sweep
+    stores them, a (k, n, n, S) stack, and raises ``top``, S running maxima
+    whose suffix maxima ``suffix()`` (entry s over the passes s..S-1) are bit
+    for bit those of ``eigvalsh`` over every matrix screened, NaN when one
+    of them gives NaN, while ``eigvalsh`` sees few of them. A matrix of pass
+    s can raise no suffix maximum unless it reaches the one at s, its bar,
+    so ``top`` itself is not each pass's maximum.
 
     Let M be the matrix ``eigvalsh`` sees, ``_symmetrized_apa``. One gemm
-    per pass forms Ms, the symmetric part of A'PA, otherwise, with
+    per step forms Ms, the symmetric part of A'PA, otherwise, with
     Frobenius norm F. By Higham's dot-product bounds (*Accuracy and
     Stability of Numerical Algorithms*, ch. 3), M and Ms lie within
     d = e ||P||_F + 2u F of each other, e = gamma_(n^2+2n+2) || |A| ||_2^2,
     so lambda_max(M) <= ||M||_F <= F + d, and ub = (F + d)(1 +
     ALPHA_SCREEN_MARGIN) covers ``eigvalsh``'s backward error as well.
 
-    That bound is loose where a pass's tail settles to round-off, on
-    matrices that agree to 1e-11 or closer, and a backward sweep meets the
-    tails before the heads. There a second-order bound takes over. With x the
-    pass's eigenvector estimate, two power steps per block on its matrix of
-    largest ub, rho = x'Ms x / x'x and r = Ms x - rho x: lambda_2(Ms) <= mu
-    = sqrt(F^2 - rho^2), since lambda_1^2 + lambda_2^2 <= F^2, and where
-    rho > mu Kato and Temple give lambda_max(Ms) <= rho + ||r||^2 /
-    (x'x (rho - mu)) (Parlett, *The Symmetric Eigenvalue Problem*,
+    That bound is loose where tails settle to round-off and tie with their
+    bar, as on a constant schedule. There a second-order bound takes over.
+    With x the pass's eigenvector estimate, two power steps per block on
+    its matrix of largest ub, rho = x'Ms x / x'x and r = Ms x - rho x:
+    lambda_2(Ms) <= mu = sqrt(F^2 - rho^2), since lambda_1^2 + lambda_2^2
+    <= F^2, and where rho > mu Kato and Temple give lambda_max(Ms) <= rho +
+    ||r||^2 / (x'x (rho - mu)) (Parlett, *The Symmetric Eigenvalue Problem*,
     ch. 10). ||r||^2 x'x is taken as y'y - rho^2 x'x, y = Ms x, plus
     (4n+8) u y'y for that cancellation. Widened by s = ALPHA_SCREEN_SLACK
     n^2 u (F + d) in rho, ||r|| and mu and once more for ``eigvalsh``'s
     error, and by d from Ms to M, it too bounds what ``eigvalsh`` returns.
 
     Per pass and block, the matrix of largest ub (NaN counting as largest)
-    goes to ``eigvalsh`` unless its ub is below the pass's running
-    maximum; that maximum is raised, and every other matrix of the block
-    whose ub is not below it goes too, unless that is more than one batch
-    of S matrices and its second-order bound is below it. Any
-    value ``eigvalsh`` gave for a pass is at most its maximum, so the
-    maximizer is never skipped. Formed matrices are formed as without the
-    screen and ``eigvalsh`` treats each one alone, so they give the same
-    values. A NaN or infinite bound, or a NaN running maximum, keeps the
-    matrix; a running maximum below ``ALPHA_SCREEN_FLOOR``, where squares
-    could underflow, keeps the block whole. An infinite maximum is its
-    pass's maximum, and the matrices it skips have finite bounds, so none
-    could have made that maximum NaN.
-
-    Ties closer than the slack cannot be screened: on a system whose tails
-    settle to within about 1e-13, ``eigvalsh`` sees most tail matrices.
+    goes to ``eigvalsh`` unless its ub is below the bar; the bars are
+    raised, and every other matrix whose ub is not below its bar goes too,
+    unless that is more than one batch of S matrices and its second-order
+    bound is below it. Formed matrices are formed as without the screen and
+    ``eigvalsh`` treats each one alone, so they give the same values. A NaN
+    or infinite bound, or a NaN bar, keeps the matrix; a bar below
+    ``ALPHA_SCREEN_FLOOR``, where squares could underflow, keeps the pass's
+    block. An infinite bar is reached, and the matrices it skips have
+    finite bounds, so none could have made it NaN.
     """
 
     def __init__(self, A, S: int):
@@ -216,31 +212,37 @@ class _AlphaScreen:
         self.e = (n * n + 2 * n + 2) * self.u * np.linalg.norm(np.abs(A), 2) ** 2
         self.c2 = (4 * n + 8) * self.u
         self.slack = ALPHA_SCREEN_SLACK * n * n * self.u
-        # vec(P) @ Ksym is vec of the symmetric part of A'PA, row-major.
-        AkA = np.kron(A, A)
-        self.A, self.Ksym = A, 0.5 * (AkA + AkA[:, np.arange(n * n).reshape(n, n).T.ravel()])
-        self.top = np.full(S, -np.inf)
+        # Ksym @ vec(P) is vec of the symmetric part of A'PA, row-major.
+        AkA = np.kron(A, A).T
+        self.A, self.Ksym = A, 0.5 * (AkA + AkA[np.arange(n * n).reshape(n, n).T.ravel()])
+        # One buffer holds the sweep's ring of steps and every block's Ms:
+        # block-sized arrays freed per block, or two freed at the end, left
+        # a heap that raised the peak RSS of callers.
+        ring, self.Ms = np.empty((2, ALPHA_BLOCK, n * n, S))
+        self.top, self.ring = np.full(S, -np.inf), ring.reshape(ALPHA_BLOCK, n, n, S)
         self.x0 = np.linspace(1.0, 2.0, n)
         self.x0 /= np.linalg.norm(self.x0)
         self.x = np.tile(self.x0, (S, 1))
 
-    def _kato_temple(self, Ms, F, d, cand, x):
-        """Second-order bounds of the flattened symmetric matrices Ms (S', k, n^2).
+    def suffix(self):
+        """Entry s is the maximum of ``top`` over s..S-1, NaN if one of them is."""
+        return np.maximum.accumulate(self.top[::-1])[::-1]
 
-        F and d are their Frobenius norms and formation bounds. Row s's
+    def _kato_temple(self, Ms, F, d, cand, x):
+        """Second-order bounds (k, S') of the symmetric matrices Ms (k, n, n, S').
+
+        F and d are their Frobenius norms and formation bounds. Column s's
         vector x[s] takes two power steps on its matrix ``cand[s]`` first.
         """
-        S, k = F.shape
-        n = x.shape[-1]
-        Mc, v = Ms[np.arange(S), cand].reshape(S, n, n), x
+        Mc, v = Ms[cand, :, :, np.arange(F.shape[1])], x
         for _ in range(2):
             v = np.einsum("sij,sj->si", Mc, v)
             v = v / np.linalg.norm(v, axis=-1, keepdims=True)
         x[:] = v = np.where(np.isfinite(v).all(axis=-1, keepdims=True), v, self.x0)
-        y = (Ms.reshape(S, k * n, n) @ v[:, :, None]).reshape(S, k, n)
-        vv = np.einsum("si,si->s", v, v)[:, None]
-        yy = np.einsum("ski,ski->sk", y, y)
-        rho = np.einsum("ski,si->sk", y, v) / vv
+        y = np.einsum("kijs,sj->kis", Ms, v)
+        vv = np.einsum("si,si->s", v, v)
+        yy = np.einsum("kis,kis->ks", y, y)
+        rho = np.einsum("kis,si->ks", y, v) / vv
         # ||r||^2 x'x = y'y - rho^2 x'x, up to c2 y'y for its cancellation.
         res = np.sqrt((np.maximum(yy - rho * rho * vv, 0.0) + self.c2 * yy) / vv)
         slack = self.slack * (F + d)
@@ -251,37 +253,40 @@ class _AlphaScreen:
         kt = rho + (res + slack) ** 2 / gap + d + 2 * slack
         return np.where((lo >= 0.0) & (gap > 0.0), kt, np.inf)
 
-    def screen(self, P):
-        """Raise the running maxima by P (S, k, n, n), k steps of every pass."""
-        S, k, n = P.shape[:3]
-        top, x = self.top, self.x
+    def screen(self, block):
+        """Raise the running maxima by block (k, n, n, S), k steps of every pass."""
+        k, n, _, S = block.shape
         with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
-            flat = P.reshape(S, k, n * n)
-            Ms = flat @ self.Ksym
-            F = np.sqrt(np.einsum("...q,...q->...", Ms, Ms))
-            d = self.e * np.sqrt(np.einsum("...q,...q->...", flat, flat)) + 2 * self.u * F
+            flat = block.reshape(k, n * n, S)
+            Ms = np.matmul(self.Ksym, flat, out=self.Ms[:k])
+            F = np.sqrt(np.einsum("kqs,kqs->ks", Ms, Ms))
+            d = self.e * np.sqrt(np.einsum("kqs,kqs->ks", flat, flat)) + 2 * self.u * F
             bound = (F + d) * (1.0 + ALPHA_SCREEN_MARGIN)
-            passes, cand = np.arange(S), bound.argmax(axis=1)
-            at = passes, cand
-            run = ~((bound[at] < top) & (top >= ALPHA_SCREEN_FLOOR))
-            self._raise(top, P, passes[run], cand[run])
-            whole = ~(top >= ALPHA_SCREEN_FLOOR)[:, None]
-            keep = ~(bound < top[:, None]) | whole
+            passes, cand = np.arange(S), bound.argmax(axis=0)
+            at = cand, passes
+            bar = self.suffix()
+            run = ~((bound[at] < bar) & (bar >= ALPHA_SCREEN_FLOOR))
+            self._raise(block, cand[run], passes[run])
+            bar = self.suffix()
+            whole = ~(bar >= ALPHA_SCREEN_FLOOR)
+            keep = ~(bound < bar) | whole
             keep[at] = False
             # Beyond one eigvalsh batch, the second-order bound screens the
             # passes up to the last one that keeps a matrix, as those whose
             # tails settle lead.
             if np.count_nonzero(keep) > S:
-                m = np.flatnonzero(keep.any(axis=1))[-1] + 1
-                kt = self._kato_temple(Ms[:m], F[:m], d[:m], cand[:m], x[:m])
-                keep[:m] &= ~(kt < top[:m, None]) | whole[:m]
-            self._raise(top, P, *np.nonzero(keep))
+                m = np.flatnonzero(keep.any(axis=0))[-1] + 1
+                Ms = Ms.reshape(k, n, n, S)[..., :m]
+                kt = self._kato_temple(Ms, F[:, :m], d[:, :m], cand[:m], self.x[:m])
+                keep[:, :m] &= ~(kt < bar[:m]) | whole[:m]
+            self._raise(block, *np.nonzero(keep))
 
-    def _raise(self, top, P, s, j):
-        """Raise top[s] by ``eigvalsh`` of P[s, j], up to len(top) matrices per call."""
+    def _raise(self, block, j, s):
+        """Raise top[s] by ``eigvalsh`` of block[j, ..., s], up to len(top) matrices per call."""
+        top = self.top
         S = len(top)
         for c in range(0, len(s), S):
-            M = _symmetrized_apa(self.A, P[s[c : c + S], j[c : c + S]])
+            M = _symmetrized_apa(self.A, block[j[c : c + S], :, :, s[c : c + S]])
             np.maximum.at(top, s[c : c + S], np.linalg.eigvalsh(M)[:, -1])
 
 
@@ -316,21 +321,22 @@ def frozen_backward_sweep(sys: LinearSystem, schedule: CostSchedule, w=None, Ws=
     """Backward passes for every frozen schedule, and the plans that know w.
 
     Consumes ``frozen_steps`` and returns (K_all, apa_max, P_true, k): every
-    pass's gains (T, T-1, m, n), freeze index first; per pass s the top
-    eigenvalue of the symmetrized A' P_s[i] A over the interior i = 1..T-2
-    (i = 1 when T = 2), so alpha at preview W is the maximum of entries
-    min(W, T-1)..T-1, which an ``_AlphaScreen`` streams over a ring of
-    ``ALPHA_BLOCK`` steps; the true pass's value matrices (T, n, n); and per
-    W of ``Ws`` the feedforward (T-1, [N,] T-1, m) of the plans t that know
-    ``w`` (T-1, n) or (N, T-1, n) to w[t], on pass min(t + W, T-1). After
-    step i, ``_affine_step`` advances plans t >= i on the columns P_s[i+1]
-    and K_s[i] at hand; no other value matrices are kept.
+    pass's gains (T, T-1, m, n), freeze index first, a view of the
+    step-major (T-1, m, n, T) stack that holds each step as it returns; the
+    suffix maxima (T,) over passes s.. of the top eigenvalue of the
+    symmetrized A' P_s[i] A, i = 1..T-2 (i = 1 when T = 2), so alpha at
+    preview W is entry min(W, T-1), which an ``_AlphaScreen`` streams over
+    a step-major ring of ``ALPHA_BLOCK`` steps; the true pass's value
+    matrices (T, n, n); and per W of ``Ws`` the feedforward (T-1, [N,] T-1,
+    m) of the plans t that know ``w`` (T-1, n) or (N, T-1, n) to w[t], on
+    pass min(t + W, T-1). After step i, ``_affine_step`` advances plans
+    t >= i on the columns P_s[i+1] and K_s[i] at hand.
     """
     T, n = schedule.horizon, sys.n
-    K_all = np.empty((T, T - 1, sys.m, n))
+    K_all = np.empty((T - 1, sys.m, n, T))
     P_true = np.empty((T, n, n))
-    ring = np.empty((T, ALPHA_BLOCK, n, n))
     screen = _AlphaScreen(sys.A, T)
+    ring = screen.ring
     hi = max(T - 2, 1)
     # Plan t runs on pass min(t + W, T - 1) and joins the batch at step t.
     s_of = [np.minimum(np.arange(T - 1) + W, T - 1) for W in Ws]
@@ -340,9 +346,9 @@ def frozen_backward_sweep(sys: LinearSystem, schedule: CostSchedule, w=None, Ws=
     k = [np.zeros((T - 1,) + w.shape[:-2] + (T - 1, sys.m)) for _ in Ws]
     for i, P, K in frozen_steps(sys, schedule):
         if K is not None:
-            K_all[:, i] = K.transpose(2, 0, 1)
+            K_all[i] = K
             for s, q_W, k_W in zip(s_of, q, k):
-                Pn, Ks = P_next.transpose(2, 0, 1)[s[i:]], K_all[s[i:], i]
+                Pn, Ks = P_next.transpose(2, 0, 1)[s[i:]], K.transpose(2, 0, 1)[s[i:]]
                 k_W[i, ..., i:, :], q_W[..., i:, :] = _affine_step(
                     sys, Pn, Ks, schedule.R[i], w[..., i, :], q_W[..., i:, :]
                 )
@@ -352,10 +358,10 @@ def frozen_backward_sweep(sys: LinearSystem, schedule: CostSchedule, w=None, Ws=
             # The interior steps hi..1 go in blocks of ALPHA_BLOCK, screened
             # in ascending order from the ring, where step i is slot j.
             j = ALPHA_BLOCK - 1 - (hi - i) % ALPHA_BLOCK
-            ring[:, j] = P.transpose(2, 0, 1)
+            ring[j] = P
             if j == 0 or i == 1:
-                screen.screen(ring[:, j:])
-    return K_all, screen.top, P_true, k
+                screen.screen(ring[j:])
+    return K_all.transpose(3, 0, 1, 2), screen.suffix(), P_true, k
 
 
 def _affine_step(sys: LinearSystem, Pn, K, R, w, q):
@@ -390,15 +396,7 @@ def affine_terms(sys: LinearSystem, sol: RiccatiSolution, w, last=None):
     return k[..., 0, :]
 
 
-def solve_dare(
-    A,
-    B,
-    Q,
-    R,
-    tol: float = 1e-10,
-    max_iter: int = 100000,
-    init=None,
-) -> np.ndarray:
+def solve_dare(A, B, Q, R, tol: float = 1e-10, max_iter: int = 100000, init=None) -> np.ndarray:
     """Fixed point of the Riccati map P -> Q + A'PA - A'PB(R + B'PB)^-1 B'PA.
 
     Iterates until the step size drops below tol * max(1, ||P||), or stops
@@ -426,9 +424,7 @@ def solve_dare(
         if step <= tol * scale or (step >= last and step <= np.sqrt(tol) * scale):
             return Pn
         P, last = Pn, step
-    raise DareConvergenceError(
-        f"no fixed point within {max_iter} iterations at tolerance {tol}"
-    )
+    raise DareConvergenceError(f"no fixed point within {max_iter} iterations at tolerance {tol}")
 
 
 def simulate(sys: LinearSystem, schedule, L, x0, w=None, r=None, l=None) -> list:
@@ -505,9 +501,7 @@ def rollout(sys: LinearSystem, sol: RiccatiSolution, x0, w=None) -> Trajectory:
     return _only(simulate(sys, sol.schedule, sol.K, x0, w))
 
 
-def brute_force_lqr_oracle(
-    sys: LinearSystem, schedule: CostSchedule, w=None
-) -> Trajectory:
+def brute_force_lqr_oracle(sys: LinearSystem, schedule: CostSchedule, w=None) -> Trajectory:
     """Exact minimizer of a small instance via stacked normal equations.
 
     States are expressed affinely in the stacked control vector, and the
@@ -517,9 +511,7 @@ def brute_force_lqr_oracle(
     T = schedule.horizon
     n, m = sys.n, sys.m
     if T * m > 64:
-        raise OracleSizeError(
-            f"oracle limited to T * m <= 64, got {T} * {m} = {T * m}"
-        )
+        raise OracleSizeError(f"oracle limited to T * m <= 64, got {T} * {m} = {T * m}")
     A, B = sys.A, sys.B
     w_arr = np.zeros((T - 1, n)) if w is None else np.asarray(w, dtype=float)
     if w_arr.shape != (T - 1, n):

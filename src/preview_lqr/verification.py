@@ -146,12 +146,13 @@ def _random_bounded_instance(rng: np.random.Generator) -> _Instance:
 
 
 def frozen_values(sys_: LinearSystem, schedule: CostSchedule) -> np.ndarray:
-    """Every frozen pass's value matrices (T, T, n, n), from the sweep's own steps."""
+    """Every frozen pass's value matrices (T, T, n, n), from the sweep's own
+    steps: a view of the step-major (T, n, n, T) stack they fill."""
     T = schedule.horizon
-    P = np.empty((T, T, sys_.n, sys_.n))
+    P = np.empty((T, sys_.n, sys_.n, T))
     for i, P_i, _ in frozen_steps(sys_, schedule):
-        P[:, i] = P_i.transpose(2, 0, 1)
-    return P
+        P[i] = P_i
+    return P.transpose(3, 0, 1, 2)
 
 
 def _instances(seed: int, count: int):

@@ -671,20 +671,21 @@ class TestFreezeIndex:
 def full_rollout_plans(sys_, sched):
     """Every frozen pass's nominal plan over the whole horizon, in one batch.
 
-    The rollout ``FrozenPlanner.prepare`` ran before it stopped each plan
-    at its freeze index, kept as the reference for the stored rows.
+    The rollout ``FrozenPlanner.prepare`` runs before it stops each plan at
+    its freeze index, batch-last with the plans along the last axis, kept as
+    the reference for the stored rows. Returns X (T, T, n) and U (T, T-1, m),
+    plan first.
     """
-    K = frozen_backward_sweep(sys_, sched)[0]
+    K = np.moveaxis(frozen_backward_sweep(sys_, sched)[0], 0, -1)
     T, n, m = sched.horizon, sys_.n, sys_.m
-    AT, BT = sys_.A.T.copy(), sys_.B.T.copy()
-    X = np.empty((T, T, n))
-    U = np.empty((T, T - 1, m))
-    X[:, 0] = sys_.x0
+    X = np.empty((T, n, T))
+    U = np.empty((T - 1, m, T))
+    X[0] = sys_.x0[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(T - 1):
-            U[:, i] = (K[:, i] @ X[:, i, :, None])[..., 0]
-            X[:, i + 1] = X[:, i] @ AT + U[:, i] @ BT
-    return X, U
+            U[i] = (K[i] * X[i]).sum(axis=1)
+            X[i + 1] = sys_.A @ X[i] + (sys_.B[..., None] * U[i]).sum(axis=1)
+    return X.transpose(2, 0, 1), U.transpose(2, 0, 1)
 
 
 def first_bad_stored_index(X):
@@ -708,6 +709,35 @@ def stalled_plans_instance():
         tuple(np.array([[v]]) for v in q), tuple(np.eye(1) for _ in range(T - 1))
     )
     return sys_, sched
+
+
+class TestNominalStep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 2),
+        st.integers(0, 2**32 - 1),
+        st.integers(2, 70).flatmap(lambda S: st.tuples(st.just(S), st.integers(0, S - 1))),
+        st.integers(2, 70).flatmap(lambda S: st.tuples(st.just(S), st.integers(0, S - 1))),
+    )
+    @example(1, 2, 0, (2, 1), (3, 0))
+    @example(4, 1, 1, (70, 69), (2, 0))
+    def test_plan_bits_do_not_depend_on_batch(self, n, m, seed, at, moved):
+        # A plan's next control and state are the same advanced alone, on
+        # two copies as nominal_plan continues a row, at its position in one
+        # batch and at another position in a batch of another width, as
+        # prepare advances plans i..T-1. At n = 1, m = 2, B @ u is a gemv.
+        (S, b), (S2, b2) = at, moved
+        rng = np.random.default_rng(seed)
+        sys_ = random_controllable_system(n, m, -1.5, 1.5, rng)
+        K, K2 = (rng.standard_normal((m, n, k)) for k in (S, S2))
+        x, x2 = (rng.standard_normal((n, k)) for k in (S, S2))
+        K2[..., b2], x2[:, b2] = K[..., b], x[:, b]
+        alone = preview_lqr.policies._nominal_step(sys_, K[..., b, None], np.stack([x[:, b]] * 2, axis=-1), 0)
+        for (K_, x_), col in (((K, x), b), ((K2, x2), b2)):
+            batched = preview_lqr.policies._nominal_step(sys_, K_, x_, 0)
+            for got, want in zip(batched, alone):
+                np.testing.assert_array_equal(got[:, col], want[:, 0])
 
 
 class TestPlanStore:
