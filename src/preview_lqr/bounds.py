@@ -321,6 +321,8 @@ def scaling_certificate(
     most ``CERTIFICATE_RATIO``.
     """
     Ts = tuple(int(T) for T in Ts)
+    if not Ts:
+        raise ValueError("Ts must name at least one horizon")
     for T in Ts:
         if T < W + 2:
             raise ValueError(f"every horizon must satisfy T >= W + 2, got T={T}")

@@ -147,11 +147,7 @@ ALPHA_BLOCK = 32
 # Relative slack of the screen's Frobenius bound: a computed top eigenvalue
 # exceeds the bound on ||M||_F by O(n^2 eps) at most.
 ALPHA_SCREEN_MARGIN = 1e-8
-# Relative slack of the screen's second-order bound, in units of n^2 u:
-# it covers the O(n u) rounding of the quantities the bound is built from
-# and the O(n^2 u) error of ``eigvalsh``, 1.1e-13 for n = 4.
-ALPHA_SCREEN_SLACK = 64
-# Below this running maximum the squares in the screen's bounds can
+# Below this running maximum the squares in the screen's bound can
 # underflow, so the screen keeps every matrix of the pass's block.
 ALPHA_SCREEN_FLOOR = 1e-140
 
@@ -181,27 +177,15 @@ class _AlphaScreen:
     so lambda_max(M) <= ||M||_F <= F + d, and ub = (F + d)(1 +
     ALPHA_SCREEN_MARGIN) covers ``eigvalsh``'s backward error as well.
 
-    That bound is loose where tails settle to round-off and tie with their
-    bar, as on a constant schedule. There a second-order bound takes over.
-    With x the pass's eigenvector estimate, two power steps per block on
-    its matrix of largest ub, rho = x'Ms x / x'x and r = Ms x - rho x:
-    lambda_2(Ms) <= mu = sqrt(F^2 - rho^2), since lambda_1^2 + lambda_2^2
-    <= F^2, and where rho > mu Kato and Temple give lambda_max(Ms) <= rho +
-    ||r||^2 / (x'x (rho - mu)) (Parlett, *The Symmetric Eigenvalue Problem*,
-    ch. 10). ||r||^2 x'x is taken as y'y - rho^2 x'x, y = Ms x, plus
-    (4n+8) u y'y for that cancellation. Widened by s = ALPHA_SCREEN_SLACK
-    n^2 u (F + d) in rho, ||r|| and mu and once more for ``eigvalsh``'s
-    error, and by d from Ms to M, it too bounds what ``eigvalsh`` returns.
-
     Per pass and block, the matrix of largest ub (NaN counting as largest)
     goes to ``eigvalsh`` unless its ub is below the bar; the bars are
     raised, and every other matrix whose ub is not below its bar goes too,
-    unless that is more than one batch of S matrices and its second-order
-    bound is below it. Formed matrices are formed as without the screen and
-    ``eigvalsh`` treats each one alone, so they give the same values. A NaN
-    or infinite bound, or a NaN bar, keeps the matrix; a bar below
-    ``ALPHA_SCREEN_FLOOR``, where squares could underflow, keeps the pass's
-    block. An infinite bar is reached, and the matrices it skips have
+    so tails that settle to round-off and tie with their bar, as on a
+    constant schedule, all go. Formed matrices are formed as without the
+    screen and ``eigvalsh`` treats each one alone, so they give the same
+    values. A NaN or infinite bound, or a NaN bar, keeps the matrix; a bar
+    below ``ALPHA_SCREEN_FLOOR``, where squares could underflow, keeps the
+    pass's block. An infinite bar is reached, and the matrices it skips have
     finite bounds, so none could have made it NaN.
     """
 
@@ -210,8 +194,6 @@ class _AlphaScreen:
         # gamma_k = k u / (1 - k u) <= 1.01 k u for the k here.
         self.u = 1.01 * np.finfo(float).epsneg
         self.e = (n * n + 2 * n + 2) * self.u * np.linalg.norm(np.abs(A), 2) ** 2
-        self.c2 = (4 * n + 8) * self.u
-        self.slack = ALPHA_SCREEN_SLACK * n * n * self.u
         # Ksym @ vec(P) is vec of the symmetric part of A'PA, row-major.
         AkA = np.kron(A, A).T
         self.A, self.Ksym = A, 0.5 * (AkA + AkA[np.arange(n * n).reshape(n, n).T.ravel()])
@@ -220,43 +202,15 @@ class _AlphaScreen:
         # a heap that raised the peak RSS of callers.
         ring, self.Ms = np.empty((2, ALPHA_BLOCK, n * n, S))
         self.top, self.ring = np.full(S, -np.inf), ring.reshape(ALPHA_BLOCK, n, n, S)
-        self.x0 = np.linspace(1.0, 2.0, n)
-        self.x0 /= np.linalg.norm(self.x0)
-        self.x = np.tile(self.x0, (S, 1))
 
     def suffix(self):
         """Entry s is the maximum of ``top`` over s..S-1, NaN if one of them is."""
         return np.maximum.accumulate(self.top[::-1])[::-1]
 
-    def _kato_temple(self, Ms, F, d, cand, x):
-        """Second-order bounds (k, S') of the symmetric matrices Ms (k, n, n, S').
-
-        F and d are their Frobenius norms and formation bounds. Column s's
-        vector x[s] takes two power steps on its matrix ``cand[s]`` first.
-        """
-        Mc, v = Ms[cand, :, :, np.arange(F.shape[1])], x
-        for _ in range(2):
-            v = np.einsum("sij,sj->si", Mc, v)
-            v = v / np.linalg.norm(v, axis=-1, keepdims=True)
-        x[:] = v = np.where(np.isfinite(v).all(axis=-1, keepdims=True), v, self.x0)
-        y = np.einsum("kijs,sj->kis", Ms, v)
-        vv = np.einsum("si,si->s", v, v)
-        yy = np.einsum("kis,kis->ks", y, y)
-        rho = np.einsum("kis,si->ks", y, v) / vv
-        # ||r||^2 x'x = y'y - rho^2 x'x, up to c2 y'y for its cancellation.
-        res = np.sqrt((np.maximum(yy - rho * rho * vv, 0.0) + self.c2 * yy) / vv)
-        slack = self.slack * (F + d)
-        lo = rho - slack
-        # mu^2 <= (F + slack)^2 - lo^2, factored so that its rounding, like
-        # that of mu, stays within one more slack.
-        gap = lo - np.sqrt(np.maximum((F + 2 * slack - lo) * (F + slack + lo), 0.0)) - slack
-        kt = rho + (res + slack) ** 2 / gap + d + 2 * slack
-        return np.where((lo >= 0.0) & (gap > 0.0), kt, np.inf)
-
     def screen(self, block):
         """Raise the running maxima by block (k, n, n, S), k steps of every pass."""
         k, n, _, S = block.shape
-        with np.errstate(over="ignore", under="ignore", invalid="ignore", divide="ignore"):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             flat = block.reshape(k, n * n, S)
             Ms = np.matmul(self.Ksym, flat, out=self.Ms[:k])
             F = np.sqrt(np.einsum("kqs,kqs->ks", Ms, Ms))
@@ -268,17 +222,8 @@ class _AlphaScreen:
             run = ~((bound[at] < bar) & (bar >= ALPHA_SCREEN_FLOOR))
             self._raise(block, cand[run], passes[run])
             bar = self.suffix()
-            whole = ~(bar >= ALPHA_SCREEN_FLOOR)
-            keep = ~(bound < bar) | whole
+            keep = ~((bound < bar) & (bar >= ALPHA_SCREEN_FLOOR))
             keep[at] = False
-            # Beyond one eigvalsh batch, the second-order bound screens the
-            # passes up to the last one that keeps a matrix, as those whose
-            # tails settle lead.
-            if np.count_nonzero(keep) > S:
-                m = np.flatnonzero(keep.any(axis=0))[-1] + 1
-                Ms = Ms.reshape(k, n, n, S)[..., :m]
-                kt = self._kato_temple(Ms, F[:, :m], d[:, :m], cand[:m], self.x[:m])
-                keep[:, :m] &= ~(kt < bar[:m]) | whole[:m]
             self._raise(block, *np.nonzero(keep))
 
     def _raise(self, block, j, s):
@@ -396,34 +341,34 @@ def affine_terms(sys: LinearSystem, sol: RiccatiSolution, w, last=None):
     return k[..., 0, :]
 
 
-def solve_dare(A, B, Q, R, tol: float = 1e-10, max_iter: int = 100000, init=None) -> np.ndarray:
+def solve_dare(A, B, Q, R, tol: float = 1e-10, max_iter: int = 100000) -> np.ndarray:
     """Fixed point of the Riccati map P -> Q + A'PA - A'PB(R + B'PB)^-1 B'PA.
 
     Iterates until the step size drops below tol * max(1, ||P||), or stops
     shrinking once below sqrt(tol) * max(1, ||P||): there the step is the
     map's own round-off, which on ill-conditioned systems exceeds tol, and
-    more steps only redraw it. Unless ``init`` is given, scipy's direct
-    solver seeds the iteration, which then converges in a handful of steps;
-    if that solver fails the iteration starts at Q.
+    more steps only redraw it. scipy's direct solver seeds the iteration,
+    which then converges in a handful of steps; if that solver fails the
+    iteration starts at Q. A non-finite iterate, as an unstabilizable pair
+    gives, raises a ``DareConvergenceError`` like running out of steps.
     """
     A, Q, R = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (A, Q, R))
     B = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
-    if init is not None:
-        P = np.asarray(init, dtype=float)
-        P = 0.5 * (P + P.T)
-    else:
-        try:
-            P = _scipy_dare(A, B, Q, R)
-            P = 0.5 * (P + P.T) if np.all(np.isfinite(P)) else Q
-        except Exception:
-            P = Q
+    try:
+        P = _scipy_dare(A, B, Q, R)
+        P = 0.5 * (P + P.T) if np.all(np.isfinite(P)) else Q
+    except Exception:
+        P = Q
     last = np.inf
-    for _ in range(max_iter):
-        Pn, _ = riccati_step(P, A, B, Q, R)
-        step, scale = np.linalg.norm(Pn - P, 2), max(1.0, np.linalg.norm(Pn, 2))
-        if step <= tol * scale or (step >= last and step <= np.sqrt(tol) * scale):
-            return Pn
-        P, last = Pn, step
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(max_iter):
+            Pn, _ = riccati_step(P, A, B, Q, R)
+            if not np.all(np.isfinite(Pn)):
+                raise DareConvergenceError(f"non-finite iterate after {it + 1} iterations")
+            step, scale = np.linalg.norm(Pn - P, 2), max(1.0, np.linalg.norm(Pn, 2))
+            if step <= tol * scale or (step >= last and step <= np.sqrt(tol) * scale):
+                return Pn
+            P, last = Pn, step
     raise DareConvergenceError(f"no fixed point within {max_iter} iterations at tolerance {tol}")
 
 

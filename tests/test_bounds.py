@@ -253,8 +253,9 @@ def constants_instance(seed, n, m, T, kind):
     """A random controllable system, a stabilizing gain and a schedule.
 
     ``kind`` "chain" draws the schedule on one Loewner chain (its extrema
-    exist); "free" draws independent matrices, which for n > 1 usually have
-    none, with a priori bounds ("free+bounds") or without.
+    exist); "constant" repeats the chain's first entry, so every frozen
+    pass is the same; "free" draws independent matrices, which for n > 1
+    usually have none, with a priori bounds ("free+bounds") or without.
     """
     rng = np.random.default_rng(seed)
     sys_ = random_controllable_system(n, m, -1.2, 1.2, rng)
@@ -266,8 +267,10 @@ def constants_instance(seed, n, m, T, kind):
         K = -np.linalg.solve(G, sys_.B.T @ P @ sys_.A)
     Q_lo, R_lo = random_pd(rng, n), random_pd(rng, m)
     bounds = CostBounds(Q_lo, Q_lo + random_pd(rng, n), R_lo, R_lo + random_pd(rng, m))
-    if kind == "chain":
+    if kind in ("chain", "constant"):
         sched = random_uniform_schedule(bounds, T, rng)
+        if kind == "constant":
+            sched = CostSchedule((sched.Q[0],) * T, (sched.R[0],) * (T - 1))
     else:
         sched = CostSchedule(
             tuple(random_pd(rng, n) for _ in range(T)),
@@ -424,7 +427,7 @@ class TestAlphaScreen:
         st.integers(1, 4),
         st.integers(1, 2),
         st.integers(2, 80),
-        st.sampled_from(["chain", "free", "cancelling"]),
+        st.sampled_from(["chain", "constant", "free", "cancelling"]),
         st.integers(0, 2**32 - 1),
     )
     @example(4, 1, 80, "chain", 0)
@@ -432,6 +435,8 @@ class TestAlphaScreen:
     @example(1, 1, 2, "chain", 2)
     @example(4, 1, 80, "cancelling", 3)
     @example(2, 1, 40, "cancelling", 4)
+    @example(4, 1, 80, "constant", 5)
+    @example(3, 2, 80, "constant", 6)
     def test_matches_unscreened_loop(self, n, m, T, kind, seed):
         if kind == "cancelling":
             assert_screen_exact(*cancelling_passes(seed, n, T))
@@ -781,6 +786,15 @@ class TestScalingCertificate:
         with pytest.raises(ValueError):
             scaling_certificate(
                 sys_, bounds, dist, Ts=(3,), W=2, trials=2, master_seed=0, poles=[0.1]
+            )
+
+    def test_rejects_no_horizon(self):
+        sys_ = scalar_system(0.8, 1.0, 2.0)
+        bounds = CostBounds(np.eye(1), np.eye(1), [[0.7]], [[0.7]])
+        dist = DisturbanceModel(np.zeros((1, 1)))
+        with pytest.raises(ValueError, match="Ts"):
+            scaling_certificate(
+                sys_, bounds, dist, Ts=(), W=2, trials=2, master_seed=0, poles=[0.1]
             )
 
 
