@@ -33,6 +33,10 @@ from .systems import DisturbanceModel, LinearSystem, _freeze, place_poles_single
 
 # The scaling certificate holds when max r(T) / min r(T) is at most this.
 CERTIFICATE_RATIO = 10.0
+# Powers of the tracking loop that C_f's supremum may take.
+C_F_MAX_POWERS = 200000
+
+
 class DegenerateConstantsError(ArithmeticError):
     """A denominator of the bound is at or near a pole."""
 
@@ -157,14 +161,18 @@ def compute_bound_constants(
     q = rho + epsilon
     closed = A + B @ K_track
     denom = q + epsilon
+    # C_f = sup_k r_k, r_k = ||closed^k|| / denom^k. As r_(a+b) <= r_a r_b,
+    # no power after the first with r_k <= 1 can raise it.
     C_f = 1.0
     M = np.eye(sys.n)
-    for power in range(1, 200000):
+    for power in range(1, C_F_MAX_POWERS + 1):
         M = closed @ M
         norm = _spectral_norm(M)
-        C_f = max(C_f, norm / denom**power)
-        if norm < 1e-30:
+        if norm <= denom**power:
             break
+        C_f = max(C_f, norm / denom**power)
+    else:
+        raise DegenerateConstantsError(f"C_f not certified within {C_F_MAX_POWERS} powers")
 
     t_all = np.arange(T - 1)
     out = []

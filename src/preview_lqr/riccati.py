@@ -2,9 +2,9 @@
 
 The backward pass produces value matrices P[0..T-1] and gains K[0..T-2] for
 a time-varying schedule. ``riccati_step`` is the one backward step: the
-backward pass, the frozen sweep over every freeze index, the fixed-point
-iteration and the receding-horizon baseline all run it, so the sweep's
-pass s is the backward pass on the schedule frozen at s, bit for bit.
+backward pass, the frozen sweep over every freeze index and the
+receding-horizon baseline all run it, so the sweep's pass s is the
+backward pass on the schedule frozen at s, bit for bit.
 The sweep also streams the regret bound's alpha screen and the
 disturbance plans' affine terms through its steps, so it keeps no pass's
 value matrices but the true pass's. ``_affine_step`` is the one step of
@@ -19,14 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_discrete_are as _scipy_dare
 
 from .costs import CostSchedule
 from .systems import LinearSystem, _freeze
 
 
 class DareConvergenceError(RuntimeError):
-    """Fixed-point iteration did not reach the requested tolerance."""
+    """The Riccati equation's doubling did not converge."""
 
 
 class OracleSizeError(ValueError):
@@ -341,35 +340,50 @@ def affine_terms(sys: LinearSystem, sol: RiccatiSolution, w, last=None):
     return k[..., 0, :]
 
 
-def solve_dare(A, B, Q, R, tol: float = 1e-10, max_iter: int = 100000) -> np.ndarray:
-    """Fixed point of the Riccati map P -> Q + A'PA - A'PB(R + B'PB)^-1 B'PA.
+# Doublings ``solve_dare`` may take; each squares the closed loop's decay.
+DARE_MAX_DOUBLINGS = 64
 
-    Iterates until the step size drops below tol * max(1, ||P||), or stops
-    shrinking once below sqrt(tol) * max(1, ||P||): there the step is the
-    map's own round-off, which on ill-conditioned systems exceeds tol, and
-    more steps only redraw it. scipy's direct solver seeds the iteration,
-    which then converges in a handful of steps; if that solver fails the
-    iteration starts at Q. A non-finite iterate, as an unstabilizable pair
-    gives, raises a ``DareConvergenceError`` like running out of steps.
-    """
+
+def _doubling(A, G, H, tol: float):
+    """Doublings (A, G, H) -> (A W^-1 A, G + A W^-1 G A', H + A' H W^-1 A),
+    W = I + G H, G and H re-symmetrized, until H's largest entry moves by at
+    most tol relative and A's entries, powers of the closed loop, are below
+    1. A non-finite iterate or ``DARE_MAX_DOUBLINGS`` doublings without the
+    stop raise a ``DareConvergenceError``."""
+    n = len(A)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(DARE_MAX_DOUBLINGS):
+            X = np.linalg.solve(np.eye(n) + G @ H, np.concatenate([A, G], axis=1))
+            H_next, G = H + A.T @ H @ X[:, :n], G + A @ X[:, n:] @ A.T
+            A, H_next, G = A @ X[:, :n], 0.5 * (H_next + H_next.T), 0.5 * (G + G.T)
+            if not all(np.isfinite(M).all() for M in (A, G, H_next)):
+                raise DareConvergenceError(f"non-finite iterate after {k + 1} doublings")
+            if np.abs(H_next - H).max() <= tol * np.abs(H_next).max() and np.abs(A).max() < 1.0:
+                return H_next
+            H = H_next
+    raise DareConvergenceError(f"no fixed point within {DARE_MAX_DOUBLINGS} doublings at tolerance {tol}")
+
+
+def solve_dare(A, B, Q, R, tol: float = 1e-10) -> np.ndarray:
+    """Stabilizing fixed point of the Riccati map P -> Q + A'PA - A'PB(R + B'PB)^-1 B'PA.
+
+    Structure-preserving doubling (Chu, Fan, Lin and Wang, *Int. J. Control*
+    2004), ``_doubling`` from (A, B R^-1 B', Q), converges to it when (A, B)
+    is stabilizable and (A, Q) detectable, as for Q > 0; an unstable mode
+    that Q does not see grows A until it overflows. One Newton step
+    removes its round-off: with K the gain of P and C = A + B K, the residual
+    Q + K'RK + C'PC - P, in long double, is the map's up to K's error
+    squared, and ``_doubling`` from (C, 0, residual) solves the correction's
+    Stein equation."""
     A, Q, R = (np.atleast_2d(np.asarray(M, dtype=float)) for M in (A, Q, R))
     B = np.asarray(B, dtype=float).reshape(A.shape[0], -1)
-    try:
-        P = _scipy_dare(A, B, Q, R)
-        P = 0.5 * (P + P.T) if np.all(np.isfinite(P)) else Q
-    except Exception:
-        P = Q
-    last = np.inf
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for it in range(max_iter):
-            Pn, _ = riccati_step(P, A, B, Q, R)
-            if not np.all(np.isfinite(Pn)):
-                raise DareConvergenceError(f"non-finite iterate after {it + 1} iterations")
-            step, scale = np.linalg.norm(Pn - P, 2), max(1.0, np.linalg.norm(Pn, 2))
-            if step <= tol * scale or (step >= last and step <= np.sqrt(tol) * scale):
-                return Pn
-            P, last = Pn, step
-    raise DareConvergenceError(f"no fixed point within {max_iter} iterations at tolerance {tol}")
+    G = B @ np.linalg.solve(R, B.T)
+    P = _doubling(A, 0.5 * (G + G.T), Q, tol)
+    K = -np.linalg.solve(R + B.T @ P @ B, B.T @ P @ A)
+    Al, Bl, Ql, Rl, Pl, Kl = (np.asarray(M, dtype=np.longdouble) for M in (A, B, Q, R, P, K))
+    C = Al + Bl @ Kl
+    residual = Ql + Kl.T @ Rl @ Kl + C.T @ Pl @ C - Pl
+    return P + _doubling(C.astype(float), np.zeros_like(G), (0.5 * (residual + residual.T)).astype(float), tol)
 
 
 def simulate(sys: LinearSystem, schedule, L, x0, w=None, r=None, l=None) -> list:

@@ -163,9 +163,9 @@ def _instances(seed: int, count: int):
 def value_sandwich_suite(instances, tol: float = 1e-8) -> CheckResult:
     """Every frozen-pass value matrix sits between the cost extrema floor
     and the fixed-point ceiling in the Loewner order, up to tol relative to
-    max(1, ||Pbar||_2). ``solve_dare`` stops at a step of 1e-10 relative,
-    so Pbar is good only to that step times rho / (1 - rho), rho the map's
-    contraction near its fixed point; tol covers rho up to 0.99."""
+    max(1, ||Pbar||_2), room for the round-off of Pbar and of the passes:
+    ``solve_dare`` returns Pbar to round-off times the Riccati equation's
+    conditioning; at verify seeds 0-7 and 2479536241 the slack is above -1e-15."""
     worst = np.inf
     for inst in instances:
         c = inst.constants

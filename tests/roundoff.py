@@ -129,9 +129,9 @@ def dare_eps(sys_, Q, R, P) -> float:
     """Relative error estimate of a fixed point P of the Riccati map, single input.
 
     Its long-double residual |F(P) - P| / |P| over 1 - rho(A + B K)^2, the
-    map's contraction near the fixed point: ``solve_dare`` stops at a step of
-    1e-10, and on slowly contracting systems its P is good only to about
-    that step over 1 - rho^2.
+    map's contraction near the fixed point: to first order P's error is the
+    residual carried through the inverse of the Stein operator
+    X -> X - (A + B K)' X (A + B K), which grows like 1 / (1 - rho^2).
     """
     ld = np.longdouble
     A, B, Q, R, P = (np.asarray(M, dtype=ld) for M in (sys_.A, sys_.B, Q, R, P))

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from preview_lqr import bounds as bounds_module
 from preview_lqr import riccati as riccati_module
 from preview_lqr.bounds import (
     BoundConstants,
@@ -152,6 +153,61 @@ class TestComputeBoundConstants:
         sched = scalar_schedule(1.0, 1.0, 10)
         with pytest.raises(ValueError, match="stabilize"):
             constants_at(sys_, sched, [[0.0]], 0)
+
+
+def looped_C_f(closed, denom):
+    """C_f as the powers once ran: every power until its norm is below 1e-30."""
+    C_f, M = 1.0, np.eye(len(closed))
+    for power in range(1, 200000):
+        M = closed @ M
+        norm = float(np.linalg.norm(M, 2))
+        C_f = max(C_f, norm / denom**power)
+        if norm < 1e-30:
+            break
+    return C_f
+
+
+def closed_loop_constants(closed):
+    """The constants and the tracking loop of an instance whose loop is
+    ``closed`` up to rounding: A = I / 2, B = I and Q = R = I, a benign DARE."""
+    n = len(closed)
+    sys_ = LinearSystem(0.5 * np.eye(n), np.eye(n), np.ones(n))
+    K = closed - sys_.A
+    sched = CostSchedule((np.eye(n),) * 3, (np.eye(n),) * 2)
+    return _only(compute_bound_constants(FrozenPlanner(sys_, sched), K, [0])), sys_.A + sys_.B @ K
+
+
+class TestTransientConstant:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.floats(0.05, 0.99),
+        st.floats(-3.0, 3.0),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(4, 0.99, 3.0, 0)
+    @example(2, 0.99, 2.0, 1)
+    @example(3, 0.05, 1.0, 2)
+    def test_matches_the_loop_to_1e_30(self, n, rho, log_skew, seed):
+        # Eigenvalues of modulus up to rho under an upper triangle scaled by
+        # up to 1e3, a strongly non-normal closed loop, in a random basis.
+        rng = np.random.default_rng(seed)
+        T = np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1) * 10.0**log_skew
+        T[np.diag_indices(n)] = rho * rng.uniform(-1.0, 1.0, n)
+        T[0, 0] = rho
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        c, closed = closed_loop_constants(Q @ T @ Q.T)
+        assert c.C_f == looped_C_f(closed, c.q + c.epsilon)
+
+    def test_stops_at_the_first_certified_power(self, monkeypatch):
+        # ||M|| = 1.21, ||M^2|| = 1.06 and ||M^3|| = 0.77 <= (q + epsilon)^3 = 1.
+        closed = np.array([[0.5, 1.0], [0.0, 0.5]])
+        monkeypatch.setattr(bounds_module, "C_F_MAX_POWERS", 3)
+        c, loop = closed_loop_constants(closed)
+        assert c.C_f == looped_C_f(loop, c.q + c.epsilon)
+        monkeypatch.setattr(bounds_module, "C_F_MAX_POWERS", 2)
+        with pytest.raises(DegenerateConstantsError, match="C_f"):
+            closed_loop_constants(closed)
 
 
 def reference_bound_constants(sys, schedule, K_track, W=0, cost_bounds=None):

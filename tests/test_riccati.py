@@ -1,13 +1,16 @@
+import os
+import subprocess
 import sys
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from preview_lqr.costs import CostSchedule, frozen_schedule, random_uniform_schedule, CostBounds, sequence_extrema
-from preview_lqr.experiments import ExperimentConfig, _trial_system
+from preview_lqr.experiments import ExperimentConfig, _trial_system, pendulum_cost_bounds
 from preview_lqr.policies import clairvoyant_policy
 from preview_lqr.riccati import (
     DareConvergenceError,
@@ -26,7 +29,7 @@ from preview_lqr.riccati import (
     solve_dare,
 )
 from preview_lqr.seeding import generator
-from preview_lqr.verification import frozen_values
+from preview_lqr.verification import _instances, frozen_values
 from preview_lqr.systems import LinearSystem, inverted_pendulum, random_controllable_system
 
 
@@ -415,7 +418,94 @@ class TestAffineTerms:
                 clairvoyant_terms(sys_, sched, bad)
 
 
+def scipy_seeded_dare(A, B, Q, R, tol=1e-10, max_iter=100000):
+    """The solver ``solve_dare`` replaced: scipy's direct solve, refined by
+    iterating the Riccati map until its step drops below tol relative or
+    stops shrinking below sqrt(tol)."""
+    from scipy.linalg import solve_discrete_are
+
+    P = solve_discrete_are(A, B, Q, R)
+    P, last = 0.5 * (P + P.T), np.inf
+    for _ in range(max_iter):
+        Pn, _ = riccati_step(P, A, B, Q, R)
+        step, scale = np.linalg.norm(Pn - P, 2), max(1.0, np.linalg.norm(Pn, 2))
+        if step <= tol * scale or (step >= last and step <= np.sqrt(tol) * scale):
+            return Pn
+        P, last = Pn, step
+    raise AssertionError("no fixed point")
+
+
+def newton_dare(A, B, Q, R, P, digits=50):
+    """The stabilizing DARE solution to ``digits`` digits, by Hewer's Newton
+    iteration from P: each step solves P' = C'P'C + Q + K'RK, C = A + B K
+    the closed loop of the previous P, through its Kronecker form."""
+    n = len(A)
+    with mpmath.workdps(digits):
+        A, B, Q, R, P = (mpmath.matrix(np.atleast_2d(M).tolist()) for M in (A, B, Q, R, P))
+        for _ in range(20):
+            K = -mpmath.inverse(R + B.T * P * B) * (B.T * P * A)
+            C, F = A + B * K, Q + K.T * R * K
+            L = mpmath.matrix(n * n, n * n)
+            for i, j, k, l in np.ndindex(n, n, n, n):
+                L[i * n + j, k * n + l] = (i == k and j == l) - C[k, i] * C[l, j]
+            v = mpmath.lu_solve(L, mpmath.matrix([F[i, j] for i, j in np.ndindex(n, n)]))
+            new = mpmath.matrix(n, n)
+            for i, j in np.ndindex(n, n):
+                new[i, j] = (v[i * n + j] + v[j * n + i]) / 2
+            change = mpmath.mnorm(new - P, 1) / mpmath.mnorm(new, 1)
+            P = new
+            # Quadratic convergence: the next step would be below 1e-50.
+            if change < mpmath.mpf(10) ** (-digits // 2):
+                return np.array(P.tolist(), dtype=float)
+    raise AssertionError("Newton iteration did not converge")
+
+
+def dare_cases(kind):
+    """(A, B, Q, R) of the DAREs the program solves, of one kind."""
+    bounds = pendulum_cost_bounds()
+    if kind == "pendulum":
+        pend = inverted_pendulum()
+        # Criterion 08's first trial: P_max's costs, and Pbar's.
+        ext = sequence_extrema(random_uniform_schedule(bounds, 200, generator(3, "pendulum", 200, 0, "schedule")))
+        return [(pend.A, pend.B, bounds.Q_max, bounds.R_max), (pend.A, pend.B, ext.Qbar_max, ext.Rbar_max)]
+    if kind == "verify":
+        return [(i.sys.A, i.sys.B, i.constants.Qbar_max, i.constants.Rbar_max) for i in _instances(0, 20)]
+    # The systems of criterion 09's 20 trials, random_controllable_system(4,
+    # 1, 0, 10), under P_max's costs: ill-conditioned draws among them.
+    cfg = ExperimentConfig(scenario="random", master_seed=0)
+    return [(s.A, s.B, bounds.Q_max, bounds.R_max) for s, _ in (_trial_system(cfg, 200, t) for t in range(20))]
+
+
+def test_import_leaves_scipy_out():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, preview_lqr; assert 'scipy' not in sys.modules"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 class TestSolveDare:
+    @pytest.mark.parametrize("kind", ["pendulum", "verify", "random-grid"])
+    def test_at_least_as_accurate_as_the_scipy_seeded_solver(self, kind):
+        # Relative errors in the largest entry against a 50-digit solution;
+        # below 1e-12 a draw may lose to the old solver's round-off.
+        for A, B, Q, R in dare_cases(kind):
+            P = solve_dare(A, B, Q, R)
+            ref = newton_dare(A, B, Q, R, P)
+            err, old = (np.abs(X - ref).max() / np.abs(ref).max() for X in (P, scipy_seeded_dare(A, B, Q, R)))
+            assert err <= max(old, 1e-12), (err, old)
+
+    def test_stops_at_the_doubling_cap(self):
+        # The uncontrolled mode on the unit circle: H_k = 2^k Q never settles.
+        with pytest.raises(DareConvergenceError, match="64 doublings"):
+            solve_dare(1.0, 0.0, 1.0, 1.0)
+
+    def test_undetectable_unstable_mode_raises(self):
+        # Q = 0 does not see the unstable mode: H stays at the fixed point
+        # 0, which does not stabilize, while A_k = 2^(2^k) overflows.
+        with pytest.raises(DareConvergenceError, match="non-finite"):
+            solve_dare(2.0, 1.0, 0.0, 1.0)
+
     def test_memoryless(self):
         P = solve_dare(0.0, 1.0, 3.0, 1.0)
         assert P[0, 0] == pytest.approx(3.0)
@@ -441,21 +531,21 @@ class TestSolveDare:
             assert np.linalg.norm(resid, 2) <= 10 * 1e-10 * np.linalg.norm(P, 2)
 
     def test_stops_at_its_round_off_noise(self):
-        # Random-grid seed 3, T = 60, trial 1: from scipy's seed the steps
-        # hover near 1e-6 relative, far above tol, so a stop at tol alone
-        # is a lottery (68,468 iterations at one rounding, none within
-        # 100,000 at another).
+        # Random-grid seed 3, T = 60, trial 1: iterated from the solution,
+        # the float map's steps drift to 1e-6 relative within 12 steps, far
+        # above tol, so a fixed-point stop at tol alone was a lottery (68,468
+        # iterations at one rounding, none within 100,000 at another).
         cfg = ExperimentConfig(scenario="random", master_seed=3)
         sys_, _ = _trial_system(cfg, 60, 1)
         sched = random_uniform_schedule(cfg.bounds, 60, generator(3, "random", 60, 1, "schedule"))
         ext = sequence_extrema(sched)
-        P = solve_dare(sys_.A, sys_.B, ext.Qbar_max, ext.Rbar_max, max_iter=50)
+        P = solve_dare(sys_.A, sys_.B, ext.Qbar_max, ext.Rbar_max)
         step = np.linalg.norm(riccati_step(P, sys_.A, sys_.B, ext.Qbar_max, ext.Rbar_max)[0] - P, 2)
         assert step <= 1e-5 * np.linalg.norm(P, 2)
 
     def test_nonconvergence_raises(self):
-        # B = 0 leaves the unstable mode uncontrolled: scipy fails, and the
-        # iterates grow like 4^k until they overflow.
+        # B = 0 leaves the unstable mode uncontrolled: the doubling's A_k is
+        # 2^(2^k), which overflows at the tenth doubling.
         with pytest.raises(DareConvergenceError, match="non-finite"):
             solve_dare(2.0, 0.0, 1.0, 1.0)
 
