@@ -124,14 +124,12 @@ def compute_bound_constants(
     K_track = np.atleast_2d(np.asarray(K_track, dtype=float))
     try:
         ext = sequence_extrema(schedule)
+        Qb_min, Qb_max, Rb_min, Rb_max = ext.Qbar_min, ext.Qbar_max, ext.Rbar_min, ext.Rbar_max
     except IncomparableScheduleError:
         if cost_bounds is None:
             raise
-        Qb_min, Qb_max = cost_bounds.Q_min, cost_bounds.Q_max
-        Rb_min, Rb_max = cost_bounds.R_min, cost_bounds.R_max
-    else:
-        Qb_min, Qb_max = ext.Qbar_min, ext.Qbar_max
-        Rb_min, Rb_max = ext.Rbar_min, ext.Rbar_max
+        b = cost_bounds
+        Qb_min, Qb_max, Rb_min, Rb_max = b.Q_min, b.Q_max, b.R_min, b.R_max
     Pbar = _freeze(solve_dare(A, B, Qb_max, Rb_max))
 
     lam_P = max_eigenvalue(Pbar)
@@ -353,15 +351,8 @@ def scaling_certificate(
     scale = max(1.0, max(abs(m) for m in means))
     if max(abs(r) for r in rates) <= 1e-9 * scale:
         ratio = 1.0
-        certified = True
     else:
-        lo, hi = min(rates), max(rates)
-        if lo <= 0.0:
-            ratio = float("inf")
-            certified = False
-        else:
-            ratio = hi / lo
-            certified = ratio <= CERTIFICATE_RATIO
+        ratio = float("inf") if min(rates) <= 0.0 else max(rates) / min(rates)
     return ScalingReport(
         Ts=Ts,
         expected_regrets=tuple(means),
@@ -369,7 +360,7 @@ def scaling_certificate(
         gammas=tuple(gammas),
         rates=tuple(rates),
         ratio=float(ratio),
-        certified=certified,
+        certified=ratio <= CERTIFICATE_RATIO,
         excluded=tuple(excluded),
         trials=trials,
     )

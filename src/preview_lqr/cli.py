@@ -74,10 +74,10 @@ def _parse_config_file(path: str) -> dict:
                 if key not in _CONFIG_KEYS:
                     raise ValueError(f"line {lineno}: unknown key {key!r}")
                 kind = _CONFIG_KEYS[key]
-                if kind == "floats":
-                    values[key] = tuple(float(v) for v in value.split(","))
-                else:
-                    values[key] = kind(value)
+                try:
+                    values[key] = tuple(map(float, value.split(","))) if kind == "floats" else kind(value)
+                except ValueError as err:
+                    raise ValueError(f"line {lineno}: bad value for key {key!r}: {err}") from err
     except OSError as err:
         raise ValueError(f"cannot read config file {path}: {err}") from err
     return values

@@ -169,18 +169,12 @@ def _evaluate_trial(config: ExperimentConfig, T: int, trial: int):
     try:
         sys_, K_track = _trial_system(config, T, trial)
         P_max = solve_dare(sys_.A, sys_.B, config.bounds.Q_max, config.bounds.R_max)
-        schedule = random_uniform_schedule(
-            config.bounds,
-            T,
-            generator(config.master_seed, config.scenario, T, trial, "schedule"),
-        )
+        stream = (config.master_seed, config.scenario, T, trial)
+        schedule = random_uniform_schedule(config.bounds, T, generator(*stream, "schedule"))
         w = None
         if config.noisy:
             dist = DisturbanceModel(config.disturbance_cov_scale * np.eye(sys_.n))
-            w = dist.sample(
-                generator(config.master_seed, config.scenario, T, trial, "disturbance"),
-                T - 1,
-            )
+            w = dist.sample(generator(*stream, "disturbance"), T - 1)
         # The sweep streams the noisy plans of every W; an overflowing sweep
         # fails the trial once.
         planner = FrozenPlanner(sys_, schedule, w, Ws)
@@ -244,8 +238,10 @@ def run_grid(config: ExperimentConfig, workers: int = 1) -> GridResult:
     requested W exceeds T - 2 are computed at the clamped value and
     flagged. Per-trial numerical failures are excluded from the aggregates
     and counted; a cell where every trial fails becomes a failure record
-    instead of a row. Results are independent of ``workers``.
+    instead of a row. Results are independent of ``workers`` >= 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     Ts = [T for T in config.t_values for _ in range(config.trials)]
     trials = [trial for _ in config.t_values for trial in range(config.trials)]
     configs = [config] * len(Ts)
@@ -280,14 +276,16 @@ def emit_csv(result: GridResult, path) -> None:
     them exactly; bools print as 0 or 1.
     """
     rows = sorted(result.rows, key=lambda r: (r.T, r.W))
-    lines = [CSV_HEADER]
-    for r in rows:
-        lines.append(",".join(_csv_cell(getattr(r, n), kind) for n, kind in _COLUMNS))
+    lines = [",".join(_csv_cell(getattr(r, n), kind) for n, kind in _COLUMNS) for r in rows]
+    _write_text(path, "\n".join([CSV_HEADER, *lines]) + "\n", "CSV")
+
+
+def _write_text(path, text: str, kind: str) -> None:
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.write(text)
     except OSError as err:
-        raise OSError(f"cannot write CSV to {path}: {err}") from err
+        raise OSError(f"cannot write {kind} to {path}: {err}") from err
 
 
 def parse_csv(path) -> GridResult:
@@ -403,9 +401,5 @@ def emit_heatmap_svg(result: GridResult, metric: str = "phi_mean", path=None) ->
     parts.append("</svg>")
     text = "\n".join(parts) + "\n"
     if path is not None:
-        try:
-            with open(path, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
-        except OSError as err:
-            raise OSError(f"cannot write SVG to {path}: {err}") from err
+        _write_text(path, text, "SVG")
     return text

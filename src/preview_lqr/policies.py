@@ -5,9 +5,10 @@ The prediction-tracking policy plans a full-horizon trajectory from the
 initial state under the schedule frozen at the preview boundary, then
 steers toward the planned state with a fixed stabilizing gain. The
 baseline re-solves a short window from the current state at every step,
-capping the tail with the fixed-point value matrix of the upper cost
-bounds. Each policy's closed-loop law, the (L, r, l) stacks that
-``simulate`` runs, is built once, by ``tracking_law``, ``baseline_law`` or
+capping it with the fixed-point value matrix of the upper cost bounds;
+one recursion over window lengths gives every preview length's gains.
+Each policy's closed-loop law, the (L, r, l) stacks that ``simulate``
+runs, is built once, by ``tracking_law``, ``baseline_law`` or
 ``clairvoyant_law``; single runs and the batched evaluators stack them.
 """
 
@@ -309,26 +310,26 @@ def prediction_tracking_policy(
     return _only(simulate(sys, schedule, L, sys.x0, planner.w, r, l))
 
 
-def baseline_law(sys: LinearSystem, schedule: CostSchedule, W: int, P_max):
-    """The baseline's (L, r, l): u = K x, whose window plans are pure quadratics.
+def baseline_law(sys: LinearSystem, schedule: CostSchedule, Ws, P_max) -> list:
+    """The baseline's (L, r, l) per W of ``Ws``: u = K x, from one level recursion.
 
-    The full windows t <= T-2-W run as one batch of W+1 steps from P_max; the
-    truncated ones end at T-1, so their gains come from one backward pass.
-    r = +0.0 and l = -0.0 change no bits of the loop.
+    Level -1 is P_max at every t; level k is ``riccati_step`` of level k-1 at
+    t+1 with (Q[t], R[t]) at t <= T-2 and Q[T-1] at T-1, which ends the
+    truncated windows. W's gains are level W's: max(Ws)+1 batched steps on
+    one (n, n, T) stack. r = +0.0 and l = -0.0 change no bits of the loop.
     """
     T = schedule.horizon
-    W = check_preview_length(W, T)
-    full = T - 1 - W
-    P = np.asarray(P_max, dtype=float)
+    Ws = [check_preview_length(W, T) for W in Ws]
     Q, R = (np.moveaxis(M, 0, -1) for M in (schedule.Q, schedule.R))
-    for j in range(W, -1, -1):
-        P, K = riccati_step(P, sys.A, sys.B, Q[..., j : j + full], R[..., j : j + full])
-    gains = np.empty((T - 1, sys.m, sys.n))
-    gains[:full] = K.transpose(2, 0, 1)
-    if W > 0:
-        tail = CostSchedule(schedule.Q[full:], schedule.R[full:], validate=False)
-        gains[full:] = backward_riccati(sys, tail).K
-    return gains, np.zeros((T - 1, sys.n)), np.full((T - 1, sys.m), -0.0)
+    P = np.repeat(np.asarray(P_max, dtype=float)[..., None], T, axis=2)
+    gains = {}
+    for k in range(max(Ws, default=-1) + 1):
+        P[..., :-1], K = riccati_step(P[..., 1:], sys.A, sys.B, Q[..., :-1], R)
+        P[..., -1] = Q[..., -1]
+        if k in Ws:
+            gains[k] = np.ascontiguousarray(K.transpose(2, 0, 1))
+    r, l = np.zeros((T - 1, sys.n)), np.full((T - 1, sys.m), -0.0)
+    return [(gains[W], r, l) for W in Ws]
 
 
 def mpc_baseline_policy(
@@ -349,5 +350,5 @@ def mpc_baseline_policy(
     """
     if P_max is None:
         P_max = solve_dare(sys.A, sys.B, bounds.Q_max, bounds.R_max)
-    L, r, l = baseline_law(sys, schedule, W, P_max)
+    ((L, r, l),) = baseline_law(sys, schedule, [W], P_max)
     return _only(simulate(sys, schedule, L, sys.x0, w, r, l))

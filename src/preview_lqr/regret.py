@@ -147,27 +147,34 @@ def paired_regrets(planner: FrozenPlanner, K_track, Ws, P_max) -> list:
     """Per preview length Ws[j], (tracking regret, baseline regret) or the error met.
 
     Both policies run on the planner's instance with its disturbances, planned
-    at every W of ``Ws``, the baseline with terminal value ``P_max``, all in
-    one ``simulate`` batch.
+    at every W of ``Ws``, all in one ``simulate`` batch; one ``baseline_law``
+    call, with terminal value ``P_max``, builds every W's baseline.
     Without disturbances the regrets come from the control-deviation identity
     on the planner's true pass, exact there and a sum of nonnegative terms, so
     no cancellation drowns a tiny regret; with them, a regret is the cost above
     the comparator's, which joins the batch once for every W. A W's error is
-    the first of ``PAIR_ERRORS`` met in its tracker, baseline, then regret. A
-    planner of several disturbance trials raises.
+    the first of ``PAIR_ERRORS`` met in its tracker, the baseline call (whose
+    error is each W's it serves), then regret. A planner of many trials raises.
     """
     sys, schedule, T, w = planner.sys, planner.schedule, planner.T, planner.w
     if w is not None and w.shape != (T - 1, sys.n):
         raise ValueError(f"w must have shape {(T - 1, sys.n)}, got {w.shape}")
     # Per W the laws of its tracker and baseline or the first error met; the
     # comparator's law, when there are disturbances, comes last.
-    runs = []
+    runs, built = [], {}
     for W in Ws:
         try:
-            cfg = PolicyConfig(W, K_track)
-            runs.append([tracking_law(planner, cfg), baseline_law(sys, schedule, cfg.W, P_max)])
+            runs.append([tracking_law(planner, PolicyConfig(W, K_track))])
+            built[len(runs) - 1] = W
         except PAIR_ERRORS as err:
             runs.append([err])
+    # One baseline call serves every W whose tracker law was built.
+    try:
+        for j, law in zip(built, baseline_law(sys, schedule, list(built.values()), P_max)):
+            runs[j].append(law)
+    except PAIR_ERRORS as err:
+        for j in built:
+            runs[j] = [err]
     if w is not None:
         try:
             runs.append([clairvoyant_law(sys, planner.solution(), w)])

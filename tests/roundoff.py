@@ -208,10 +208,10 @@ def trial_floors(config, T: int, trial: int) -> dict:
         dare_eps(sys_, c.Qbar_max, c.Rbar_max, c.Pbar_max),
     )
     out = {}
-    for W, cell in done.items():
+    for (W, cell), base in zip(done.items(), baseline_law(sys_, schedule, list(done), P_max)):
         runs = [
             _only_run(sys_, schedule, tracking_law(planner, PolicyConfig(W, K_track)), w),
-            _only_run(sys_, schedule, baseline_law(sys_, schedule, W, P_max), w),
+            _only_run(sys_, schedule, base, w),
         ]
         regrets = cell[:2]
         if w is None:

@@ -697,6 +697,30 @@ class TestCli:
         bad.write_text("nonsense line without equals\n")
         assert cli_main(["pendulum-grid", "--config", str(bad)]) == 2
 
+    def test_bad_config_value_names_line_and_key(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("trials = 1\ncov_scale = abc\n")
+        assert cli_main(["disturbance-grid", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: bad value for key 'cov_scale'")
+        assert "'abc'" in err
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, via, workers):
+        # A workers value below 1 ran the grid serially without a word.
+        out = tmp_path / "results"
+        args = ["pendulum-grid", "--t-min", "10", "--t-max", "10", "--w-max", "2", "--trials", "1"]
+        if via == "flag":
+            args += ["--workers", str(workers)]
+        else:
+            cfg_file = tmp_path / "f"
+            cfg_file.write_text(f"workers = {workers}\n")
+            args += ["--config", str(cfg_file)]
+        assert cli_main(args + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: workers must be at least 1, got {workers}\n"
+        assert not (out / "pendulum.csv").exists()
+
     def test_verify_passes_on_clean_build(self, capsys):
         assert cli_main(["verify", "--seed", "7"]) == 0
         out = capsys.readouterr().out

@@ -28,6 +28,7 @@ from preview_lqr.riccati import (
     backward_riccati,
     brute_force_lqr_oracle,
     frozen_backward_sweep,
+    riccati_step,
     rollout,
     schedule_cost,
     solve_dare,
@@ -312,6 +313,51 @@ class TestMpcBaseline:
         np.testing.assert_array_equal(traj.x, ref_x)
         np.testing.assert_array_equal(traj.u, ref_u)
         assert traj.cost == schedule_cost(ref_x, ref_u, sched)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.integers(1, 2),
+        st.integers(3, 40).flatmap(
+            lambda T: st.tuples(
+                st.just(T), st.lists(st.sampled_from([0, T - 2]) | st.integers(0, T - 2), max_size=6)
+            )
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(4, 2, (40, [0, 38, 5]), 0)
+    @example(2, 1, (12, []), 1)
+    @example(1, 1, (3, [1, 0, 1]), 2)
+    def test_levels_match_per_w_builder(self, n, m, T_Ws, seed):
+        # Every W's law from the one level recursion equals that W's own build,
+        # bit for bit.
+        T, Ws = T_Ws
+        sys_, sched, _ = random_instance(seed, n, m, T)
+        P_max = solve_dare(sys_.A, sys_.B, 4.0 * np.eye(n), 4.0 * np.eye(m))
+        got = baseline_law(sys_, sched, Ws, P_max)
+        assert len(got) == len(Ws)
+        for W, law in zip(Ws, got):
+            for a, b in zip(law, per_w_baseline_law(sys_, sched, W, P_max)):
+                np.testing.assert_array_equal(a, b)
+                np.testing.assert_array_equal(np.signbit(a), np.signbit(b))
+
+
+def per_w_baseline_law(sys_, schedule, W, P_max):
+    """One W's baseline law built alone: the full windows t <= T-2-W as one
+    batch of W+1 steps from P_max, the truncated ones from a backward pass
+    on the schedule's last W stages."""
+    T = schedule.horizon
+    full = T - 1 - W
+    P = np.asarray(P_max, dtype=float)
+    Q, R = (np.moveaxis(M, 0, -1) for M in (schedule.Q, schedule.R))
+    for j in range(W, -1, -1):
+        P, K = riccati_step(P, sys_.A, sys_.B, Q[..., j : j + full], R[..., j : j + full])
+    gains = np.empty((T - 1, sys_.m, sys_.n))
+    gains[:full] = K.transpose(2, 0, 1)
+    if W > 0:
+        tail = CostSchedule(schedule.Q[full:], schedule.R[full:], validate=False)
+        gains[full:] = backward_riccati(sys_, tail).K
+    return gains, np.zeros((T - 1, sys_.n)), np.full((T - 1, sys_.m), -0.0)
 
 
 def per_window_mpc(sys_, schedule, bounds, W, w):
@@ -631,7 +677,7 @@ class TestPreviewLengthCheck:
         P_max = solve_dare(sys_.A, sys_.B, np.eye(2), np.eye(1))
         message = "W must be a nonnegative integer" if W == 2.5 else "W must satisfy 0 <= W <= T - 2"
         with pytest.raises(PreviewLengthError, match=message):
-            baseline_law(sys_, sched, W, P_max)
+            baseline_law(sys_, sched, [W], P_max)
 
     def test_planner_clamps_a_preview_beyond_the_horizon(self):
         sys_, sched, _ = random_instance(3, 2, 1, 12)

@@ -14,6 +14,7 @@ from preview_lqr.experiments import pendulum_cost_bounds
 from preview_lqr.policies import (
     FrozenPlanner,
     PolicyConfig,
+    PreviewLengthError,
     clairvoyant_policy,
     default_tracking_poles,
     mpc_baseline_policy,
@@ -512,9 +513,9 @@ class TestPairedRegrets:
             xs, us = plan_points(planner, W)
             return (xs, np.full_like(us, 1e200)) if W == 2 else (xs, us)
 
-        def blown_gains(sys_, sched, W, P_max):
-            gains, r, l = baseline_law(sys_, sched, W, P_max)
-            return gains * (1e200 if W in (2, 3) else 1.0), r, l
+        def blown_gains(sys_, sched, Ws, P_max):
+            laws = baseline_law(sys_, sched, Ws, P_max)
+            return [(L * (1e200 if W in (2, 3) else 1.0), r, l) for W, (L, r, l) in zip(Ws, laws)]
 
         monkeypatch.setattr(FrozenPlanner, "plan_points", blown_plan)
         monkeypatch.setattr(preview_lqr.policies, "baseline_law", blown_gains)
@@ -527,6 +528,21 @@ class TestPairedRegrets:
             "non-finite state at time index 2",
         ]
         assert isinstance(got[2], tuple)
+
+    def test_one_baseline_call_serves_every_built_w(self, monkeypatch):
+        # The baseline is built once for the W whose tracker law was built; an
+        # error of that call is each of theirs, and W = 30's own error stays.
+        sys_, _, sched, K, P_max = self.instance()
+        calls = []
+
+        def singular(sys_, sched, Ws, P_max):
+            calls.append(list(Ws))
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(preview_lqr.regret, "baseline_law", singular)
+        got = paired_regrets(FrozenPlanner(sys_, sched), K, [2, 30, 5], P_max)
+        assert calls == [[2, 5]]
+        assert [type(pair) for pair in got] == [np.linalg.LinAlgError, PreviewLengthError, np.linalg.LinAlgError]
 
 
 class TestStandardError:
