@@ -31,26 +31,23 @@ def max_eigenvalue(M) -> float:
     return float(np.linalg.eigvalsh(0.5 * (M + M.T))[-1])
 
 
-def is_psd(M, tol: float = EIG_TOL) -> bool:
-    """Positive semidefinite up to a relative eigenvalue tolerance."""
-    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
-    if eigs.size == 0:
-        return True
-    scale = max(1.0, float(np.abs(eigs).max()))
-    return bool(eigs[0] >= -tol * scale)
+def is_psd(M, tol: float = EIG_TOL):
+    """Positive semidefinite up to a relative eigenvalue tolerance, per matrix of a stack."""
+    eigs = np.linalg.eigvalsh(0.5 * (M + np.swapaxes(M, -1, -2)))
+    return np.all(eigs[..., :1] >= -tol * np.fmax(1.0, np.abs(eigs).max(axis=-1, initial=0.0))[..., None], axis=-1)
 
 
 def loewner_leq(F, G, tol: float = EIG_TOL) -> bool:
     """True when F is below G in the Loewner order (G - F is PSD)."""
     F = np.asarray(F, dtype=float)
     G = np.asarray(G, dtype=float)
-    return is_psd(G - F, tol)
+    return bool(is_psd(G - F, tol))
 
 
-def _check_symmetric(M: np.ndarray, name: str):
-    scale = max(1.0, float(np.abs(M).max()))
-    if np.abs(M - M.T).max() > 1e-9 * scale:
-        raise ValueError(f"{name} must be symmetric")
+def _asymmetric(M):
+    """Per matrix of a stack, whether it is off symmetric by over 1e-9 relative."""
+    scale = np.fmax(1.0, np.abs(M).max(axis=(-2, -1)))
+    return np.abs(M - np.swapaxes(M, -1, -2)).max(axis=(-2, -1)) > 1e-9 * scale
 
 
 @dataclass(frozen=True)
@@ -81,14 +78,14 @@ class CostSchedule:
             if M.ndim != 3 or M.shape[1] != M.shape[2]:
                 raise ValueError(f"{name} must stack square matrices, got shape {M.shape}")
         if validate:
-            for i, M in enumerate(Q):
-                _check_symmetric(M, f"Q[{i}]")
-                if not is_psd(M):
-                    raise ValueError(f"Q[{i}] is not positive semidefinite")
-            for i, M in enumerate(R):
-                _check_symmetric(M, f"R[{i}]")
-                if min_eigenvalue(M) <= 0.0:
-                    raise ValueError(f"R[{i}] is not positive definite")
+            # One stacked eigvalsh per stack; the error names the first bad entry.
+            R_low = np.linalg.eigvalsh(0.5 * (R + np.swapaxes(R, 1, 2)))[:, 0] <= 0.0
+            for name, M, low, kind in (("Q", Q, ~is_psd(Q), "semidefinite"), ("R", R, R_low, "definite")):
+                asym = _asymmetric(M)
+                bad = np.flatnonzero(asym | low)
+                if bad.size:
+                    problem = "must be symmetric" if asym[bad[0]] else f"is not positive {kind}"
+                    raise ValueError(f"{name}[{bad[0]}] {problem}")
         object.__setattr__(self, "Q", _freeze(Q))
         object.__setattr__(self, "R", _freeze(R))
 
@@ -117,7 +114,8 @@ class CostBounds:
     def __post_init__(self):
         for name in ("Q_min", "Q_max", "R_min", "R_max"):
             M = np.asarray(getattr(self, name), dtype=float)
-            _check_symmetric(M, name)
+            if _asymmetric(M):
+                raise ValueError(f"{name} must be symmetric")
             if min_eigenvalue(M) <= 0.0:
                 raise ValueError(f"{name} must be positive definite")
             object.__setattr__(self, name, _freeze(M))
@@ -144,13 +142,9 @@ class CostExtrema:
 
 def verify_bounds(schedule: CostSchedule, bounds: CostBounds) -> bool:
     """True when every schedule entry sits between the configured bounds."""
-    for Q in schedule.Q:
-        if not (loewner_leq(bounds.Q_min, Q) and loewner_leq(Q, bounds.Q_max)):
-            return False
-    for R in schedule.R:
-        if not (loewner_leq(bounds.R_min, R) and loewner_leq(R, bounds.R_max)):
-            return False
-    return True
+    Q, R = schedule.Q, schedule.R
+    pairs = (bounds.Q_min, Q), (Q, bounds.Q_max), (bounds.R_min, R), (R, bounds.R_max)
+    return all(is_psd(G - F).all() for F, G in pairs)
 
 
 def random_uniform_schedule(

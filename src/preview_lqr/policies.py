@@ -96,10 +96,10 @@ def _nominal_step(sys: LinearSystem, K, x, i: int):
     as gemv would take B @ u at n = 1, and A @ x is a gemm, which rounds
     every column alike, so a plan's bits do not depend on its batch. A
     non-finite next state but the first raises, dated i + 1: the first
-    column only makes up two for gemm, or copies the second."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = (K * x).sum(axis=1)
-        x = sys.A @ x + (sys.B[..., None] * u).sum(axis=1)
+    column only makes up two for gemm, or copies the second. Callers
+    silence overflow around their loops."""
+    u = np.add.reduce(K * x, axis=1)
+    x = sys.A @ x + np.add.reduce(sys.B[..., None] * u, axis=1)
     if not np.isfinite(x[:, 1:]).all():
         raise TrajectoryOverflowError(i + 1, "non-finite planned state")
     return u, x
@@ -116,17 +116,16 @@ class FrozenPlanner:
     the alpha screen's suffix maxima ``apa_max`` (T,), entry s over passes
     s..T-1, the true pass's value matrices ``P_true`` (T, n, n), which
     ``solution()`` wraps, and the nominal plans' states ``X`` (T, T, n) and
-    controls ``U`` (T, T-1, m), each plan to its freeze index s, the last
-    entry the tracker reads (zero above it; ``nominal_plan(s)`` continues
-    the later rows). ``K``, ``X`` and ``U`` are views of step-major stacks,
-    plans along the last axis, as the sweep and the rollout fill them. A
-    freeze index above T-1 reads pass T-1; a negative or non-integer one
-    raises. With disturbances ``w``, (T-1, n) or a stack (N, T-1, n) of N
-    trials, the sweep also streams the feedforward ``k`` of the plans at
-    each preview length of ``Ws``, so the planner keeps no other pass's
-    value matrices. ``plan_points(W)`` gives, for every t at once, the entry
-    of the plan made at t that the tracker reads; ``plan(t, W, known_w)``
-    is its reference.
+    controls ``U`` (T, T-1, m), each plan to its freeze index s (zero above
+    it; ``nominal_plan(s)`` continues the later rows), rolled out only from
+    where its gains leave the true pass's. ``K``, ``X`` and ``U`` are views
+    of step-major stacks, plans along the last axis. A freeze index above
+    T-1 reads pass T-1; a negative or non-integer one raises. With
+    disturbances ``w``, (T-1, n) or a stack (N, T-1, n) of N trials, the
+    sweep also streams the feedforward ``k`` of the plans at each preview
+    length of ``Ws``. ``plan_points(W)`` gives, for every t at once, the
+    entry of the plan made at t that the tracker reads; ``plan(t, W,
+    known_w)`` is its reference.
     """
 
     def __init__(self, sys: LinearSystem, schedule: CostSchedule, w=None, Ws=()):
@@ -143,16 +142,21 @@ class FrozenPlanner:
             return
         # A trial whose w is all zero reads the nominal plans.
         Ws = self.Ws if self.w is not None and self.w.any() else ()
-        K, apa_max, P_true, k = frozen_backward_sweep(self.sys, self.schedule, self.w, Ws)
+        K, apa_max, P_true, k, merged = frozen_backward_sweep(self.sys, self.schedule, self.w, Ws)
         T, n, m, K_sm = self.T, self.sys.n, self.sys.m, np.moveaxis(K, 0, -1)
         # Step-major, plans along the last axis: X[t, :, s] is state t of plan s.
         X, U = np.zeros((T, n, T)), np.zeros((T - 1, m, T))
         X[0] = self.sys.x0[:, None]
-        for i in range(T - 1):
-            # Plans i..T-1 advance; plan i's next state is computed and
-            # dropped, so A @ x keeps two columns or more.
-            U[i, :, i:], x = _nominal_step(self.sys, K_sm[i][..., i:], X[i, :, i:], i)
-            X[i + 1, :, i + 1 :] = x[:, 1:]
+        # Plan s is the true plan, T-1, bit for bit to state merged[s]. Plans
+        # i..j-1 advance at step i: j-1 is the first with merged > i, or T-1,
+        # and stands in for the true plan, which the later ones copy; plan
+        # i's next state is dropped, so A @ x keeps two columns or more.
+        stop = np.searchsorted(merged[: T - 1], np.arange(T - 1), side="right") + 1
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, j in enumerate(stop.tolist()):
+                U[i, :, i:j], x = _nominal_step(self.sys, K_sm[i][..., i:j], X[i, :, i:j], i)
+                X[i + 1, :, i + 1 : j] = x[:, 1:]
+                U[i, :, j:], X[i + 1, :, j:] = U[i, :, j - 1 : j], X[i + 1, :, j - 1 : j]
         X, U = X.transpose(2, 0, 1), U.transpose(2, 0, 1)
         for stack in (K, apa_max, P_true, X, U, *k):
             stack.setflags(write=False)
@@ -177,9 +181,10 @@ class FrozenPlanner:
         T, s = self.T, min(int(s), self.T - 1)
         X, U, K = self.X[s].copy(), self.U[s].copy(), self.K[s]
         x = np.stack([X[s], X[s]], axis=-1)
-        for i in range(s, T - 1):
-            u, x = _nominal_step(self.sys, K[i][..., None], x, i)
-            U[i], X[i + 1] = u[:, 0], x[:, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(s, T - 1):
+                u, x = _nominal_step(self.sys, K[i][..., None], x, i)
+                U[i], X[i + 1] = u[:, 0], x[:, 0]
         X.setflags(write=False)
         U.setflags(write=False)
         return X, U
@@ -190,7 +195,7 @@ class FrozenPlanner:
         ``known_w`` may be the full disturbance array or any prefix of it;
         entries at indices 0..t enter the planning dynamics and later ones
         are treated as zero. With disturbances it solves its frozen pass
-        again, by ``backward_riccati``, which is the sweep's pass bit for bit.
+        again, uncut, by ``backward_riccati``.
         """
         if not (0 <= t <= self.T - 2 and float(t).is_integer()):
             raise ValueError(f"t must be an integer with 0 <= t <= T - 2 = {self.T - 2}, got {t}")

@@ -3,15 +3,14 @@
 The backward pass produces value matrices P[0..T-1] and gains K[0..T-2] for
 a time-varying schedule. ``riccati_step`` is the one backward step: the
 backward pass, the frozen sweep over every freeze index and the
-receding-horizon baseline all run it, so the sweep's pass s is the
-backward pass on the schedule frozen at s, bit for bit.
-The sweep also streams the regret bound's alpha screen and the
-disturbance plans' affine terms through its steps, so it keeps no pass's
-value matrices but the true pass's. ``_affine_step`` is the one step of
-the affine recursion for known additive disturbances: the sweep runs it
-on every pass, and ``affine_terms`` on given passes, such as the true one.
-A stacked quadratic-program oracle solves small instances by normal
-equations and is used only for cross-checking.
+receding-horizon baseline all run it, so ``frozen_steps``' pass s is the
+backward pass on the schedule frozen at s, bit for bit; the sweep's is
+only where its certificates cut nothing, its true pass always. The sweep
+streams the regret bound's alpha screen and the disturbance plans' affine
+terms, ``_affine_step``, through its steps, so it keeps no pass's value
+matrices but the true pass's; ``affine_terms`` runs that step on given
+passes, such as the true one. A stacked quadratic-program oracle solves
+small instances by normal equations and is used only for cross-checking.
 """
 
 from __future__ import annotations
@@ -141,7 +140,7 @@ def backward_riccati(sys: LinearSystem, schedule: CostSchedule) -> RiccatiSoluti
 
 
 # Steps per block of the alpha screen that ``frozen_backward_sweep`` streams:
-# at T = 1000 and n = 4 a ring of one block of value matrices is about 4 MB.
+# at T = 1000 and n = 4 a ring of one block of every pass is about 4 MB.
 ALPHA_BLOCK = 32
 # Relative slack of the screen's Frobenius bound: a computed top eigenvalue
 # exceeds the bound on ||M||_F by O(n^2 eps) at most.
@@ -160,32 +159,27 @@ def _symmetrized_apa(A, P):
 class _AlphaScreen:
     """Suffix maxima over passes of the top eigenvalue of the symmetrized A'PA.
 
-    ``screen`` takes a block of steps of every pass, step-major as the sweep
-    stores them, a (k, n, n, S) stack, and raises ``top``, S running maxima
-    whose suffix maxima ``suffix()`` (entry s over the passes s..S-1) are bit
-    for bit those of ``eigvalsh`` over every matrix screened, NaN when one
-    of them gives NaN, while ``eigvalsh`` sees few of them. A matrix of pass
-    s can raise no suffix maximum unless it reaches the one at s, its bar,
-    so ``top`` itself is not each pass's maximum.
+    ``screen`` takes k steps of some passes, a (k, n, n, S') block, and
+    raises ``top``, S running maxima whose suffix maxima ``suffix()``
+    (entry s over the passes s..S-1) are bit for bit those of ``eigvalsh``
+    over every matrix screened, NaN when one gives NaN, while ``eigvalsh``
+    sees few of them. A matrix of pass s can raise no suffix maximum unless
+    it reaches the one at s, its bar, so ``top`` is not each pass's maximum.
 
-    Let M be the matrix ``eigvalsh`` sees, ``_symmetrized_apa``. One gemm
-    per step forms Ms, the symmetric part of A'PA, otherwise, with
-    Frobenius norm F. By Higham's dot-product bounds (*Accuracy and
-    Stability of Numerical Algorithms*, ch. 3), M and Ms lie within
-    d = e ||P||_F + 2u F of each other, e = gamma_(n^2+2n+2) || |A| ||_2^2,
-    so lambda_max(M) <= ||M||_F <= F + d, and ub = (F + d)(1 +
-    ALPHA_SCREEN_MARGIN) covers ``eigvalsh``'s backward error as well.
-
+    Let M be the matrix ``eigvalsh`` sees, ``_symmetrized_apa``; one gemm
+    per step forms Ms, the symmetric part of A'PA, otherwise, of Frobenius
+    norm F. By Higham's dot-product bounds (*Accuracy and Stability of
+    Numerical Algorithms*, ch. 3), |M - Ms| <= d = e ||P||_F + 2u F, e =
+    gamma_(n^2+2n+2) || |A| ||_2^2, so lambda_max(M) <= F + d, and ub = (F +
+    d)(1 + ALPHA_SCREEN_MARGIN) covers ``eigvalsh``'s backward error too.
     Per pass and block, the matrix of largest ub (NaN counting as largest)
     goes to ``eigvalsh`` unless its ub is below the bar; the bars are
-    raised, and every other matrix whose ub is not below its bar goes too,
-    so tails that settle to round-off and tie with their bar, as on a
-    constant schedule, all go. Formed matrices are formed as without the
-    screen and ``eigvalsh`` treats each one alone, so they give the same
-    values. A NaN or infinite bound, or a NaN bar, keeps the matrix; a bar
-    below ``ALPHA_SCREEN_FLOOR``, where squares could underflow, keeps the
-    pass's block. An infinite bar is reached, and the matrices it skips have
-    finite bounds, so none could have made it NaN.
+    raised, and every other matrix whose ub is not below its bar goes too.
+    Formed matrices are formed as without the screen and ``eigvalsh`` treats
+    each alone, so they give the same values. A NaN or infinite bound, or a
+    NaN bar, keeps the matrix; a bar below ``ALPHA_SCREEN_FLOOR``, where
+    squares could underflow, keeps the pass's block. An infinite bar is
+    reached, and the matrices it skips have finite bounds, so none is NaN.
     """
 
     def __init__(self, A, S: int):
@@ -196,42 +190,40 @@ class _AlphaScreen:
         # Ksym @ vec(P) is vec of the symmetric part of A'PA, row-major.
         AkA = np.kron(A, A).T
         self.A, self.Ksym = A, 0.5 * (AkA + AkA[np.arange(n * n).reshape(n, n).T.ravel()])
-        # One buffer holds the sweep's ring of steps and every block's Ms:
-        # block-sized arrays freed per block, or two freed at the end, left
-        # a heap that raised the peak RSS of callers.
-        ring, self.Ms = np.empty((2, ALPHA_BLOCK, n * n, S))
-        self.top, self.ring = np.full(S, -np.inf), ring.reshape(ALPHA_BLOCK, n, n, S)
+        # One buffer holds the sweep's ring, up to S + 1 passes, and every block's Ms: block-sized
+        # arrays freed per block, or two at the end, left a heap that raised the peak RSS of callers.
+        self.top, self.buffer = np.full(S, -np.inf), np.empty((2, ALPHA_BLOCK * n * n * (S + 1)))
 
     def suffix(self):
         """Entry s is the maximum of ``top`` over s..S-1, NaN if one of them is."""
         return np.maximum.accumulate(self.top[::-1])[::-1]
 
-    def screen(self, block):
-        """Raise the running maxima by block (k, n, n, S), k steps of every pass."""
+    def screen(self, block, passes):
+        """Raise the running maxima by a (k, n, n, S') block, k steps of the passes ``passes`` (S',)."""
         k, n, _, S = block.shape
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             flat = block.reshape(k, n * n, S)
-            Ms = np.matmul(self.Ksym, flat, out=self.Ms[:k])
+            Ms = np.matmul(self.Ksym, flat, out=self.buffer[1, : k * n * n * S].reshape(k, n * n, S))
             F = np.sqrt(np.einsum("kqs,kqs->ks", Ms, Ms))
             d = self.e * np.sqrt(np.einsum("kqs,kqs->ks", flat, flat)) + 2 * self.u * F
             bound = (F + d) * (1.0 + ALPHA_SCREEN_MARGIN)
-            passes, cand = np.arange(S), bound.argmax(axis=0)
-            at = cand, passes
-            bar = self.suffix()
+            columns, cand = np.arange(S), bound.argmax(axis=0)
+            at = cand, columns
+            bar = self.suffix()[passes]
             run = ~((bound[at] < bar) & (bar >= ALPHA_SCREEN_FLOOR))
-            self._raise(block, cand[run], passes[run])
-            bar = self.suffix()
+            self._raise(block, passes, cand[run], columns[run])
+            bar = self.suffix()[passes]
             keep = ~((bound < bar) & (bar >= ALPHA_SCREEN_FLOOR))
             keep[at] = False
-            self._raise(block, *np.nonzero(keep))
+            self._raise(block, passes, *np.nonzero(keep))
 
-    def _raise(self, block, j, s):
-        """Raise top[s] by ``eigvalsh`` of block[j, ..., s], up to len(top) matrices per call."""
+    def _raise(self, block, passes, j, c):
+        """Raise top[passes[c]] by ``eigvalsh`` of block[j, ..., c], up to len(top) matrices per call."""
         top = self.top
         S = len(top)
-        for c in range(0, len(s), S):
-            M = _symmetrized_apa(self.A, block[j[c : c + S], :, :, s[c : c + S]])
-            np.maximum.at(top, s[c : c + S], np.linalg.eigvalsh(M)[:, -1])
+        for b in range(0, len(c), S):
+            M = _symmetrized_apa(self.A, block[j[b : b + S], :, :, c[b : b + S]])
+            np.maximum.at(top, passes[c[b : b + S]], np.linalg.eigvalsh(M)[:, -1])
 
 
 def frozen_steps(sys: LinearSystem, schedule: CostSchedule):
@@ -261,51 +253,139 @@ def check_disturbances(w, T: int, n: int) -> np.ndarray:
     return w
 
 
+# The cut's tolerance: a quarter of the unit roundoff u = eps / 2.
+CUT_TOL = np.finfo(float).eps / 8
+
+
+def _certificates(sys: LinearSystem, schedule: CostSchedule):
+    """(h, tol): every frozen tail holds from step h, and a head merges into
+    the true pass once ||P_s - P*||_F <= tol; None where no certificate holds.
+
+    Pass s's tail, its steps i >= s, iterates the map of (Q[s], R[s]) from
+    X_1 = Q[s] up to its fixed point X: P_s[i] = X_(T-i). Doubling from (A,
+    B R[s]^-1 B', Q[s]) gives H_j = X_(2^j), X - H_j = A_j'(I + X G_j)^-1 X
+    A_j (Chu, Fan, Lin and Wang, *Int. J. Control* 2004), so no iterate
+    after 2^j moves by over ||A_j||^2 ||X||: h = T-1-2^j for the first j
+    with ||A_j||_F^2 <= CUT_TOL on the passes 0..T-1-2^j that h holds.
+    Where pass s and the true pass apply one map, dP = P_s - P* obeys dP[i]
+    = (A + B K_s[i])' dP[i+1] (A + B K*[i]); by Lyapunov either pass's
+    closed-loop products have ||Phi||^2 <= kappa = lambda_max(Pbar) / q_lo,
+    Pbar the DARE solution at the largest eigenvalues of Q and R, q_lo the
+    smallest of Q. So once kappa ||dP|| <= CUT_TOL q_lo, no later dP tops
+    CUT_TOL lambda_min(P*); tol is None if q_lo <= 0 or the DARE fails.
+    """
+    T, n, m = schedule.horizon, sys.n, sys.m
+    BT = np.broadcast_to(sys.B.T, (T - 1, m, n))
+    G = sys.B @ (BT / schedule.R if m == 1 else np.linalg.solve(schedule.R, BT))
+    A, G, H = np.broadcast_to(sys.A, (T - 1, n, n)), 0.5 * (G + np.swapaxes(G, 1, 2)), schedule.Q[:-1]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for j in range(min(DARE_MAX_DOUBLINGS, (T - 2).bit_length())):
+            if np.einsum("sij,sij->s", A, A).max() <= CUT_TOL:
+                break
+            try:
+                A, G, H = _doubling_step(*(M[: T - 2 ** (j + 1)] for M in (A, G, H)))
+            except np.linalg.LinAlgError:
+                return None, None
+        else:
+            return None, None
+    h = T - 1 - 2**j
+    q, r = np.linalg.eigvalsh(schedule.Q), np.linalg.eigvalsh(schedule.R)
+    q_lo, q_hi, r_hi = q[:, 0].min(), q[:, -1].max(), r[:, -1].max()
+    try:
+        Pbar = solve_dare(sys.A, sys.B, q_hi * np.eye(n), r_hi * np.eye(m))
+    except (DareConvergenceError, np.linalg.LinAlgError):
+        return h, None
+    tol = CUT_TOL * q_lo**2 / np.linalg.eigvalsh(Pbar)[-1]
+    return h, (tol if q_lo > 0 and np.isfinite(tol) else None)
+
+
+def _carry_difference(sys: LinearSystem, D, K):
+    """The differences dP_s' (n, n, S) one step down, C*' D C_s, C = A + B K, K (m, n, S+1) with
+    the true pass's last; and each ||D_s||_F. No entry's bits depend on its batch."""
+    (n, m), S = sys.B.shape, D.shape[-1]
+    C = sys.A[..., None] + (sys.B @ K.reshape(m, -1)).reshape(n, n, S + 1)
+    D = np.einsum("abs,bcs->acs", (C[..., -1].T.copy() @ D.reshape(n, n * S)).reshape(n, n, S), C[..., :-1])
+    return D, np.sqrt(np.einsum("abs,abs->s", D, D))
+
+
 def frozen_backward_sweep(sys: LinearSystem, schedule: CostSchedule, w=None, Ws=()):
     """Backward passes for every frozen schedule, and the plans that know w.
 
-    Consumes ``frozen_steps`` and returns (K_all, apa_max, P_true, k): every
-    pass's gains (T, T-1, m, n), freeze index first, a view of the
-    step-major (T-1, m, n, T) stack that holds each step as it returns; the
-    suffix maxima (T,) over passes s.. of the top eigenvalue of the
-    symmetrized A' P_s[i] A, i = 1..T-2 (i = 1 when T = 2), so alpha at
-    preview W is entry min(W, T-1), which an ``_AlphaScreen`` streams over
-    a step-major ring of ``ALPHA_BLOCK`` steps; the true pass's value
-    matrices (T, n, n); and per W of ``Ws`` the feedforward (T-1, [N,] T-1,
-    m) of the plans t that know ``w`` (T-1, n) or (N, T-1, n) to w[t], on
-    pass min(t + W, T-1). After step i, ``_affine_step`` advances plans
-    t >= i on the columns P_s[i+1] and K_s[i] at hand.
+    Returns (K_all, apa_max, P_true, k, merged): every pass's gains (T,
+    T-1, m, n), a view of a step-major (T-1, m, n, T) stack; the suffix
+    maxima (T,) over passes s.. of the top eigenvalue of the symmetrized
+    A' P_s[i] A, i = 1..T-2 (i = 1 when T = 2), so alpha at preview W is
+    entry min(W, T-1), streamed by an ``_AlphaScreen``; the true pass's
+    value matrices (T, n, n); per W of ``Ws`` the feedforward (T-1, [N,]
+    T-1, m) of the plans t that know ``w`` (T-1, n) or (N, T-1, n) to w[t],
+    on pass min(t + W, T-1), which ``_affine_step`` advances after step i
+    for plans t >= i; and per pass s the step below which its gains are the
+    true pass's, 0 if none, nondecreasing in s < T-1.
+    Passes step as in ``frozen_steps`` to the step h of ``_certificates``,
+    then each tail holds, P_s[i] = P_s[h] and K_s[i] = K_s[h] for s <= i <
+    h, and each head carries P_s - P* by ``_carry_difference`` from the
+    float difference at h, or at s as it enters, and merges into the true
+    pass at the first step c where that is within tol and every pass above
+    it has: P_s[j] = P*[j] for j <= c, K_s[j] = K*[j] for j < c. One
+    ``riccati_step`` per step covers the unmerged heads and the true pass,
+    whose bits do not depend on the batch, and the screen takes only
+    matrices formed, as a held or merged one repeats a screened one.
+    Without a certificate this is ``frozen_steps``, bit for bit.
     """
-    T, n = schedule.horizon, sys.n
-    K_all = np.empty((T - 1, sys.m, n, T))
-    P_true = np.empty((T, n, n))
+    T, n, m = schedule.horizon, sys.n, sys.m
+    K_all = np.empty((T - 1, m, n, T))
+    P_true, merged = np.empty((T, n, n)), np.zeros(T, dtype=np.intp)
     screen = _AlphaScreen(sys.A, T)
-    ring = screen.ring
     hi = max(T - 2, 1)
     # Plan t runs on pass min(t + W, T - 1) and joins the batch at step t.
     s_of = [np.minimum(np.arange(T - 1) + W, T - 1) for W in Ws]
     if Ws:
         w = check_disturbances(w, T, n)
     q = [np.zeros(w.shape[:-2] + (T - 1, n)) for _ in Ws]
-    k = [np.zeros((T - 1,) + w.shape[:-2] + (T - 1, sys.m)) for _ in Ws]
-    for i, P, K in frozen_steps(sys, schedule):
-        if K is not None:
-            K_all[i] = K
-            for s, q_W, k_W in zip(s_of, q, k):
-                Pn, Ks = P_next.transpose(2, 0, 1)[s[i:]], K.transpose(2, 0, 1)[s[i:]]
-                k_W[i, ..., i:, :], q_W[..., i:, :] = _affine_step(
-                    sys, Pn, Ks, schedule.R[i], w[..., i, :], q_W[..., i:, :]
-                )
+    k = [np.zeros((T - 1,) + w.shape[:-2] + (T - 1, m)) for _ in Ws]
+    Qs, Rs = schedule.Q, schedule.R
+    h, tol = _certificates(sys, schedule)
+    # Passes above ``top`` have merged; column top+1 holds the true pass.
+    h, steps, top = -1 if h is None else h, frozen_steps(sys, schedule), T - 2
+    for i in range(T - 1, -1, -1):
+        if i >= h:
+            _, P, K = next(steps)
+            if K is not None:
+                K_all[i] = K
+        else:
+            # P holds P_s[i+1]: held tails in columns <= i+1, heads i+2..top.
+            D[..., i + 1] = P[..., i + 1] - P[..., top + 1]
+            Pw, Kw = riccati_step(P[..., i + 1 : top + 2], sys.A, sys.B, Qs[i], Rs[i])
+            K = K_all[i]
+            K[..., : i + 1], K[..., i + 1 : top + 2], K[..., top + 2 :] = K_all[h, ..., : i + 1], Kw, Kw[..., -1:]
+        P_true[i] = P[..., T - 1] if i >= h else Pw[..., -1]
+        for s, q_W, k_W in zip(s_of, q, k) if i < T - 1 else ():
+            Pn, Ks = P_next.transpose(2, 0, 1)[np.minimum(s[i:], top + 1)], K.transpose(2, 0, 1)[s[i:]]
+            k_W[i, ..., i:, :], q_W[..., i:, :] = _affine_step(sys, Pn, Ks, Rs[i], w[..., i, :], q_W[..., i:, :])
         P_next = P  # frees P_s[i+1] before the screen allocates
-        P_true[i] = P[..., T - 1]
+        if i < h:
+            P[..., i + 1 : top + 2] = Pw
+            if tol is not None:
+                D[..., i + 1 : top + 1], norm = _carry_difference(sys, D[..., i + 1 : top + 1], Kw)
+                if norm[-1] <= tol:  # the top run within tol merges
+                    new_top = top - int(np.cumprod(norm[::-1] <= tol).sum())
+                    P[..., new_top + 1 : top + 1] = Pw[..., -1:]
+                    merged[new_top + 1 : top + 1], top = i, new_top
+        elif i == h:
+            D = P - P[..., -1:]
         if 1 <= i <= hi:
             # The interior steps hi..1 go in blocks of ALPHA_BLOCK, screened
-            # in ascending order from the ring, where step i is slot j.
+            # in ascending order from the ring, where step i is slot j; a block
+            # below h takes the passes its steps form, lo..top+1, and T-1.
             j = ALPHA_BLOCK - 1 - (hi - i) % ALPHA_BLOCK
-            ring[j] = P
+            if j == ALPHA_BLOCK - 1:
+                lo = 0 if i >= h else max(i - ALPHA_BLOCK + 1, 1) + 1
+                passes = np.r_[lo : top + 2, T - 1]
+                ring = screen.buffer[0, : ALPHA_BLOCK * n * n * len(passes)].reshape(ALPHA_BLOCK, n, n, -1)
+            ring[j, ..., :-1], ring[j, ..., -1] = P[..., lo : passes[-2] + 1], P_true[i]
             if j == 0 or i == 1:
-                screen.screen(ring[j:])
-    return K_all.transpose(3, 0, 1, 2), screen.suffix(), P_true, k
+                screen.screen(ring[j:], passes)
+    return K_all.transpose(3, 0, 1, 2), screen.suffix(), P_true, k, merged
 
 
 def _affine_step(sys: LinearSystem, Pn, K, R, w, q):
@@ -344,18 +424,23 @@ def affine_terms(sys: LinearSystem, sol: RiccatiSolution, w, last=None):
 DARE_MAX_DOUBLINGS = 64
 
 
+def _doubling_step(A, G, H):
+    """One doubling (A, G, H) -> (A W^-1 A, G + A W^-1 G A', H + A' H W^-1 A),
+    W = I + G H, G and H re-symmetrized, of one problem or a stack of them."""
+    n, AT = A.shape[-1], np.swapaxes(A, -1, -2)
+    X = np.linalg.solve(np.eye(n) + G @ H, np.concatenate([A, G], axis=-1))
+    H, G = H + AT @ H @ X[..., :n], G + A @ X[..., n:] @ AT
+    return A @ X[..., :n], 0.5 * (G + np.swapaxes(G, -1, -2)), 0.5 * (H + np.swapaxes(H, -1, -2))
+
+
 def _doubling(A, G, H, tol: float):
-    """Doublings (A, G, H) -> (A W^-1 A, G + A W^-1 G A', H + A' H W^-1 A),
-    W = I + G H, G and H re-symmetrized, until H's largest entry moves by at
-    most tol relative and A's entries, powers of the closed loop, are below
-    1. A non-finite iterate or ``DARE_MAX_DOUBLINGS`` doublings without the
-    stop raise a ``DareConvergenceError``."""
-    n = len(A)
+    """``_doubling_step`` until H's largest entry moves by at most tol
+    relative and A's entries, powers of the closed loop, are below 1. A
+    non-finite iterate or ``DARE_MAX_DOUBLINGS`` doublings without the stop
+    raise a ``DareConvergenceError``."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(DARE_MAX_DOUBLINGS):
-            X = np.linalg.solve(np.eye(n) + G @ H, np.concatenate([A, G], axis=1))
-            H_next, G = H + A.T @ H @ X[:, :n], G + A @ X[:, n:] @ A.T
-            A, H_next, G = A @ X[:, :n], 0.5 * (H_next + H_next.T), 0.5 * (G + G.T)
+            A, G, H_next = _doubling_step(A, G, H)
             if not all(np.isfinite(M).all() for M in (A, G, H_next)):
                 raise DareConvergenceError(f"non-finite iterate after {k + 1} doublings")
             if np.abs(H_next - H).max() <= tol * np.abs(H_next).max() and np.abs(A).max() < 1.0:

@@ -57,6 +57,8 @@ from preview_lqr.systems import (
 )
 from preview_lqr.verification import frozen_values
 
+from cut_reference import cut_reference
+
 
 def scalar_system(a, b, x0=1.0):
     return LinearSystem([[a]], [[b]], [x0])
@@ -244,7 +246,8 @@ def reference_bound_constants(sys, schedule, K_track, W=0, cost_bounds=None):
     planner = FrozenPlanner(sys, schedule)
     planner.prepare()
     hi = T - 1 if T <= 2 else T - 2
-    stacked = frozen_values(sys, schedule)[min(W, T - 1) :, 1 : hi + 1]
+    # alpha over the frozen passes as the sweep cuts them.
+    stacked = np.moveaxis(cut_reference(sys, schedule)[0], -1, 0)[min(W, T - 1) :, 1 : hi + 1]
     APA = A.T @ stacked @ A
     APA = 0.5 * (APA + np.swapaxes(APA, -1, -2))
     alpha = float(np.linalg.eigvalsh(APA)[..., -1].max())
@@ -401,14 +404,16 @@ class TestBoundConstantsCache:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
-        # The sweep's own steps give every pass bit for bit, with the
-        # planner's gains and true pass.
+        # The sweep's own steps give every pass bit for bit, with the true
+        # pass; the planner's gains are the dense loop's with the same cuts.
         P = frozen_values(sys_, sched)
         np.testing.assert_array_equal(P[399], planner.P_true)
+        _, K_cut, _ = cut_reference(sys_, sched)
         for s in (0, 1, 2, 57, 200, 331, 397, 398, 399):
             ref = backward_riccati(sys_, frozen_schedule(sched, s, 0))
             np.testing.assert_array_equal(P[s], ref.P)
-            np.testing.assert_array_equal(planner.K[s], ref.K)
+            np.testing.assert_array_equal(planner.K[s], K_cut[..., s])
+        np.testing.assert_array_equal(planner.K[399], ref.K)
 
 
 def unscreened_alpha_top(A, P):
@@ -437,7 +442,7 @@ def streamed_alpha_top(A, P):
     screen = _AlphaScreen(A, T)
     for i in range(hi, 0, -ALPHA_BLOCK):
         block = P[:, max(i - ALPHA_BLOCK + 1, 1) : i + 1]
-        screen.screen(np.ascontiguousarray(np.moveaxis(block, 0, -1)))
+        screen.screen(np.ascontiguousarray(np.moveaxis(block, 0, -1)), np.arange(T))
     return screen.suffix()
 
 
@@ -446,16 +451,16 @@ def assert_screen_exact(A, P):
 
 
 def frozen_passes(sys_, sched):
-    """The system matrix and the planner's stack of frozen passes.
+    """The system matrix and the full stack of frozen passes.
 
     The suffix maxima that the planner's own sweep screened are checked
-    against the unscreened loop on the way.
+    against the unscreened loop over the cut passes on the way.
     """
     planner = FrozenPlanner(sys_, sched)
     planner.prepare()
-    P = frozen_values(sys_, sched)
-    np.testing.assert_array_equal(planner.apa_max, suffix_maxima(unscreened_alpha_top(sys_.A, P)))
-    return sys_.A, P
+    P_cut = np.moveaxis(cut_reference(sys_, sched)[0], -1, 0)
+    np.testing.assert_array_equal(planner.apa_max, suffix_maxima(unscreened_alpha_top(sys_.A, P_cut)))
+    return sys_.A, frozen_values(sys_, sched)
 
 
 def cancelling_passes(seed, n, T):
@@ -556,28 +561,41 @@ class TestAlphaScreen:
 
     def test_eigvalsh_sees_few_matrices(self, monkeypatch):
         # The sweep streams the same screen whether or not it streams plans.
+        # The merge certificate's eigvalsh of Q, R and Pbar, 2T matrices, is
+        # counted apart.
         T = 400
         sys_, _, sched, _ = pendulum_setup(T, seed=2)
-        eigvalsh = np.linalg.eigvalsh
+        eigvalsh, certificates = np.linalg.eigvalsh, riccati_module._certificates
         for plans in ((), (np.ones((T - 1, 4)), [8])):
-            seen = []
+            seen, certificate = [], []
 
             def counting(a, *args, **kwargs):
                 seen.append(int(np.prod(np.shape(a)[:-2])))
                 return eigvalsh(a, *args, **kwargs)
 
+            def counted_apart(*args):
+                before = len(seen)
+                try:
+                    return certificates(*args)
+                finally:
+                    certificate.extend(seen[before:])
+                    del seen[before:]
+
             monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+            monkeypatch.setattr(riccati_module, "_certificates", counted_apart)
             frozen_backward_sweep(sys_, sched, *plans)
             monkeypatch.undo()
             # 613 of the 159,200 interior matrices, measured against the
-            # suffix maxima; 3,662 against per-pass maxima.
+            # suffix maxima, before the cut, and 518 with it; 3,662 against
+            # per-pass maxima.
             assert sum(seen) <= 2 * 613
+            assert sum(certificate) == 2 * T
 
     def test_few_products_are_formed(self, monkeypatch):
         T = 400
         sys_, _, sched, _ = pendulum_setup(T, seed=2)
         symmetrized_apa = riccati_module._symmetrized_apa
-        P = frozen_values(sys_, sched)
+        P = np.moveaxis(cut_reference(sys_, sched)[0], -1, 0)
         for plans in ((), (np.ones((T - 1, 4)), [8])):
             formed = []
 
@@ -807,18 +825,18 @@ class TestScalingCertificate:
     # accepts the new report against the old one.
     GOLDEN = {
         0: {
-            "expected_regrets": ("0x1.21744306e381fp+34", "0x1.1f1aea7c8b93cp+35"),
-            "stderrs": ("0x1.bfa29661b349ep+31", "0x1.4e1f6434a7286p+31"),
+            "expected_regrets": ("0x1.21744306e381fp+34", "0x1.1f1aea7c8b92bp+35"),
+            "stderrs": ("0x1.bfa29661b349ep+31", "0x1.4e1f6434a7194p+31"),
             "gammas": ("0x1.ffffe39ff2cddp-1", "0x1.ffffe4f249d86p-1"),
-            "rates": ("0x1.72819e5460466p+28", "0x1.6f7fd37937e77p+28"),
-            "ratio": "0x1.02183cc1f38eap+0",
+            "rates": ("0x1.72819e5460466p+28", "0x1.6f7fd37937e61p+28"),
+            "ratio": "0x1.02183cc1f38f9p+0",
         },
         5: {
-            "expected_regrets": ("0x1.0372bb8dc2570p+34", "0x1.588cff8bbbffap+35"),
-            "stderrs": ("0x1.e16d16546e9cbp+30", "0x1.d5794db5bdafcp+31"),
+            "expected_regrets": ("0x1.0372bb8dc2570p+34", "0x1.588cff8bbbdecp+35"),
+            "stderrs": ("0x1.e16d16546e9cbp+30", "0x1.d5794db5be6c8p+31"),
             "gammas": ("0x1.ffffe30763cb2p-1", "0x1.ffffe4e52c51bp-1"),
-            "rates": ("0x1.4c1926f8a7ca9p+28", "0x1.b907db615d130p+28"),
-            "ratio": "0x1.53f8a3bc561d2p+0",
+            "rates": ("0x1.4c1926f8a7ca9p+28", "0x1.b907db615ce8fp+28"),
+            "ratio": "0x1.53f8a3bc55fccp+0",
         },
     }
 

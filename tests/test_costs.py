@@ -71,6 +71,26 @@ class TestCostSchedule:
         with pytest.raises(ValueError, match="symmetric"):
             CostSchedule((bad, np.eye(2)), (np.eye(1),))
 
+    @pytest.mark.parametrize(
+        "name, entry, message",
+        [
+            ("Q", np.array([[1.0, 0.5], [0.0, 1.0]]), "Q[3] must be symmetric"),
+            ("Q", np.diag([1.0, -1e-3]), "Q[3] is not positive semidefinite"),
+            ("R", np.array([[1.0, 0.5], [0.0, 1.0]]), "R[3] must be symmetric"),
+            ("R", np.diag([1.0, 0.0]), "R[3] is not positive definite"),
+        ],
+    )
+    def test_names_the_first_failing_index(self, name, entry, message):
+        # One stacked check per stack still names the first bad entry, here
+        # the middle of three, with the symmetry check first at each index.
+        Q, R = [np.eye(2)] * 7, [np.eye(2)] * 6
+        stack = Q if name == "Q" else R
+        stack[3] = stack[5] = entry
+        stack[4] = np.diag([1.0, -1.0]) if name == "Q" else np.zeros((2, 2))
+        with pytest.raises(ValueError) as info:
+            CostSchedule(Q, R)
+        assert str(info.value) == message
+
 
 class TestVerifyBounds:
     def test_constant_at_bounds(self):

@@ -24,6 +24,7 @@ from preview_lqr.policies import (
     validate_policy_config,
 )
 from preview_lqr.riccati import (
+    RiccatiSolution,
     TrajectoryOverflowError,
     backward_riccati,
     brute_force_lqr_oracle,
@@ -40,6 +41,8 @@ from preview_lqr.systems import (
     random_controllable_system,
 )
 from preview_lqr.verification import frozen_values
+
+from cut_reference import cut_reference
 
 
 def scalar_system(a, b, x0=1.0):
@@ -482,7 +485,7 @@ def unbatched_plan_points(sys_, sched, W, w):
     T = sched.horizon
     t_all = np.arange(T - 1)
     s_of = np.minimum(t_all + W, T - 1)
-    K, _, _, (k,) = frozen_backward_sweep(sys_, sched, w, [W])
+    K, _, _, (k,), _ = frozen_backward_sweep(sys_, sched, w, [W])
     X, U = np.empty((T - 1, sys_.n)), np.empty((T - 1, sys_.m))
     AT, BT = sys_.A.T.copy(), sys_.B.T.copy()
     x = np.tile(sys_.x0, (T - 1, 1))
@@ -623,10 +626,13 @@ class TestFrozenPlanner:
 
         planner.prepare()
         P = frozen_values(sys_, sched)
+        # The planner's passes are the dense loop's with the same cuts.
+        K_cut = cut_reference(sys_, sched)[1].transpose(3, 0, 1, 2)
         for s in range(T):
             ref = backward_riccati(sys_, frozen_schedule(sched, s, 0))
             np.testing.assert_array_equal(P[s], ref.P)
-            np.testing.assert_array_equal(planner.K[s], ref.K)
+            np.testing.assert_array_equal(planner.K[s], K_cut[s])
+            ref = RiccatiSolution(ref.P, K_cut[s], ref.schedule)
             traj = rollout(sys_, ref, sys_.x0)
             xs, us = planner.nominal_plan(s)
             assert_rel_close(xs, traj.x)

@@ -30,6 +30,8 @@ from preview_lqr.riccati import (
 )
 from preview_lqr.seeding import generator
 from preview_lqr.verification import _instances, frozen_values
+
+from cut_reference import cut_reference
 from preview_lqr.systems import LinearSystem, inverted_pendulum, random_controllable_system
 
 
@@ -210,8 +212,10 @@ class TestBackwardRiccatiLoop:
 
 
 def every_pass(sys_, sched):
-    """Every frozen pass's value matrices and gains, (T, T, n, n) and (T, T-1, m, n)."""
-    return frozen_values(sys_, sched), frozen_backward_sweep(sys_, sched)[0]
+    """Every frozen pass's value matrices and gains as the sweep cuts them,
+    (T, T, n, n) and (T, T-1, m, n), from the dense loop with the same cuts."""
+    P, K, _ = cut_reference(sys_, sched)
+    return P.transpose(3, 0, 1, 2), K.transpose(3, 0, 1, 2)
 
 
 def looped_affine_terms(sys_, P, K, R, w, last):
@@ -783,7 +787,7 @@ class TestFrozenBackwardSweep:
         )
         sys_ = random_controllable_system(3, 1, -1.0, 1.0, rng)
         sched = random_uniform_schedule(bounds, 12, rng)
-        K_all, top, P_true, k = frozen_backward_sweep(sys_, sched)
+        K_all, top, P_true, k, _ = frozen_backward_sweep(sys_, sched)
         assert k == [] and K_all.shape == (12, 11, 1, 3)
         # The sweep's own steps give every pass's value matrices.
         P_every = frozen_values(sys_, sched)
@@ -793,7 +797,7 @@ class TestFrozenBackwardSweep:
             np.testing.assert_array_equal(K_all[s], ref.K)
         np.testing.assert_array_equal(P_true, P_every[11])
         # Streaming plans changes no gain, maximum or true pass.
-        K_w, top_w, P_w, k = frozen_backward_sweep(sys_, sched, rng.standard_normal((2, 11, 3)), [0, 4])
+        K_w, top_w, P_w, k, _ = frozen_backward_sweep(sys_, sched, rng.standard_normal((2, 11, 3)), [0, 4])
         assert [a.shape for a in k] == [(11, 2, 11, 1)] * 2
         for got, ref in ((K_w, K_all), (top_w, top), (P_w, P_true)):
             np.testing.assert_array_equal(got, ref)
